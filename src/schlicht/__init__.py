@@ -72,6 +72,7 @@ from .operators import (
     operator_moldoveanu_pascu,
     operator_pascu,
     operator_values,
+    operator_values_with_derivative,
 )
 from .oracle import (
     InjectivityReport,

@@ -294,12 +294,33 @@ def differentiate(e: Expr) -> Expr:
     raise TypeError(f"unknown expression node {e!r}")
 
 
+_MAX_ZERO_ORDER = 16
+
+
+def _zero_order(e: Expr, deriv: Expr) -> int:
+    """Order of the zero of ``e`` at the origin; 0 when e(0) != 0.
+
+    Counts the leading derivatives that vanish exactly at 0, so a tiny
+    nonzero value counts as no zero at all.
+    """
+    origin = np.zeros(1, dtype=complex)
+    if _ev(e, origin)[0] != 0:
+        return 0
+    d = deriv
+    for order in range(1, _MAX_ZERO_ORDER + 1):
+        if _ev(d, origin)[0] != 0:
+            return order
+        d = differentiate(d)
+    raise DivisionByZero(0j, e)
+
+
 def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     """z * e'(z) / e(z) with the removable singularity resolved at z = 0.
 
-    For an expression vanishing at the origin (a normalized member of the
-    class A with a simple zero) the limit is 1; for e(0) != 0 the value at
-    0 is exactly 0.  Vectorized over ``z``.
+    At the origin the value is the order n of the zero of e there: n = 0
+    when e(0) != 0 (exactly), and the limit n of z e'/e otherwise, found
+    from the first derivative that does not vanish at 0 (1 for a
+    normalized member of the class A).  Vectorized over ``z``.
     """
     d = deriv if deriv is not None else differentiate(e)
     scalar_in = np.isscalar(z) or isinstance(z, complex)
@@ -315,8 +336,7 @@ def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     nz = ~at0
     out[nz] = arr[nz] * dvals[nz] / vals[nz]
     if np.any(at0):
-        v0 = complex(_ev(e, np.zeros(1, dtype=complex))[0])
-        out[at0] = 1.0 if abs(v0) <= 1e-14 else 0.0
+        out[at0] = _zero_order(e, d)
     bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
     if np.any(bad):
         idx = int(np.flatnonzero(bad.ravel())[0])

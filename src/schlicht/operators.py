@@ -18,6 +18,16 @@ Two branch continuations are maintained along the radial segment:
   partial integrals at panel edges, again starting from V = 1 at the
   origin.
 
+The derivative of the operator needs no further quadrature.  Since
+G(z)^alpha = z^alpha V(z) = alpha * int_0^z g^(alpha-1) f' du,
+
+    G'(z) = f'(z) * Phi(z)^(alpha-1) * V(z)^(-(alpha-1)/alpha),
+
+where both powers take the continued logarithms of one bracket pass at the
+endpoint (``logphi_end`` and ``log_value``), the same branches that define
+the integrand and G itself.  At the origin Phi = V = 1, so G'(0) = f'(0)
+and no ray is integrated.
+
 Panels are Gauss-Legendre with a fixed node count; the error of each panel
 is estimated by doubling the node count, and panels are bisected until the
 estimate fits into the panel's share of the absolute tolerance.  For
@@ -47,6 +57,7 @@ from .expr import Expr, Var, _ev, differentiate
 __all__ = [
     "QuadratureConfig", "OperatorValue", "RadialBracket", "BracketFinal",
     "iter_radial_brackets", "bracket_final", "operator_values",
+    "operator_values_with_derivative",
     "operator_g_alpha", "operator_pascu", "operator_moldoveanu_pascu",
     "operator_mocanu", "continued_gz_log", "DEFAULT_QUADRATURE",
 ]
@@ -398,16 +409,28 @@ def bracket_final(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
     return out
 
 
+def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
+                                    cfg: QuadratureConfig | None = None):
+    """Operator values and closed-form G' from one bracket pass.
+
+    Returns (values, derivatives, errors, branch_ok), vectorized over z.
+    """
+    alpha = _validate_alpha(alpha)
+    zarr = _prepare(z)
+    fp = differentiate(f)
+    fin = bracket_final(g, alpha, zarr, cfg, phi_exponent=alpha - 1, weight=fp)
+    vals = zarr * np.exp(fin.log_value / alpha)
+    derivs = _ev(fp, zarr) * np.exp((alpha - 1) * (fin.logphi_end
+                                                   - fin.log_value / alpha))
+    scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
+    return vals, derivs, fin.error * scale, fin.branch_ok
+
+
 def operator_values(f: Expr, g: Expr, alpha, z,
                     cfg: QuadratureConfig | None = None):
     """Vectorized operator evaluation; returns (values, errors, branch_ok)."""
-    alpha = _validate_alpha(alpha)
-    zarr = _prepare(z)
-    fin = bracket_final(g, alpha, zarr, cfg, phi_exponent=alpha - 1,
-                        weight=differentiate(f))
-    vals = zarr * np.exp(fin.log_value / alpha)
-    scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
-    return vals, fin.error * scale, fin.branch_ok
+    vals, _, errs, ok = operator_values_with_derivative(f, g, alpha, z, cfg)
+    return vals, errs, ok
 
 
 def _scalar_operator(vals, errs, ok) -> OperatorValue:

@@ -4,6 +4,13 @@ Nothing here ever claims univalence; a pass means "no counterexample found
 at this resolution" and every report carries the resolution used.  The
 collision tolerance is relative, scaled by |z1 - z2|, so boundary
 compression of bounded maps does not trigger false alarms.
+
+Subjects are expressions or vectorized callables.  The derivative check
+differentiates an expression symbolically, uses a callable's own
+``derivative`` attribute when it has one (the operator subject's closed
+form G', see ``operators``), and falls back to finite differences only
+for a plain callable.  ``preimage_count`` takes one target or a sequence
+of targets; a sequence shares the evaluations of each winding circle.
 """
 
 from __future__ import annotations
@@ -102,7 +109,6 @@ def _bucketed_scan(z: np.ndarray, w: np.ndarray, tol: float):
 
 def _neighbor_ratio(w2d: np.ndarray, z2d: np.ndarray):
     best = np.inf
-    pair = None
     for dwa, dza in (
         (w2d[1:, :] - w2d[:-1, :], z2d[1:, :] - z2d[:-1, :]),
         (w2d[:, 1:] - w2d[:, :-1], z2d[:, 1:] - z2d[:, :-1]),
@@ -136,23 +142,43 @@ def injectivity_test(f, grid: DiskGrid, tol: float = 1e-6) -> InjectivityReport:
     )
 
 
-def preimage_count(f, w0: complex, r: float = 0.9, n_nodes: int = 512,
-                   max_refinements: int = 5) -> int:
+def preimage_count(f, w0, r: float = 0.9, n_nodes: int = 512,
+                   max_refinements: int = 5):
     """Number of preimages of w0 in |z| < r by the argument principle.
 
     The winding number of f(r e^{i theta}) - w0 is accumulated from
     principal phase steps; node counts double until every step is below
     pi/2.  The circle radius is nudged by 1e-4 (up to five times) when the
     curve passes through w0.
+
+    ``w0`` may also be a sequence of targets; the result is then the list
+    of counts, and each circle (radius, node count) is evaluated at most
+    once for all of them.  Each target takes the same nudges and doublings
+    as on its own, and the first target that fails raises.
     """
     fn = as_callable(f)
-    w0 = complex(w0)
+    circles: dict[tuple[int, int], np.ndarray] = {}
+
+    def circle(attempt: int, nodes: int) -> np.ndarray:
+        if (attempt, nodes) not in circles:
+            rr = r + 1e-4 * attempt
+            th = 2 * np.pi * np.arange(nodes) / nodes
+            circles[attempt, nodes] = np.asarray(fn(rr * np.exp(1j * th)))
+        return circles[attempt, nodes]
+
+    if np.ndim(w0) == 0:
+        return _winding(circle, complex(w0), r, n_nodes, max_refinements)
+    return [_winding(circle, complex(w), r, n_nodes, max_refinements)
+            for w in w0]
+
+
+def _winding(circle, w0: complex, r: float, n_nodes: int,
+             max_refinements: int) -> int:
     for attempt in range(6):
         rr = r + 1e-4 * attempt
         nodes = n_nodes
         for _ in range(max_refinements + 1):
-            th = 2 * np.pi * np.arange(nodes) / nodes
-            vals = np.asarray(fn(rr * np.exp(1j * th))) - w0
+            vals = circle(attempt, nodes) - w0
             if np.min(np.abs(vals)) <= 1e-9 * (1 + abs(w0)):
                 break  # on the curve; perturb r
             closed = np.concatenate([vals, vals[:1]])
@@ -180,10 +206,21 @@ class DerivativeReport:
 
 def derivative_nonvanishing(f, grid: DiskGrid,
                             flag_below: float = 1e-10) -> DerivativeReport:
-    """Minimum of |f'| over the grid and the origin; must stay positive."""
-    z = np.concatenate([[0j], grid.points().ravel()])
+    """Minimum of |f'| over the grid and the origin; must stay positive.
+
+    The derivative is symbolic for an expression and the subject's own
+    ``derivative`` when it has one (the operator's closed form, asked at
+    the grid array itself so that a subject which keeps its last pass
+    reuses the injectivity scan).  Only a plain callable falls back to
+    Richardson central differences.
+    """
+    pts = grid.points()
+    z = np.concatenate([[0j], pts.ravel()])
     if isinstance(f, Expr):
         d = np.asarray(eval_expr(differentiate(f), z))
+    elif hasattr(f, "derivative"):
+        on_grid = np.ravel(f.derivative(pts))
+        d = np.concatenate([np.ravel(f.derivative(z[:1])), on_grid])
     else:
         fn = as_callable(f)
         h = 1e-5 * (1 - np.abs(z))

@@ -34,7 +34,7 @@ from .criteria import (
 from .dsl import parse
 from .errors import ParameterError
 from .expr import AnalyticTriple, Expr, Var, const, eval_expr
-from .operators import QuadratureConfig, operator_values
+from .operators import QuadratureConfig, operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
 __all__ = ["ResolvedConfig", "load_config", "run_check", "report_json",
@@ -109,8 +109,6 @@ def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
         applied = apply_preset(preset, f, g, h, params, k_fn)
         f, g, h, params = applied.f, applied.g, applied.h, applied.params
         check = check or applied.check_id
-        if check is None:
-            check = applied.check_id
     if not check:
         raise ParameterError("config must name a check (or a preset that routes one)")
     if check not in CRITERION_IDS:
@@ -162,13 +160,34 @@ def _report_dict(rep: CriterionReport) -> dict:
 
 
 def subject_function(rc: ResolvedConfig):
-    """The function a criterion speaks about: f itself, or the operator."""
+    """The function a criterion speaks about: f itself, or the operator.
+
+    The operator carries its closed-form derivative as ``op.derivative``.
+    Both come from one bracket pass, and the last pass is kept, keyed by
+    the exact points array, so asking for G' at the points just evaluated
+    (or for G again) integrates nothing.
+    """
     if rc.check == "becker":
         return rc.f
+    last: dict = {}
+
+    def evaluate(zz):
+        zz = np.asarray(zz)
+        points = last.get("points")
+        if points is None or not np.array_equal(points, zz):
+            vals, derivs, _, _ = operator_values_with_derivative(
+                rc.f, rc.g, rc.params.alpha, zz.ravel(), rc.quadrature)
+            last.update(points=zz.copy(), values=vals.reshape(zz.shape),
+                        derivatives=derivs.reshape(zz.shape))
+            # a hit hands the same arrays to another caller
+            for arr in last.values():
+                arr.flags.writeable = False
+        return last
+
     def op(zz):
-        vals, _, _ = operator_values(rc.f, rc.g, rc.params.alpha,
-                                     np.asarray(zz).ravel(), rc.quadrature)
-        return vals.reshape(np.shape(zz))
+        return evaluate(zz)["values"]
+
+    op.derivative = lambda zz: evaluate(zz)["derivatives"]
     return op
 
 
@@ -197,6 +216,8 @@ def oracle_block(rc: ResolvedConfig, n_probes: int = 20) -> dict:
     """Injectivity, winding-count and derivative evidence for the subject."""
     fn = subject_function(rc)
     inj = injectivity_test(fn, rc.grid)
+    # right after the scan, so an operator subject reuses the scan's pass
+    deriv = derivative_nonvanishing(fn, rc.grid)
     rng = np.random.default_rng(rc.seed)
     zz = 0.85 * np.sqrt(rng.uniform(0, 1, n_probes)) * np.exp(
         2j * np.pi * rng.uniform(0, 1, n_probes))
@@ -204,8 +225,7 @@ def oracle_block(rc: ResolvedConfig, n_probes: int = 20) -> dict:
         targets = [eval_expr(fn, complex(z)) for z in zz]
     else:
         targets = list(np.asarray(fn(zz)))
-    counts = [preimage_count(fn, complex(w0), r=0.9) for w0 in targets]
-    deriv = derivative_nonvanishing(fn, rc.grid)
+    counts = preimage_count(fn, [complex(w0) for w0 in targets], r=0.9)
     return {
         "injective_on_grid": inj.injective_on_grid,
         "collision_pair": ([_cplx(inj.collision_pair[0]), _cplx(inj.collision_pair[1])]

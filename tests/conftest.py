@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from schlicht import operators
 from schlicht.criteria import CriterionParams
 from schlicht.expr import (
     Expr,
@@ -79,3 +81,22 @@ def admissible_params(rng, with_h0: bool = True):
             continue
         params = CriterionParams(alpha=complex(alpha), c=c, s=complex(a, b), m=m)
         return (params, complex(h0)) if with_h0 else params
+
+
+@pytest.fixture
+def ray_counter(monkeypatch):
+    """List of the ray counts of every quadrature chunk run while active.
+
+    Every ray of radial quadrature passes through
+    ``operators.iter_radial_brackets``.
+    """
+    rays = []
+    original = operators.iter_radial_brackets
+
+    def counted(*args, **kwargs):
+        for sel, br in original(*args, **kwargs):
+            rays.append(len(sel))
+            yield sel, br
+
+    monkeypatch.setattr(operators, "iter_radial_brackets", counted)
+    return rays

@@ -22,6 +22,7 @@ from schlicht.dsl import parse
 from schlicht.errors import ParameterError, UnknownPreset
 from schlicht.expr import AnalyticTriple, Const, eval_expr
 from schlicht.operators import operator_values
+from schlicht.reporting import load_config, subject_function
 
 GRID = DiskGrid()
 TRIPLE_TRIVIAL = AnalyticTriple.build(parse("z"), parse("z"), parse("1"))
@@ -335,3 +336,18 @@ def test_params_validation():
         CriterionParams(alpha=1, c=-1, s=1, m=2.0, k=1.0).validate()
     with pytest.raises(ParameterError):
         DiskGrid(r_max=1.0)
+
+
+def test_log_derivative_condition_operator_subject_uses_closed_form():
+    # alpha = 1, g = z: G' = f' exactly, so z G'/G matches the Expr route
+    # far below the finite-difference gap of the plain-callable route
+    grid = DiskGrid(n_radial=12, n_angular=24, r_max=0.9, refinement_levels=1)
+    rc = load_config({"f": "z + 0.1*z^2", "g": "z", "check": "logderiv-Uk",
+                      "params": {"alpha": 1, "k": 0.15}})
+    subject = subject_function(rc)
+    assert callable(subject.derivative)
+    rep_op = check_log_derivative_condition(subject, 0.15, grid)
+    rep_expr = check_log_derivative_condition(parse("z + 0.1*z^2"), 0.15, grid)
+    assert rep_op.satisfied == rep_expr.satisfied
+    assert rep_op.margin == pytest.approx(rep_expr.margin, abs=1e-12)
+    assert rep_op.witness == pytest.approx(rep_expr.witness, abs=1e-12)

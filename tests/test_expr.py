@@ -9,6 +9,7 @@ from schlicht.expr import (
     differentiate,
     eval_expr,
     log_derivative_at,
+    log_derivative_field,
     principal_power,
 )
 
@@ -119,6 +120,19 @@ def test_log_derivative_removable_limit():
         z = 1e-6 * np.exp(2j * np.pi * rng.uniform())
         assert abs(log_derivative_at(g, z) - 1) < 1e-4
         assert log_derivative_at(g, 0j) == 1
+
+
+@pytest.mark.parametrize("src, expected", [
+    ("z", 1),
+    ("1 + z", 0),
+    ("z^2", 2),             # double zero: the limit is the order
+    ("z^3 + z^4", 3),
+    ("z*exp(z) - 1e-15", 0),  # tiny but nonzero value at the origin
+])
+def test_log_derivative_at_origin_is_zero_order(src, expected):
+    assert log_derivative_at(parse(src), 0j) == expected
+    vals = log_derivative_field(parse(src), np.array([0j, 0j]))
+    assert np.all(vals == expected)
 
 
 def test_log_derivative_zero_denominator():

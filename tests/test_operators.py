@@ -11,6 +11,7 @@ from schlicht.operators import (
     operator_moldoveanu_pascu,
     operator_pascu,
     operator_values,
+    operator_values_with_derivative,
 )
 
 
@@ -199,3 +200,35 @@ def test_vectorized_matches_scalar():
     assert np.all(ok)
     for z, v in zip(zs, vals):
         assert abs(operator_g_alpha(f, g, 1.4, complex(z)).value - v) < 1e-13
+
+
+def _richardson(fn, z: np.ndarray, h: float) -> np.ndarray:
+    """Richardson central difference, all points in one operator batch."""
+    n = len(z)
+    v = fn(np.concatenate([z + h, z - h, z + h / 2, z - h / 2])).reshape(4, n)
+    d1 = (v[0] - v[1]) / (2 * h)
+    d2 = (v[2] - v[3]) / h
+    return (4 * d2 - d1) / 3
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 0.3, 0.7 + 0.2j])
+@pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)"])
+def test_closed_form_derivative_matches_finite_differences(alpha, g_src):
+    f, g = parse("z + 0.1*z^2"), parse(g_src)
+    rng = np.random.default_rng(41)
+    zs = 0.99 * np.sqrt(rng.uniform(0, 1, 24)) * np.exp(2j * np.pi * rng.uniform(0, 1, 24))
+    zs = np.concatenate([zs, 0.99 * np.exp(2j * np.pi * np.arange(8) / 8)])
+    vals, derivs, _, ok = operator_values_with_derivative(f, g, alpha, zs)
+    assert np.all(ok)
+    assert np.array_equal(vals, operator_values(f, g, alpha, zs)[0])
+    # a step of 1e-3 keeps rounding of the differences below the gap checked
+    fd = _richardson(lambda q: operator_values(f, g, alpha, q)[0], zs, 1e-3)
+    assert np.max(np.abs(derivs - fd) / np.abs(derivs)) <= 1e-6
+
+
+def test_closed_form_derivative_at_origin_needs_no_ray(ray_counter):
+    f = parse("3*z + z^2")
+    vals, derivs, errs, ok = operator_values_with_derivative(
+        f, parse("z*exp(0.1*z)"), 0.7 + 0.2j, np.array([0j]))
+    assert vals[0] == 0 and derivs[0] == 3 and errs[0] == 0 and ok[0]
+    assert ray_counter == []

@@ -96,3 +96,45 @@ def test_callable_subject_derivative():
     fn = lambda z: np.asarray(z) + 0.05 * np.asarray(z) ** 2
     rep = derivative_nonvanishing(fn, GRID)
     assert rep.min_abs == pytest.approx(1 - 0.1 * GRID.r_max, abs=1e-4)
+
+
+def _counting(fn):
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return fn(z)
+    return counted, calls
+
+
+def test_preimage_count_sequence_matches_per_target_loop():
+    # f(0.9) = 0.981 lies on the image of the circle r = 0.9: a radius nudge
+    f = parse("z + 0.1*z^2")
+    targets = [0.3 + 0.1j, 0.981, 5.0, -0.2j]
+    assert preimage_count(f, targets, r=0.9) == [
+        preimage_count(f, w0, r=0.9) for w0 in targets]
+
+    ident, calls = _counting(lambda z: np.asarray(z))
+    assert preimage_count(ident, [0.9, 0.3]) == [1, 1]
+    assert calls == [(512,), (512,)]  # r = 0.9, then r = 0.9001 once
+
+    # z^150 winds 150 times: 512 nodes give steps above pi/2, 1024 do not
+    power, calls = _counting(lambda z: np.asarray(z) ** 150)
+    targets = [0j, 2.0, 1e-8]
+    assert preimage_count(power, targets) == [
+        preimage_count(power, w0) for w0 in targets] == [150, 0, 150]
+    assert calls[:2] == [(512,), (1024,)]
+    assert len(calls) == 2 + 5  # the sequence shares two circles
+
+
+def test_preimage_count_sequence_raises_like_the_loop():
+    zero = lambda z: np.zeros(np.shape(z), dtype=complex)
+    assert preimage_count(zero, 1.0) == 0
+    with pytest.raises(OnCurve):
+        preimage_count(zero, [1.0, 0.0])
+
+    fn = lambda z: np.exp(50j * np.sin(60 * np.angle(z)))
+    assert preimage_count(fn, 5.0, n_nodes=512, max_refinements=3) == 0
+    with pytest.raises(UnresolvedWinding):
+        preimage_count(fn, [5.0, 0.3 + 0.1j], r=0.9, n_nodes=512,
+                       max_refinements=3)
