@@ -1,8 +1,8 @@
 """Numerical certification toolkit for univalence criteria of integral
 operators on the unit disk: operator evaluation with branch-continued
 powers, inequality checking with adaptive disk maximization, Loewner chain
-sampling, Becker quasiconformal extensions with Beltrami estimates, and
-criterion-free univalence oracles.
+sampling, Becker quasiconformal extensions with closed-form Beltrami
+coefficients, and criterion-free univalence oracles.
 
 A passing check is always "certified on this grid", never a proof.
 """
@@ -59,6 +59,7 @@ from .extension import (
     BeltramiSample,
     ExtensionField,
     becker_extension,
+    beltrami_coefficient,
     beltrami_estimate,
     beltrami_field,
     max_dilatation,

@@ -184,7 +184,11 @@ def transfer_w(A, s: complex, m: float):
 
 
 def transfer_p(w):
-    """p = (1+w)/(1-w), the Caratheodory transform of w."""
+    """p = (1+w)/(1-w), the Caratheodory transform of w.
+
+    Applied to w = transfer_w(transfer_a(...)) this is the chain's driving
+    term p = z L'(z,t) / dL/dt, so the extension has mu = -(z/conj z) w.
+    """
     scalar = np.isscalar(w)
     wa = np.asarray(w, dtype=complex)
     if np.any(wa == 1):
@@ -343,7 +347,11 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t,
 
 
 def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
-    """Driving term p(z,t) = e^{-alpha t}(z^{1-alpha} g^{alpha-1} f') + 1 - e^{-alpha t}."""
+    """Driving term p(z,t) = e^{-alpha t}(z^{1-alpha} g^{alpha-1} f') + 1 - e^{-alpha t}.
+
+    This is p = z L'(z,t) / dL/dt, the quotient the Becker extension turns
+    into mu = (z/conj z)(1-p)/(1+p); no quadrature is involved.
+    """
     alpha = float(alpha)
     scalar = np.isscalar(z) and np.isscalar(t)
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
@@ -372,16 +380,35 @@ def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t,
 
 def chain_callable(triple: AnalyticTriple, params: CriterionParams,
                    cfg: QuadratureConfig | None = None):
-    """Vectorized (z, t) -> L(z, t) closure for the extension builder."""
+    """Vectorized (z, t) -> L(z, t) closure for the extension builder.
+
+    It carries its driving term p = transfer_p(transfer_w(transfer_a)) as
+    ``chain.driving_term(z, t)``, which needs no quadrature.
+    """
     def chain(z, t):
         return chain_l(triple, params, z, t, cfg)
+
+    def driving_term(z, t):
+        return transfer_p(transfer_w(transfer_a(triple, params, z, t),
+                                     params.s, params.m))
+
+    chain.driving_term = driving_term
     return chain
 
 
 def chain_t6_callable(f: Expr, g: Expr, alpha: float,
                       cfg: QuadratureConfig | None = None):
+    """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
+
+    It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.
+    """
     def chain(z, t):
         return chain_t6(f, g, alpha, z, t, cfg)
+
+    def driving_term(z, t):
+        return chain_t6_p(f, g, alpha, z, t)
+
+    chain.driving_term = driving_term
     return chain
 
 

@@ -16,7 +16,7 @@ from . import __version__
 from .chains import qc_bound_k
 from .criteria import PRESET_NAMES
 from .errors import DslSyntaxError, SchlichtError
-from .extension import ExtensionField, beltrami_field
+from .extension import ExtensionField, beltrami_coefficient
 from .reporting import (
     atomic_write,
     build_chain,
@@ -65,7 +65,7 @@ def cmd_check(args) -> int:
     return code
 
 
-def _field_csv(rc, chain, annulus_rmax: float, resolution: int, step: float) -> str:
+def _field_csv(rc, chain, annulus_rmax: float, resolution: int) -> str:
     F = ExtensionField(chain)
     lines = ["x,y,reF,imF,absMu"]
 
@@ -83,8 +83,7 @@ def _field_csv(rc, chain, annulus_rmax: float, resolution: int, step: float) -> 
 
     ext_radii = np.geomspace(1 + 1e-3, annulus_rmax, n_r)
     exterior = (ext_radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    fo, _, _, _, amu = beltrami_field(F, exterior, step)
-    fmt(exterior, fo, amu)
+    fmt(exterior, F(exterior), np.abs(beltrami_coefficient(F, exterior)))
     return "\n".join(lines) + "\n"
 
 
@@ -100,23 +99,16 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def _field_ppm(rc, chain, resolution: int, window: float, step: float) -> bytes:
+def _field_ppm(rc, chain, resolution: int, window: float) -> bytes:
     F = ExtensionField(chain)
     xs = np.linspace(-window, window, resolution)
     grid = xs[None, :] + 1j * xs[::-1, None]
     flat = grid.ravel()
-    vals = np.zeros(flat.shape, dtype=complex)
+    vals = F(flat)
     mus = np.zeros(flat.shape)
-    r = np.abs(flat)
-    inner = r < 1
-    vals[inner] = F(flat[inner])
-    outer_ok = r * (1 - 2 * step) > 1
-    if np.any(outer_ok):
-        vo, _, _, mu, amu = beltrami_field(F, flat[outer_ok], step)
-        vals[outer_ok] = vo
-        mus[outer_ok] = amu
-    seam = ~inner & ~outer_ok
-    vals[seam] = F(flat[seam])
+    outer = np.abs(flat) >= 1
+    if np.any(outer):
+        mus[outer] = np.abs(beltrami_coefficient(F, flat[outer]))
     hue = (np.angle(vals) / (2 * np.pi)) % 1.0
     sat = np.clip(mus, 0.0, 1.0)
     rgb = _hsv_to_rgb(hue, sat, np.ones_like(hue))
@@ -136,11 +128,11 @@ def cmd_extend(args) -> int:
         sys.stderr.write("resolution must be a positive integer\n")
         return 2
     chain = build_chain(rc)
-    csv_text = _field_csv(rc, chain, args.annulus_rmax, args.resolution, args.step)
+    csv_text = _field_csv(rc, chain, args.annulus_rmax, args.resolution)
     atomic_write(args.out, csv_text)
     if args.ppm:
         atomic_write(args.ppm, _field_ppm(rc, chain, args.ppm_resolution,
-                                          args.window, args.step))
+                                          args.window))
     return 0
 
 
@@ -201,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--annulus-rmax", type=float, default=10.0)
     p.add_argument("--resolution", type=int, default=128)
-    p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--force", action="store_true",
                    help="export even when the criterion fails")
     p.add_argument("--ppm", default=None, help="also write a P6 raster here")

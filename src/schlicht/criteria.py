@@ -153,9 +153,15 @@ def disk_maximize(objective, grid: DiskGrid) -> tuple[float, complex]:
     an 8 x 8 sub-grid ``refinement_levels`` times, never extending past
     r_max.  Ties break to the lowest enumeration index (radius-major).
     """
+    vals = np.asarray(objective(grid.radii(), grid.angles()), dtype=float)
+    return _refine_maximum(objective, grid, vals)
+
+
+def _refine_maximum(objective, grid: DiskGrid,
+                    vals: np.ndarray) -> tuple[float, complex]:
+    """:func:`disk_maximize` from the field's values on the base grid."""
     radii = grid.radii()
     angles = grid.angles()
-    vals = np.asarray(objective(radii, angles), dtype=float)
     flat = int(np.argmax(vals))
     i, j = divmod(flat, len(angles))
     best = float(vals[i, j])
@@ -191,13 +197,8 @@ def _grid_condition(name: str, strict: bool, rhs: float, field_fn,
     obj = field_fn if polar else _pointwise(field_fn)
     radii = grid.radii()
     base = np.asarray(obj(radii, grid.angles()), dtype=float)
-    max_base = float(np.max(base))
-    max_ref, witness = disk_maximize(obj, grid)
-    lhs_max = max(max_base, max_ref)
-    if max_ref < max_base:
-        flat = int(np.argmax(base))
-        i, j = divmod(flat, grid.n_angular)
-        witness = radii[i] * np.exp(1j * grid.angles()[j])
+    # refinement starts at the base argmax and only moves up
+    lhs_max, witness = _refine_maximum(obj, grid, base)
     margin = rhs - lhs_max
     trend = tuple(
         (float(radii[i]), float(np.max(base[i])))

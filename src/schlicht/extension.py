@@ -1,10 +1,18 @@
-"""Becker extensions of Loewner chains and their Beltrami estimates.
+"""Becker extensions of Loewner chains and their Beltrami coefficients.
 
 The extension of a chain L is F(z) = L(z, 0) inside the unit circle and
-F(z) = L(z/|z|, log|z|) outside.  Its Beltrami coefficient mu = F_zbar/F_z
-is estimated by Wirtinger finite differences: F_x and F_y by central
-differences with spacing step*|z|, then F_z = (F_x - i F_y)/2 and
-F_zbar = (F_x + i F_y)/2.  Richardson refinement is available on demand.
+F(z) = L(z/|z|, log|z|) outside.  With the chain's driving term
+p = z L'(z,t) / dL/dt taken at (z/|z|, log|z|), its Beltrami coefficient
+mu = F_zbar/F_z is Becker's closed form
+
+    mu(z) = (z/conj z) (1 - p)/(1 + p),
+
+which :func:`beltrami_coefficient` evaluates whenever the chain carries
+``driving_term``; for the main chain this is mu = -(z/conj z) w.  Plain
+callables fall back to Wirtinger finite differences (:func:`beltrami_field`):
+F_x and F_y by central differences with spacing step*|z|, then
+F_z = (F_x - i F_y)/2 and F_zbar = (F_x + i F_y)/2, with Richardson
+refinement on demand.  The tests use that path as the reference.
 
 The dilatation report is a grid maximum over a geometric annulus plus the
 inner-radius trend; |mu| peaks at |z| -> 1+ for every chain built here, so
@@ -21,7 +29,8 @@ from .errors import DegenerateJacobian, ParameterError
 
 __all__ = [
     "ExtensionField", "BeltramiSample", "becker_extension",
-    "beltrami_estimate", "beltrami_field", "max_dilatation", "seam_mismatch",
+    "beltrami_coefficient", "beltrami_estimate", "beltrami_field",
+    "max_dilatation", "seam_mismatch",
 ]
 
 
@@ -106,6 +115,28 @@ def beltrami_estimate(F, z, step: float = 1e-5,
                           complex(fzb[0]), complex(mu[0]), float(am[0]))
 
 
+def beltrami_coefficient(F, z, step: float = 1e-5) -> np.ndarray:
+    """Complex mu at exterior points, as a flat array.
+
+    When ``F`` is an :class:`ExtensionField` whose chain carries
+    ``driving_term``, mu is the closed form (z/conj z)(1-p)/(1+p) for any
+    |z| >= 1, with no chain value and no quadrature.  Any other callable
+    goes through :func:`beltrami_field` with spacing ``step``.
+    """
+    arr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    driving_term = getattr(getattr(F, "chain", None), "driving_term", None)
+    if driving_term is None:
+        return beltrami_field(F, arr, step)[3]
+    r = np.abs(arr)
+    if np.any(r < 1):
+        raise ParameterError("the closed-form Beltrami coefficient needs |z| >= 1")
+    p = np.asarray(driving_term(arr / r, np.log(r)), dtype=complex)
+    bad = (1 + p == 0) | ~np.isfinite(p)
+    if np.any(bad):
+        raise DegenerateJacobian(complex(arr[int(np.flatnonzero(bad)[0])]))
+    return arr / np.conj(arr) * (1 - p) / (1 + p)
+
+
 def annulus_grid(r_inner: float = 1 + 1e-3, r_outer: float = 10.0,
                  n_radial: int = 64, n_angular: int = 256) -> np.ndarray:
     """Geometric radii in (r_inner, r_outer], uniform angles; radius-major."""
@@ -122,11 +153,12 @@ def max_dilatation(F, r_inner: float = 1 + 1e-3, r_outer: float = 10.0,
     """Grid maximum of |mu| over the standard annulus, with its witness.
 
     This is a sampled maximum, not an essential supremum; ties break to the
-    first point in radius-major enumeration.
+    first point in radius-major enumeration.  ``step`` is used only by the
+    finite-difference path of :func:`beltrami_coefficient`.
     """
     grid = annulus_grid(r_inner, r_outer, n_radial, n_angular)
     flat = grid.ravel()
-    _, _, _, _, am = beltrami_field(F, flat, step)
+    am = np.abs(beltrami_coefficient(F, flat, step))
     i = int(np.argmax(am))
     return float(am[i]), complex(flat[i])
 

@@ -192,7 +192,11 @@ def subject_function(rc: ResolvedConfig):
 
 
 def build_chain(rc: ResolvedConfig):
-    """Loewner chain matching the configured criterion."""
+    """Loewner chain matching the configured criterion.
+
+    Every chain carries its driving term p = z L'(z,t) / dL/dt as
+    ``chain.driving_term(z, t)``, from which the extension takes mu.
+    """
     if rc.check == "T6":
         return chain_t6_callable(rc.f, rc.g, float(rc.params.alpha.real),
                                  rc.quadrature)
@@ -207,6 +211,14 @@ def build_chain(rc: ResolvedConfig):
 
         def chain(z, t):
             return np.exp(np.asarray(t, dtype=float)) * np.asarray(op(z))
+
+        def driving_term(z, t):
+            # L = e^t G gives p = z G'/G; G and G' share the subject's pass
+            zz = np.asarray(z, dtype=complex)
+            p = zz * op.derivative(zz) / op(zz)
+            return np.broadcast_to(p, np.broadcast_shapes(zz.shape, np.shape(t)))
+
+        chain.driving_term = driving_term
         return chain
     triple = AnalyticTriple.build(rc.f, rc.g, rc.h)
     return chain_callable(triple, rc.params, rc.quadrature)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schlicht import operators
+from schlicht import chains, operators
 from schlicht.criteria import CriterionParams
 from schlicht.expr import (
     Expr,
@@ -88,7 +88,7 @@ def ray_counter(monkeypatch):
     """List of the ray counts of every quadrature chunk run while active.
 
     Every ray of radial quadrature passes through
-    ``operators.iter_radial_brackets``.
+    ``iter_radial_brackets``, which ``chains`` imports by name.
     """
     rays = []
     original = operators.iter_radial_brackets
@@ -99,4 +99,5 @@ def ray_counter(monkeypatch):
             yield sel, br
 
     monkeypatch.setattr(operators, "iter_radial_brackets", counted)
+    monkeypatch.setattr(chains, "iter_radial_brackets", counted)
     return rays

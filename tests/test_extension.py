@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schlicht import reporting
 from schlicht.chains import chain_callable, chain_t6_callable
 from schlicht.criteria import CriterionParams, check_qc_t5, DiskGrid
 from schlicht.dsl import parse
@@ -9,6 +10,7 @@ from schlicht.expr import AnalyticTriple
 from schlicht.extension import (
     ExtensionField,
     becker_extension,
+    beltrami_coefficient,
     beltrami_estimate,
     beltrami_field,
     max_dilatation,
@@ -131,3 +133,49 @@ def test_probe_too_close_to_seam_rejected():
 def test_degenerate_jacobian():
     with pytest.raises(DegenerateJacobian):
         beltrami_estimate(lambda z: np.full(np.shape(z), 1.0 + 0j), 2.0 + 0j)
+
+
+def _config(f, g="z", alpha=1, s=(1, 0), m=2, check="T6", preset=None):
+    raw = {"f": f, "g": g, "params": {"alpha": [alpha, 0], "c": [-1, 0],
+                                     "s": list(s), "m": m, "k": 0.5},
+           "grid": {"n_radial": 16, "n_angular": 32}}
+    if check:
+        raw["check"] = check
+    if preset:
+        raw["preset"] = preset
+    return raw
+
+
+CHAIN_KINDS = {
+    **{f"t6-eps{e}": _config(f"z + {e}*z^2") for e in (0.02, 0.1, 0.2)},
+    "main": _config("z + 0.1*z^2", alpha=1.5, s=(1.3, 0.2), m=2.6, check="T2"),
+    "becker": _config("z + 0.1*z^2", check=None, preset="becker"),
+    "t6-ladder": _config("z + 0.1*z^2", g="z*exp(0.1*z)", alpha=2),
+    **{f"logderiv-a{a}": _config("z + 0.1*z^2", alpha=a, check="logderiv-Uk")
+       for a in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAIN_KINDS))
+def test_closed_form_mu_matches_finite_differences(kind):
+    F = ExtensionField(reporting.build_chain(reporting.load_config(CHAIN_KINDS[kind])))
+    rng = np.random.default_rng(83)
+    zs = rng.uniform(1.01, 4, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    closed = beltrami_coefficient(F, zs)
+    _, _, _, reference, _ = beltrami_field(F, zs)
+    assert np.max(np.abs(closed - reference)) <= 1e-8
+
+
+def test_closed_form_mu_identity_chain():
+    rng = np.random.default_rng(84)
+    zs = rng.uniform(1, 10, 50) * np.exp(2j * np.pi * rng.uniform(0, 1, 50))
+    assert np.max(np.abs(beltrami_coefficient(trivial_field(), zs))) <= 1e-12
+
+
+def test_closed_form_mu_degenerate_driving_term():
+    def chain(z, t):
+        return np.asarray(z) * np.exp(t)
+
+    chain.driving_term = lambda z, t: np.full(np.broadcast(z, t).shape, -1 + 0j)
+    with pytest.raises(DegenerateJacobian):
+        beltrami_coefficient(ExtensionField(chain), np.array([2.0 + 1j]))

@@ -1,16 +1,24 @@
-"""Exact quadrature work of the oracle, so extra rays fail a test.
+"""Exact quadrature work of the oracle and the extension, so extra rays fail a test.
 
 An operator subject is integrated once on the grid (the injectivity scan,
 whose pass the derivative check reuses), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
+The Beltrami coefficient of a chain's extension comes from its driving
+term, so a dilatation scan integrates nothing and ``extend`` integrates one
+chain value per exported point.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from schlicht import reporting
+from schlicht import criteria, reporting
+from schlicht.chains import chain_t6_callable
+from schlicht.cli import main
+from schlicht.dsl import parse
+from schlicht.extension import ExtensionField, max_dilatation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -25,3 +33,32 @@ def test_oracle_block_ray_count(ray_counter, name, grid, expected):
     block = reporting.oracle_block(rc)
     assert block["preimage_counts_ok"] and not block["derivative_flagged"]
     assert sum(ray_counter) == expected
+
+
+def test_max_dilatation_integrates_nothing(ray_counter):
+    F = ExtensionField(chain_t6_callable(parse("z + 0.2*z^2"), parse("z"), 1.0))
+    mx, _ = max_dilatation(F, n_radial=8, n_angular=32)
+    assert mx == pytest.approx(0.25, rel=0.02)
+    assert sum(ray_counter) == 0
+
+
+@pytest.mark.parametrize("name", ["trivial_t2", "t6_eps02"])
+def test_extend_ray_count(ray_counter, tmp_path, name):
+    # resolution 8: 4 x 8 interior and 4 x 8 exterior points, one ray each
+    assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
+    assert sum(ray_counter) == 32 + 32
+
+
+def test_grid_condition_evaluates_base_grid_once(monkeypatch):
+    shapes = []
+    original = criteria.becker_lhs
+
+    def counted(f, m, zz, *args):
+        shapes.append(np.shape(zz))
+        return original(f, m, zz, *args)
+
+    monkeypatch.setattr(criteria, "becker_lhs", counted)
+    grid = criteria.DiskGrid()
+    criteria.check_becker(parse("z + 0.1*z^2"), 2.0, grid)
+    assert shapes == [(64, 128)] + [(8, 8)] * grid.refinement_levels
