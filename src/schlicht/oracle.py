@@ -5,6 +5,15 @@ at this resolution" and every report carries the resolution used.  The
 collision tolerance is relative, scaled by |z1 - z2|, so boundary
 compression of bounded maps does not trigger false alarms.
 
+The injectivity scan's ``min_separation_ratio`` is the minimum of
+|f(z1) - f(z2)| / |z1 - z2| over grid-adjacent pairs (radial, and angular
+with the seam between the last angle and the first) and over all near
+pairs: points whose image cells floor(w / cell), cell = max(2*tol, 1e-12),
+differ by at most one on each axis.  The verdict is exact: on the disk
+|z1 - z2| < 2, so a pair with |dw| < tol*|dz| has |dw| < cell and is a near
+pair.  Near pairs are formed ``_PAIR_BUDGET`` at a time, so memory does not
+grow with the grid, even when every image point falls in one cell.
+
 Subjects are expressions or vectorized callables.  The derivative check
 differentiates an expression symbolically, uses a callable's own
 ``derivative`` attribute when it has one (the operator subject's closed
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DiskGrid
-from .errors import OnCurve, UnresolvedWinding
+from .errors import NonFiniteValue, OnCurve, UnresolvedWinding
 from .expr import Expr, differentiate, eval_expr
 
 __all__ = [
@@ -28,7 +37,7 @@ __all__ = [
     "derivative_nonvanishing", "DerivativeReport", "as_callable",
 ]
 
-_BUCKETED_ABOVE = 10_000
+_PAIR_BUDGET = 1 << 16  # candidate pairs formed at once
 
 
 def as_callable(f):
@@ -40,6 +49,11 @@ def as_callable(f):
 
 @dataclass(frozen=True)
 class InjectivityReport:
+    """``min_separation_ratio``: min |dw|/|dz| over grid-adjacent and near
+    pairs (module docstring).  Every pair below ``tol`` is a near pair, so
+    the verdict is exact; a collision reports the pair of lowest grid
+    indices that attains the minimum."""
+
     injective_on_grid: bool
     collision_pair: tuple[complex, complex] | None
     min_separation_ratio: float
@@ -47,98 +61,81 @@ class InjectivityReport:
     tol: float
 
 
-def _pair_scan(z: np.ndarray, w: np.ndarray, tol: float):
-    """All-pairs minimum of |dw|/|dz| in blocks; exact for modest grids."""
-    n = len(z)
-    best = np.inf
-    pair = None
-    block = 512
-    for i0 in range(0, n, block):
-        zi = z[i0:i0 + block]
-        wi = w[i0:i0 + block]
-        dz = np.abs(zi[:, None] - z[None, :])
-        dw = np.abs(wi[:, None] - w[None, :])
-        mask = dz > 0
-        ratios = np.where(mask, dw / np.where(mask, dz, 1.0), np.inf)
-        j = int(np.argmin(ratios))
-        r, c = divmod(j, n)
-        if ratios[r, c] < best:
-            best = float(ratios[r, c])
-            pair = (complex(zi[r]), complex(z[c]))
-    return best, pair
+def _near_pairs(w: np.ndarray, tol: float):
+    """Yield index arrays (i, j) of every pair whose image cells touch.
 
-
-def _bucketed_scan(z: np.ndarray, w: np.ndarray, tol: float):
-    """Bucketed near-collision scan plus grid-neighbour separation ratios.
-
-    Image-plane buckets of width 2*tol catch every pair with
-    |dw| < tol*|dz| (since |dz| <= 2 on the disk); the reported minimum
-    ratio additionally scans domain-adjacent pairs, so it is a sampled
-    estimate rather than the exact all-pairs minimum.
+    Keys floor(w / cell) are sorted once.  A point pairs with the later
+    points of its own cell and all of cell (kx, ky+1), which follow it in
+    the sorted order, and with cells (kx+1, ky-1 .. ky+1), which are
+    contiguous there too; so each pair is formed exactly once.
     """
     cell = max(2 * tol, 1e-12)
-    keys = np.stack([np.floor(w.real / cell).astype(np.int64),
-                     np.floor(w.imag / cell).astype(np.int64)], axis=1)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, (kx, ky) in enumerate(map(tuple, keys)):
-        buckets.setdefault((kx, ky), []).append(idx)
-    best = np.inf
-    pair = None
-    for (kx, ky), members in buckets.items():
-        cluster = list(members)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == dy == 0:
-                    continue
-                cluster.extend(buckets.get((kx + dx, ky + dy), ()))
-        if len(cluster) < 2:
+    kx = np.floor(w.real / cell)
+    ky = np.floor(w.imag / cell)
+    order = np.lexsort((ky, kx))
+    keys = (kx + 1j * ky)[order]  # complex values sort as lexsort does
+    n = len(keys)
+    hi_same = np.searchsorted(keys, keys + 1j, side="right")
+    lo_next = np.searchsorted(keys, keys + (1 - 1j), side="left")
+    n_same = hi_same - np.arange(1, n + 1)
+    starts = np.concatenate([[0], np.cumsum(
+        n_same + np.searchsorted(keys, keys + (1 + 1j), side="right") - lo_next)])
+    for t0 in range(0, int(starts[-1]), _PAIR_BUDGET):
+        t = np.arange(t0, min(t0 + _PAIR_BUDGET, int(starts[-1])))
+        p = np.searchsorted(starts, t, side="right") - 1
+        off = t - starts[p]
+        q = np.where(off < n_same[p], p + 1 + off, lo_next[p] + off - n_same[p])
+        yield order[p], order[q]
+
+
+def _near_scan(z: np.ndarray, w: np.ndarray, tol: float):
+    """Minimum |dw|/|dz| over the near pairs, and the lowest pair attaining it."""
+    n = len(z)
+    best, key = np.inf, None
+    for i, j in _near_pairs(w, tol):
+        dz = np.abs(z[i] - z[j])
+        ratios = np.divide(np.abs(w[i] - w[j]), dz, out=np.full(len(dz), np.inf),
+                           where=dz > 0)
+        r = ratios.min()
+        if r > best or r == np.inf:
             continue
-        idx = np.array(sorted(set(cluster)))
-        zi, wi = z[idx], w[idx]
-        dz = np.abs(zi[:, None] - zi[None, :])
-        dw = np.abs(wi[:, None] - wi[None, :])
-        mask = dz > 0
-        ratios = np.where(mask, dw / np.where(mask, dz, 1.0), np.inf)
-        j = int(np.argmin(ratios))
-        r, c = divmod(j, len(idx))
-        if ratios[r, c] < best:
-            best = float(ratios[r, c])
-            pair = (complex(zi[r]), complex(zi[c]))
+        at = ratios == r
+        k = int(np.min(np.minimum(i, j)[at] * n + np.maximum(i, j)[at]))
+        if r < best or k < key:
+            best, key = float(r), k
+    pair = None if key is None else (complex(z[key // n]), complex(z[key % n]))
     return best, pair
 
 
-def _neighbor_ratio(w2d: np.ndarray, z2d: np.ndarray):
-    best = np.inf
-    for dwa, dza in (
-        (w2d[1:, :] - w2d[:-1, :], z2d[1:, :] - z2d[:-1, :]),
-        (w2d[:, 1:] - w2d[:, :-1], z2d[:, 1:] - z2d[:, :-1]),
-    ):
-        ratios = np.abs(dwa) / np.abs(dza)
-        j = int(np.argmin(ratios))
-        if ratios.ravel()[j] < best:
-            best = float(ratios.ravel()[j])
-    return best
+def _neighbor_ratio(w2d: np.ndarray, z2d: np.ndarray) -> float:
+    """Minimum |dw|/|dz| over radial and angular neighbours, seam included."""
+    steps = [(w2d[1:, :] - w2d[:-1, :], z2d[1:, :] - z2d[:-1, :])]
+    if z2d.shape[1] > 1:
+        steps.append((w2d - np.roll(w2d, 1, axis=1), z2d - np.roll(z2d, 1, axis=1)))
+    return min(float((np.abs(dw) / np.abs(dz)).min(initial=np.inf))
+               for dw, dz in steps)
 
 
 def injectivity_test(f, grid: DiskGrid, tol: float = 1e-6) -> InjectivityReport:
-    """Scan the grid image for near-collisions |f(z1)-f(z2)| < tol |z1-z2|."""
+    """Scan the grid image for near-collisions |f(z1)-f(z2)| < tol |z1-z2|.
+
+    Raises NonFiniteValue at the first grid point with a non-finite value.
+    """
     fn = as_callable(f)
     z2d = grid.points()
     w2d = np.asarray(fn(z2d))
-    z = z2d.ravel()
-    w = w2d.ravel()
-    n = len(z)
-    if n <= _BUCKETED_ABOVE:
-        best, pair = _pair_scan(z, w, tol)
-    else:
-        best, pair = _bucketed_scan(z, w, tol)
-        best = min(best, _neighbor_ratio(w2d, z2d))
+    z, w = z2d.ravel(), w2d.ravel()
+    bad = ~np.isfinite(w)
+    if np.any(bad):
+        raise NonFiniteValue(complex(z[int(np.argmax(bad))]))
+    best, pair = _near_scan(z, w, tol)
+    best = min(best, _neighbor_ratio(w2d, z2d))
     collided = best < tol
     return InjectivityReport(
         injective_on_grid=not collided,
         collision_pair=pair if collided else None,
         min_separation_ratio=float(best),
-        n_points=n, tol=tol,
+        n_points=len(z), tol=tol,
     )
 
 

@@ -1,14 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from schlicht import oracle, reporting
 from schlicht.criteria import DiskGrid
 from schlicht.dsl import parse
-from schlicht.errors import OnCurve, UnresolvedWinding
+from schlicht.errors import NonFiniteValue, OnCurve, UnresolvedWinding
 from schlicht.oracle import (
     derivative_nonvanishing,
     injectivity_test,
     preimage_count,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 GRID = DiskGrid(n_radial=50, n_angular=50)
 
@@ -42,6 +48,109 @@ def test_bucketed_path_used_for_large_grids():
 
     rep = injectivity_test(parse("z^2"), big)
     assert not rep.injective_on_grid
+
+
+def test_non_finite_value_raises():
+    point = GRID.points()[3, 7]
+
+    def square_with_nan(z):
+        w = np.asarray(z) ** 2
+        w[3, 7] = np.nan
+        return w
+
+    with pytest.raises(NonFiniteValue) as err:
+        injectivity_test(square_with_nan, GRID)
+    assert err.value.z == point
+
+    def identity_with_inf(z):
+        w = np.array(z, dtype=complex)
+        w[3, 7] = complex(0.5, np.inf)
+        return w
+
+    with pytest.raises(NonFiniteValue):
+        injectivity_test(identity_with_inf, GRID)
+
+
+def test_angular_seam_pair_is_a_neighbour():
+    # the last angle is mapped just short of the first one: the only
+    # compressed adjacent pair spans the seam, and its images lie far
+    # more than one cell apart, so only the neighbour ratio sees it
+    grid = DiskGrid(n_radial=120, n_angular=120)
+    gap, h = 1e-3, 2 * np.pi / grid.n_angular
+
+    def folded(z):
+        w = np.array(z, dtype=complex)
+        w[:, -1] = np.abs(z[:, -1]) * np.exp(-1j * gap)
+        return w
+
+    rep = injectivity_test(folded, grid)
+    assert rep.injective_on_grid
+    assert rep.min_separation_ratio == pytest.approx(
+        np.sin(gap / 2) / np.sin(h / 2), rel=1e-9)
+
+
+def _brute_force_pairs(z, w, tol):
+    dz = np.abs(z[:, None] - z[None, :])
+    dw = np.abs(w[:, None] - w[None, :])
+    i, j = np.nonzero(np.triu(dw < tol * dz, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def _planted_cloud(rng, tol, n=240):
+    """Disk points whose images crowd a few cells on both sides of 0."""
+    cell = 2 * tol
+    z = 0.999 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    w = cell * (rng.uniform(-12, 12, n) + 1j * rng.uniform(-12, 12, n))
+    for a in range(0, 60, 2):  # near pairs straddling cell edges
+        edge = cell * (rng.integers(-10, 10) + 1j * rng.integers(-10, 10))
+        step = tol * abs(z[a] - z[a + 1]) * rng.uniform(0.2, 0.99)
+        direction = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        w[a] = edge - 0.5 * step * direction
+        w[a + 1] = edge + 0.5 * step * direction
+    w[60:70] = w[70:80]  # duplicate images
+    z[80], w[80] = z[81], w[81]  # a duplicate point
+    return z, w
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_near_pairs_agree_with_brute_force(monkeypatch, tol):
+    monkeypatch.setattr(oracle, "_PAIR_BUDGET", 97)  # many chunks
+    for seed in range(40):
+        z, w = _planted_cloud(np.random.default_rng(seed), tol)
+        formed = [(int(a), int(b)) for i, j in oracle._near_pairs(w, tol)
+                  for a, b in zip(np.minimum(i, j), np.maximum(i, j))]
+        assert len(formed) == len(set(formed))  # each pair formed once
+        assert all(a != b for a, b in formed)
+        found = {(a, b) for a, b in formed
+                 if abs(w[a] - w[b]) < tol * abs(z[a] - z[b])}
+        expected = _brute_force_pairs(z, w, tol)
+        assert len(expected) >= 30
+        assert found == expected
+
+
+def _all_pairs_minimum(f, grid):
+    z = grid.points().ravel()
+    w = np.asarray(f(grid.points())).ravel()
+    best = np.inf
+    for i0 in range(0, len(z), 256):
+        dz = np.abs(z[i0:i0 + 256, None] - z[None, :])
+        dw = np.abs(w[i0:i0 + 256, None] - w[None, :])
+        best = min(best, np.min(dw[dz > 0] / dz[dz > 0]))
+    return best
+
+
+@pytest.mark.parametrize("subject", ["becker_fail", "becker_pass", "identity"])
+def test_min_separation_ratio_is_the_all_pairs_minimum(subject):
+    grid = DiskGrid(n_radial=32, n_angular=64)
+    if subject == "identity":
+        fn = parse("z")
+    else:
+        raw = json.loads((CONFIGS / f"{subject}.json").read_text())
+        fn = reporting.subject_function(reporting.load_config(raw))
+    fn = oracle.as_callable(fn)
+    rep = injectivity_test(fn, grid)
+    assert rep.injective_on_grid
+    assert rep.min_separation_ratio == _all_pairs_minimum(fn, grid)
 
 
 def test_preimage_counts():

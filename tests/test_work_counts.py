@@ -5,10 +5,13 @@ whose pass the derivative check reuses), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
 The Beltrami coefficient of a chain's extension comes from its driving
 term, so a dilatation scan integrates nothing and ``extend`` integrates one
-chain value per exported point.
+chain value per exported point.  The injectivity scan forms candidate pairs
+in fixed-size chunks, so its memory stays small even when every image
+point falls in one cell.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from schlicht.chains import chain_t6_callable
 from schlicht.cli import main
 from schlicht.dsl import parse
 from schlicht.extension import ExtensionField, max_dilatation
+from schlicht.oracle import injectivity_test
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -62,3 +66,18 @@ def test_grid_condition_evaluates_base_grid_once(monkeypatch):
     grid = criteria.DiskGrid()
     criteria.check_becker(parse("z + 0.1*z^2"), 2.0, grid)
     assert shapes == [(64, 128)] + [(8, 8)] * grid.refinement_levels
+
+
+@pytest.mark.parametrize("subject, injective", [("z + 0.1*z^2", True), ("1", False)])
+def test_injectivity_scan_memory_peak(subject, injective):
+    tracemalloc.start()
+    try:
+        rep = injectivity_test(parse(subject), criteria.DiskGrid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_points == 64 * 128
+    assert rep.injective_on_grid == injective
+    if not injective:  # a constant collides everywhere
+        assert rep.min_separation_ratio == 0
+    assert peak < 32 * 2**20
