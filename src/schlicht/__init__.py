@@ -28,7 +28,6 @@ from .chains import (
     verify_chain_conditions,
 )
 from .criteria import (
-    CRITERION_IDS,
     PRESET_NAMES,
     CriterionParams,
     CriterionReport,
@@ -81,3 +80,4 @@ from .oracle import (
     injectivity_test,
     preimage_count,
 )
+from .reporting import CRITERION_IDS

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionParams, bracket_field
+from .criteria import CriterionParams, _blend
 from .errors import (
     BranchPointHit,
     DenominatorZero,
@@ -35,7 +35,14 @@ from .errors import (
     PoleAtOne,
     ToleranceNotMet,
 )
-from .expr import AnalyticTriple, Expr, _ev, differentiate
+from .expr import (
+    AnalyticTriple,
+    Expr,
+    _ev,
+    _raise_at_first,
+    _scalar_out,
+    differentiate,
+)
 from .operators import (
     QuadratureConfig,
     _unwrap_prefix,
@@ -94,9 +101,8 @@ def _w0_log(params: CriterionParams, h0: complex, ts: np.ndarray,
     ladder = np.unique(np.concatenate([np.linspace(0.0, tmax, 129), ts.ravel()]))
     for _ in range(max_rounds):
         vals = w0(ladder)
-        bad = (vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
-        if np.any(bad):
-            raise BranchPointHit(complex(ladder[np.flatnonzero(bad)[0]]))
+        _raise_at_first((vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag),
+                        ladder, BranchPointHit)
         dlog = np.log(vals[1:] / vals[:-1])
         jump = np.abs(dlog.imag) >= _HALF_PI
         if not np.any(jump):
@@ -114,18 +120,15 @@ def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
     The power takes the branch continued in t from the value 1 at t = 0,
     which collapses to exp(-s t + log W0(t)/alpha).
     """
-    scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     logs = _w0_log(params, h0, ts)
-    out = np.exp(-params.s * ts + logs / params.alpha)
-    return complex(out[0]) if scalar else out
+    return _scalar_out(np.exp(-params.s * ts + logs / params.alpha), t)
 
 
 def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
             cfg: QuadratureConfig | None = None):
     """Sample the chain at (z, t); vectorized over broadcast arrays."""
     params.validate()
-    scalar = np.isscalar(z) and np.isscalar(t)
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                  np.asarray(t, dtype=float))
     zf = zb.ravel()
@@ -143,44 +146,33 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
         fpv = _ev(triple.fp, u_edges)
         hv = _ev(triple.h, u_edges)
         w_pref = br.values - coeff[sel][:, None] * phi1 * fpv * hv
-        bad = (w_pref == 0) | ~np.isfinite(w_pref.real) | ~np.isfinite(w_pref.imag)
-        if np.any(bad):
-            j = int(np.flatnonzero(np.any(bad, axis=0))[0])
-            i = int(np.flatnonzero(bad[:, j])[0])
-            raise NonvanishingViolation(complex(u_edges[i, j]))
-        logs, ok = _unwrap_prefix(w_pref, w0l[sel])
+        logs, ok = _unwrap_prefix(w_pref, w0l[sel], u0[sel], br.sigmas)
         if not np.all(ok):
             raise ToleranceNotMet("radial continuation of the chain bracket unresolved")
         out[sel] = zf[sel] * np.exp(-s * tf[sel] + logs[:, -1] / alpha)
-    out = out.reshape(zb.shape)
-    return complex(out.ravel()[0]) if scalar else out
+    return _scalar_out(out.reshape(zb.shape), z, t)
 
 
 def transfer_a(triple: AnalyticTriple, params: CriterionParams, z, t):
-    """The transfer function A(z,t) of the chain, no quadrature involved."""
-    scalar = np.isscalar(z) and np.isscalar(t)
+    """The transfer function A(z,t) of the chain, no quadrature involved.
+
+    It is the e^(-mt) blend of the criteria's lead and bracket at u0 =
+    e^(-st) z; a zero of h there raises NonvanishingViolation.
+    """
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                  np.asarray(t, dtype=float))
     u0 = np.exp(-params.s * tb) * zb
-    hv = _ev(triple.h, u0)
-    if np.any(hv == 0):
-        raise NonvanishingViolation(complex(u0.ravel()[int(np.flatnonzero((hv == 0).ravel())[0])]))
-    decay = np.exp(-params.m * tb)
-    lead = (-params.c * params.alpha) / (params.a * hv)
-    br = bracket_field(triple, params.alpha, u0)
-    out = lead * decay + (1 - decay) * br
-    return complex(out.ravel()[0]) if scalar else out
+    out = _blend(triple, params, u0, np.exp(-params.m * tb), NonvanishingViolation)
+    return _scalar_out(out, z, t)
 
 
 def transfer_w(A, s: complex, m: float):
     """w = ((1+s)A - m) / ((1-s)A + m)."""
-    scalar = np.isscalar(A)
     Aa = np.asarray(A, dtype=complex)
     den = (1 - s) * Aa + m
     if np.any(den == 0):
         raise DenominatorZero("(1-s)A + m vanished")
-    out = ((1 + s) * Aa - m) / den
-    return complex(out.ravel()[0]) if scalar else out
+    return _scalar_out(((1 + s) * Aa - m) / den, A)
 
 
 def transfer_p(w):
@@ -189,12 +181,10 @@ def transfer_p(w):
     Applied to w = transfer_w(transfer_a(...)) this is the chain's driving
     term p = z L'(z,t) / dL/dt, so the extension has mu = -(z/conj z) w.
     """
-    scalar = np.isscalar(w)
     wa = np.asarray(w, dtype=complex)
     if np.any(wa == 1):
         raise PoleAtOne("w = 1 has no finite p")
-    out = (1 + wa) / (1 - wa)
-    return complex(out.ravel()[0]) if scalar else out
+    return _scalar_out((1 + wa) / (1 - wa), w)
 
 
 @dataclass(frozen=True)
@@ -322,7 +312,6 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t,
     alpha = float(alpha)
     if not alpha > 0:
         raise ParameterError("alpha must be a positive real number here")
-    scalar = np.isscalar(z) and np.isscalar(t)
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                  np.asarray(t, dtype=float))
     zf, tf = zb.ravel(), tb.ravel()
@@ -333,17 +322,12 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t,
     for sel, br in iter_radial_brackets(g, alpha, zf, cfg,
                                         phi_exponent=alpha - 1, weight=fp):
         u_pref = br.values + (np.exp(alpha * tf[sel]) - 1.0)[:, None]
-        bad = (u_pref == 0) | ~np.isfinite(u_pref.real) | ~np.isfinite(u_pref.imag)
-        if np.any(bad):
-            j = int(np.flatnonzero(np.any(bad, axis=0))[0])
-            i = int(np.flatnonzero(bad[:, j])[0])
-            raise NonvanishingViolation(complex(zf[sel][i] * br.sigmas[j]))
-        logs, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex))
+        logs, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex),
+                                  zf[sel], br.sigmas)
         if not np.all(ok):
             raise ToleranceNotMet("radial continuation of the chain bracket unresolved")
         out[sel] = zf[sel] * np.exp(logs[:, -1] / alpha)
-    out = out.reshape(zb.shape)
-    return complex(out.ravel()[0]) if scalar else out
+    return _scalar_out(out.reshape(zb.shape), z, t)
 
 
 def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
@@ -353,14 +337,12 @@ def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
     into mu = (z/conj z)(1-p)/(1+p); no quadrature is involved.
     """
     alpha = float(alpha)
-    scalar = np.isscalar(z) and np.isscalar(t)
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                  np.asarray(t, dtype=float))
     logphi = continued_gz_log(g, zb.ravel()).reshape(zb.shape)
     wv = np.exp((alpha - 1) * logphi) * _ev(differentiate(f), zb)
     decay = np.exp(-alpha * tb)
-    out = decay * wv + (1 - decay)
-    return complex(out.ravel()[0]) if scalar else out
+    return _scalar_out(decay * wv + (1 - decay), z, t)
 
 
 def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .chains import qc_bound_k
-from .criteria import PRESET_NAMES
+from .criteria import PRESETS
 from .errors import DslSyntaxError, SchlichtError
 from .extension import ExtensionField, beltrami_coefficient
 from .reporting import (
@@ -25,16 +25,6 @@ from .reporting import (
     report_json,
     run_check,
 )
-
-_PRESET_HELP = {
-    "ruscheweyh": "m=2, h=1, g=f, alpha=1/s (routes to T3)",
-    "moldoveanu-pascu-remark": "m=2, h=1, g=z, Re(s)=1, c=-1/alpha (routes to T3)",
-    "singh-chichra": "m=2, g=f, alpha=1/s, h replaced by 1/h with h(0)=1 (routes to T3)",
-    "lewandowski": "m=2, g=f, s=alpha=1, c=-1, h=(k_fn+1)/2 (routes to T3)",
-    "ovesea": "m=2, h(0)=1 (routes to T2)",
-    "becker": "s=alpha=1, h=-c, routed to the (m-2)/2 inequality",
-}
-
 
 def _load(path: str, args) -> "ResolvedConfig":
     with open(path, "r", encoding="utf-8") as fh:
@@ -124,9 +114,6 @@ def cmd_extend(args) -> int:
         sys.stderr.write(report_json(report))
         sys.stderr.write("criterion unsatisfied; rerun with --force to export anyway\n")
         return 1
-    if args.resolution < 1:
-        sys.stderr.write("resolution must be a positive integer\n")
-        return 2
     chain = build_chain(rc)
     csv_text = _field_csv(rc, chain, args.annulus_rmax, args.resolution)
     atomic_write(args.out, csv_text)
@@ -161,9 +148,23 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_preset_list(_args) -> int:
-    for name in PRESET_NAMES:
-        sys.stdout.write(f"{name}: {_PRESET_HELP[name]}\n")
+    for name, preset in PRESETS.items():
+        sys.stdout.write(f"{name}: {preset.help}\n")
     return 0
+
+
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds for it."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    convert.__name__ = kind.__name__  # named in argparse's "invalid ..." message
+    return convert
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,13 +192,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--grid", default=None, metavar="NxM")
     p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--annulus-rmax", type=float, default=10.0)
-    p.add_argument("--resolution", type=int, default=128)
+    p.add_argument("--annulus-rmax", type=_checked(float, lambda v: v >= 1, ">= 1"),
+                   default=10.0)
+    p.add_argument("--resolution", type=_AT_LEAST_ONE, default=128)
     p.add_argument("--force", action="store_true",
                    help="export even when the criterion fails")
     p.add_argument("--ppm", default=None, help="also write a P6 raster here")
-    p.add_argument("--ppm-resolution", type=int, default=256)
-    p.add_argument("--window", type=float, default=2.0)
+    p.add_argument("--ppm-resolution", type=_AT_LEAST_ONE, default=256)
+    p.add_argument("--window", type=_checked(float, lambda v: v > 0, "> 0"),
+                   default=2.0)
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("ktable", help="tabulate the dilatation bound K(s, k)")

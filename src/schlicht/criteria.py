@@ -14,7 +14,8 @@ base radii as a boundary trend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .expr import (
     Expr,
     Var,
     _ev,
+    _raise_at_first,
     add,
     const,
     differentiate,
@@ -38,13 +40,11 @@ __all__ = [
     "in_uk", "check_alpha_condition", "check_h_condition", "check_main_t2",
     "check_simplified_t21", "check_becker", "check_t3", "check_qc_t5",
     "check_t6", "check_log_derivative_condition", "disk_maximize",
-    "apply_preset", "PresetApplication", "PRESET_NAMES", "CRITERION_IDS",
+    "apply_preset", "PresetApplication", "Preset", "PRESETS", "PRESET_NAMES",
     "bracket_field",
 ]
 
 STRICT_SLACK = 1e-12
-
-CRITERION_IDS = ("T2", "T21", "becker", "T3", "T5-qc", "T6", "logderiv-Uk")
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,9 @@ def disk_maximize(objective, grid: DiskGrid) -> tuple[float, complex]:
     of its arguments.  The cell around the running argmax is re-sampled on
     an 8 x 8 sub-grid ``refinement_levels`` times, never extending past
     r_max.  Ties break to the lowest enumeration index (radius-major).
+    Only the single grid argmax is refined: a second peak of nearly the
+    same height elsewhere is never refined, so its true height can exceed
+    the returned maximum.
     """
     vals = np.asarray(objective(grid.radii(), grid.angles()), dtype=float)
     return _refine_maximum(objective, grid, vals)
@@ -224,12 +227,6 @@ def _assemble(criterion_id: str, conditions: list[ConditionReport],
     )
 
 
-def check_alpha_condition(p: CriterionParams) -> bool:
-    """|alpha - m/(2a)| < m/(2a); equivalently Re(m/alpha) > a."""
-    r = p.m / (2 * p.a)
-    return abs(p.alpha - r) < r
-
-
 def _eq1_report(p: CriterionParams) -> ConditionReport:
     r = p.m / (2 * p.a)
     margin = r - abs(p.alpha - r)
@@ -237,43 +234,16 @@ def _eq1_report(p: CriterionParams) -> ConditionReport:
                            float(margin), float(r), None)
 
 
-def _h_values(triple: AnalyticTriple, zz: np.ndarray) -> np.ndarray:
+def check_alpha_condition(p: CriterionParams) -> bool:
+    """|alpha - m/(2a)| < m/(2a); equivalently Re(m/alpha) > a."""
+    return _eq1_report(p).margin > 0
+
+
+def _h_values(triple: AnalyticTriple, zz: np.ndarray, error=None) -> np.ndarray:
+    """h on ``zz``; a zero raises ``error(z)``, by default DivisionByZero."""
     hv = _ev(triple.h, zz)
-    bad = hv == 0
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        raise DivisionByZero(complex(zz.ravel()[idx]), triple.h)
+    _raise_at_first(hv == 0, zz, error or (lambda w: DivisionByZero(w, triple.h)))
     return hv
-
-
-def check_h_condition(triple: AnalyticTriple, p: CriterionParams,
-                      grid: DiskGrid) -> CriterionReport:
-    """|c/h(z) + m/(2 alpha)| < m/(2 |alpha|) over the grid."""
-    p.validate()
-    shift = p.m / (2 * p.alpha)
-    rhs = p.m / (2 * abs(p.alpha))
-
-    def fld(zz):
-        return np.abs(p.c / _h_values(triple, zz) + shift)
-
-    rep, trend = _grid_condition("eq-h", True, rhs, fld, grid)
-    return _assemble("eq-h", [rep], grid, trend)
-
-
-def bracket_field(triple: AnalyticTriple, alpha: complex, zz: np.ndarray) -> np.ndarray:
-    """(alpha-1) z g'/g + 1 + z f''/f' + z h'/h with removable limits at 0."""
-    t1 = (alpha - 1) * log_derivative_field(triple.g, zz, triple.gp)
-    t2 = log_derivative_field(triple.fp, zz, triple.fpp)
-    t3 = log_derivative_field(triple.h, zz, triple.hp)
-    return t1 + 1 + t2 + t3
-
-
-def _operator_lhs(triple: AnalyticTriple, p: CriterionParams, zz: np.ndarray,
-                  exponent: float) -> np.ndarray:
-    lam = np.abs(zz) ** exponent
-    lead = (-p.c * p.alpha) / (p.a * _h_values(triple, zz))
-    br = bracket_field(triple, p.alpha, zz)
-    return np.abs(lead * lam + (1 - lam) * br - p.m / (2 * p.a))
 
 
 def _checked_h_report(triple, p, grid) -> tuple[ConditionReport, tuple]:
@@ -286,34 +256,63 @@ def _checked_h_report(triple, p, grid) -> tuple[ConditionReport, tuple]:
     return _grid_condition("eq-h", True, rhs, fld, grid)
 
 
+def check_h_condition(triple: AnalyticTriple, p: CriterionParams,
+                      grid: DiskGrid) -> CriterionReport:
+    """|c/h(z) + m/(2 alpha)| < m/(2 |alpha|) over the grid."""
+    p.validate()
+    rep, trend = _checked_h_report(triple, p, grid)
+    return _assemble("eq-h", [rep], grid, trend)
+
+
+def bracket_field(triple: AnalyticTriple, alpha: complex, zz: np.ndarray) -> np.ndarray:
+    """(alpha-1) z g'/g + 1 + z f''/f' + z h'/h with removable limits at 0."""
+    t1 = (alpha - 1) * log_derivative_field(triple.g, zz, triple.gp)
+    t2 = log_derivative_field(triple.fp, zz, triple.fpp)
+    t3 = log_derivative_field(triple.h, zz, triple.hp)
+    return t1 + 1 + t2 + t3
+
+
+def _blend(triple: AnalyticTriple, p: CriterionParams, zz: np.ndarray, lam,
+           error=None) -> np.ndarray:
+    """lead*lam + (1-lam)*bracket with lead = -c alpha / (a h).
+
+    The criteria take lam = |z|^e; the chain's transfer function A is the
+    same blend with lam = e^(-mt).  A zero of h raises as in :func:`_h_values`.
+    """
+    lead = (-p.c * p.alpha) / (p.a * _h_values(triple, zz, error))
+    return lead * lam + (1 - lam) * bracket_field(triple, p.alpha, zz)
+
+
+def _operator_lhs(triple: AnalyticTriple, p: CriterionParams, zz: np.ndarray,
+                  exponent: float) -> np.ndarray:
+    return np.abs(_blend(triple, p, zz, np.abs(zz) ** exponent) - p.m / (2 * p.a))
+
+
+def _operator_criterion(criterion_id: str, p: CriterionParams, grid: DiskGrid,
+                        h_cond: ConditionReport, main_name: str, rhs: float,
+                        main_field) -> CriterionReport:
+    """The conditions [eq-alpha, h side condition, main], assembled in that order."""
+    main, trend = _grid_condition(main_name, False, rhs, main_field, grid)
+    return _assemble(criterion_id, [_eq1_report(p), h_cond, main], grid, trend)
+
+
 def check_main_t2(triple: AnalyticTriple, p: CriterionParams,
                   grid: DiskGrid) -> CriterionReport:
     """The main criterion: exponent m/a, together with its two side conditions."""
     p.validate()
-    conds = [_eq1_report(p)]
-    eq2, _ = _checked_h_report(triple, p, grid)
-    conds.append(eq2)
-    rhs = p.m / (2 * p.a)
-    main, trend = _grid_condition(
-        "main", False, rhs,
-        lambda zz: _operator_lhs(triple, p, zz, p.m / p.a), grid)
-    conds.append(main)
-    return _assemble("T2", conds, grid, trend)
+    return _operator_criterion(
+        "T2", p, grid, _checked_h_report(triple, p, grid)[0], "main",
+        p.m / (2 * p.a), lambda zz: _operator_lhs(triple, p, zz, p.m / p.a))
 
 
 def check_simplified_t21(triple: AnalyticTriple, p: CriterionParams,
                          grid: DiskGrid) -> CriterionReport:
     """Radius-free form: |bracket - m/(2a)| <= m/(2a) plus the side conditions."""
     p.validate()
-    conds = [_eq1_report(p)]
-    eq2, _ = _checked_h_report(triple, p, grid)
-    conds.append(eq2)
     rhs = p.m / (2 * p.a)
-    main, trend = _grid_condition(
-        "main", False, rhs,
-        lambda zz: np.abs(bracket_field(triple, p.alpha, zz) - rhs), grid)
-    conds.append(main)
-    return _assemble("T21", conds, grid, trend)
+    return _operator_criterion(
+        "T21", p, grid, _checked_h_report(triple, p, grid)[0], "main",
+        rhs, lambda zz: np.abs(bracket_field(triple, p.alpha, zz) - rhs))
 
 
 def becker_lhs(f: Expr, m: float, zz: np.ndarray,
@@ -342,15 +341,9 @@ def check_t3(triple: AnalyticTriple, p: CriterionParams,
     p.validate()
     if p.a < 1:
         raise ParameterError(f"Re(s)={p.a} must be >= 1 for this criterion")
-    conds = [_eq1_report(p)]
-    eq2, _ = _checked_h_report(triple, p, grid)
-    conds.append(eq2)
-    rhs = p.m / (2 * p.a)
-    main, trend = _grid_condition(
-        "main", False, rhs,
-        lambda zz: _operator_lhs(triple, p, zz, float(p.m)), grid)
-    conds.append(main)
-    return _assemble("T3", conds, grid, trend)
+    return _operator_criterion(
+        "T3", p, grid, _checked_h_report(triple, p, grid)[0], "main",
+        p.m / (2 * p.a), lambda zz: _operator_lhs(triple, p, zz, float(p.m)))
 
 
 def check_qc_t5(triple: AnalyticTriple, p: CriterionParams,
@@ -359,20 +352,12 @@ def check_qc_t5(triple: AnalyticTriple, p: CriterionParams,
     from .chains import qc_bound_k  # local import to avoid a cycle
 
     p.validate()
-    conds = [_eq1_report(p)]
-    rhs_h = p.k * p.m / 2
-
-    def fld_h(zz):
-        return np.abs(p.c * p.alpha / _h_values(triple, zz) + p.m / 2)
-
-    eq_h, _ = _grid_condition("qc-h", True, rhs_h, fld_h, grid)
-    conds.append(eq_h)
-    rhs_main = p.k * p.m / (2 * p.a)
-    main, trend = _grid_condition(
-        "qc-main", False, rhs_main,
-        lambda zz: _operator_lhs(triple, p, zz, p.m / p.a), grid)
-    conds.append(main)
-    rep = _assemble("T5-qc", conds, grid, trend)
+    eq_h, _ = _grid_condition(
+        "qc-h", True, p.k * p.m / 2,
+        lambda zz: np.abs(p.c * p.alpha / _h_values(triple, zz) + p.m / 2), grid)
+    rep = _operator_criterion(
+        "T5-qc", p, grid, eq_h, "qc-main",
+        p.k * p.m / (2 * p.a), lambda zz: _operator_lhs(triple, p, zz, p.m / p.a))
     bound = qc_bound_k(p.s, p.k).K if rep.satisfied else None
     return rep, bound
 
@@ -415,10 +400,7 @@ def _sampled_log_derivative(fn, zz: np.ndarray, derivative=None) -> np.ndarray:
         d1 = (fn(zz + h) - fn(zz - h)) / (2 * h)
         d2 = (fn(zz + h / 2) - fn(zz - h / 2)) / h
         deriv = (4 * d2 - d1) / 3
-    bad = vals == 0
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        raise DivisionByZero(complex(zz.ravel()[idx]))
+    _raise_at_first(vals == 0, zz, DivisionByZero)
     return zz * deriv / vals
 
 
@@ -459,70 +441,82 @@ class PresetApplication:
     notes: tuple[str, ...] = ()
 
 
-PRESET_NAMES = (
-    "ruscheweyh", "moldoveanu-pascu-remark", "singh-chichra",
-    "lewandowski", "ovesea", "becker",
-)
+def _require_one_at_origin(preset: str, label: str, e: Expr) -> None:
+    v = eval_expr(e, 0j)
+    if abs(v - 1) > 1e-9:
+        raise ParameterError(f"{preset} requires {label}(0)=1, got {v!r}")
+
+
+def _ruscheweyh(f, g, h, params, k_fn):
+    params = replace(params, alpha=1 / params.s, m=2.0)
+    return PresetApplication(f, f, const(1), params, "T3")
+
+
+def _moldoveanu_pascu_remark(f, g, h, params, k_fn):
+    params = replace(params, c=-1 / params.alpha, s=complex(1, params.s.imag), m=2.0)
+    return PresetApplication(f, Var(), const(1), params, "T3")
+
+
+def _singh_chichra(f, g, h, params, k_fn):
+    _require_one_at_origin("singh-chichra", "h", h)
+    params = replace(params, alpha=1 / params.s, m=2.0)
+    return PresetApplication(f, f, div(const(1), h), params, "T3")
+
+
+def _lewandowski(f, g, h, params, k_fn):
+    if k_fn is None:
+        raise ParameterError("lewandowski requires a positive-real-part k_fn")
+    _require_one_at_origin("lewandowski", "k_fn", k_fn)
+    params = CriterionParams(alpha=1, c=-1, s=1, m=2.0, k=params.k)
+    return PresetApplication(
+        f, f, div(add(k_fn, const(1)), const(2)), params, "T3",
+        ("positive real part of k_fn is assumed, not verified symbolically",))
+
+
+def _ovesea(f, g, h, params, k_fn):
+    _require_one_at_origin("ovesea", "h", h)
+    return PresetApplication(f, g, h, replace(params, m=2.0), "T2")
+
+
+def _becker(f, g, h, params, k_fn):
+    params = replace(params, alpha=1, s=1)
+    return PresetApplication(f, Var(), const(-params.c), params, "becker")
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A classical reduction: its one-line help and its rewrite of (f, g, h, params)."""
+
+    help: str
+    apply: Callable[..., PresetApplication]
+
+
+PRESETS = {
+    "ruscheweyh": Preset("m=2, h=1, g=f, alpha=1/s (routes to T3)", _ruscheweyh),
+    "moldoveanu-pascu-remark": Preset(
+        "m=2, h=1, g=z, Re(s)=1, c=-1/alpha (routes to T3)", _moldoveanu_pascu_remark),
+    "singh-chichra": Preset(
+        "m=2, g=f, alpha=1/s, h replaced by 1/h with h(0)=1 (routes to T3)",
+        _singh_chichra),
+    "lewandowski": Preset(
+        "m=2, g=f, s=alpha=1, c=-1, h=(k_fn+1)/2 (routes to T3)", _lewandowski),
+    "ovesea": Preset("m=2, h(0)=1 (routes to T2)", _ovesea),
+    "becker": Preset("s=alpha=1, h=-c, routed to the (m-2)/2 inequality", _becker),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def apply_preset(name: str, f: Expr, g: Expr | None = None, h: Expr | None = None,
                  params: CriterionParams | None = None,
                  k_fn: Expr | None = None) -> PresetApplication:
-    """Classical parameter reductions; each returns the routed criterion id.
+    """Apply the classical parameter reduction ``name`` from :data:`PRESETS`.
 
-    ruscheweyh:              m=2, h=1, g=f, alpha=1/s
-    moldoveanu-pascu-remark: m=2, h=1, g=z, Re(s)=1, c=-1/alpha
-    singh-chichra:           m=2, g=f, alpha=1/s, h replaced by 1/h, h(0)=1
-    lewandowski:             m=2, g=f, s=alpha=1, c=-1, h=(k_fn+1)/2
-    ovesea:                  m=2, h(0)=1 required
-    becker:                  s=alpha=1, h=-c, routed to the (m-2)/2 check
+    Each reduction returns the criterion id it routes to.
     """
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         raise UnknownPreset(name, PRESET_NAMES)
     g = g if g is not None else Var()
     h = h if h is not None else const(1)
     if params is None:
         params = CriterionParams(alpha=1, c=-1, s=1, m=2.0)
-    notes: list[str] = []
-
-    if name == "ruscheweyh":
-        alpha = 1 / params.s
-        params = CriterionParams(alpha=alpha, c=params.c, s=params.s, m=2.0, k=params.k)
-        return PresetApplication(f, f, const(1), params, "T3", tuple(notes))
-
-    if name == "moldoveanu-pascu-remark":
-        s = complex(1, params.s.imag)
-        c = -1 / params.alpha
-        params = CriterionParams(alpha=params.alpha, c=c, s=s, m=2.0, k=params.k)
-        return PresetApplication(f, Var(), const(1), params, "T3", tuple(notes))
-
-    if name == "singh-chichra":
-        h0 = eval_expr(h, 0j)
-        if abs(h0 - 1) > 1e-9:
-            raise ParameterError(f"singh-chichra requires h(0)=1, got {h0!r}")
-        alpha = 1 / params.s
-        params = CriterionParams(alpha=alpha, c=params.c, s=params.s, m=2.0, k=params.k)
-        return PresetApplication(f, f, div(const(1), h), params, "T3", tuple(notes))
-
-    if name == "lewandowski":
-        if k_fn is None:
-            raise ParameterError("lewandowski requires a positive-real-part k_fn")
-        k0 = eval_expr(k_fn, 0j)
-        if abs(k0 - 1) > 1e-9:
-            raise ParameterError(f"lewandowski requires k_fn(0)=1, got {k0!r}")
-        hh = div(add(k_fn, const(1)), const(2))
-        params = CriterionParams(alpha=1, c=-1, s=1, m=2.0, k=params.k)
-        notes.append("positive real part of k_fn is assumed, not verified symbolically")
-        return PresetApplication(f, f, hh, params, "T3", tuple(notes))
-
-    if name == "ovesea":
-        h0 = eval_expr(h, 0j)
-        if abs(h0 - 1) > 1e-9:
-            raise ParameterError(f"ovesea requires h(0)=1, got {h0!r}")
-        params = CriterionParams(alpha=params.alpha, c=params.c, s=params.s,
-                                 m=2.0, k=params.k)
-        return PresetApplication(f, g, h, params, "T2", tuple(notes))
-
-    # becker
-    params = CriterionParams(alpha=1, c=params.c, s=1, m=params.m, k=params.k)
-    return PresetApplication(f, Var(), const(-params.c), params, "becker", tuple(notes))
+    return PRESETS[name].apply(f, g, h, params, k_fn)

@@ -159,6 +159,20 @@ def log_(a: Expr) -> Expr:
     return Log(a)
 
 
+def _raise_at_first(mask, points, error) -> None:
+    """Raise ``error(z)`` at the first point z, in flat order, where ``mask`` holds."""
+    if np.any(mask):
+        idx = int(np.flatnonzero(np.ravel(mask))[0])
+        raise error(complex(np.ravel(points)[idx]))
+
+
+def _scalar_out(out, *inputs):
+    """``out`` as a Python complex when every input is a scalar, else as is."""
+    if all(np.isscalar(v) for v in inputs):
+        return complex(np.ravel(out)[0])
+    return out
+
+
 _MAX_INT_POW = 64
 
 
@@ -171,7 +185,6 @@ def principal_power(w, exponent):
     Accepts scalars or arrays in ``w``; ``exponent`` is a scalar.
     """
     e = complex(exponent)
-    scalar_in = np.isscalar(w) or isinstance(w, complex)
     arr = np.asarray(w, dtype=complex)
     if e == 1:
         out = arr.copy()
@@ -195,9 +208,7 @@ def principal_power(w, exponent):
             out[nz] = np.exp(e * np.log(arr[nz]))
         else:
             out = np.exp(e * np.log(arr))
-    if scalar_in:
-        return complex(out)
-    return out
+    return _scalar_out(out, w)
 
 
 def _ev(e: Expr, z: np.ndarray) -> np.ndarray:
@@ -215,26 +226,20 @@ def _ev(e: Expr, z: np.ndarray) -> np.ndarray:
         return _ev(e.a, z) * _ev(e.b, z)
     if isinstance(e, Div):
         den = _ev(e.b, z)
-        bad = den == 0
-        if np.any(bad):
-            raise DivisionByZero(complex(z.flat[int(np.flatnonzero(bad.ravel())[0])]), e.b)
+        _raise_at_first(den == 0, z, lambda w: DivisionByZero(w, e.b))
         return _ev(e.a, z) / den
     if isinstance(e, Exp):
         return np.exp(_ev(e.a, z))
     if isinstance(e, Log):
         v = _ev(e.a, z)
-        bad = v == 0
-        if np.any(bad):
-            raise BranchPointHit(complex(z.flat[int(np.flatnonzero(bad.ravel())[0])]))
+        _raise_at_first(v == 0, z, BranchPointHit)
         return np.log(v)
     if isinstance(e, Pow):
         base = _ev(e.base, z)
         if isinstance(e.expo, Const):
             return principal_power(base, e.expo.value)
         expo = _ev(e.expo, z)
-        bad = base == 0
-        if np.any(bad):
-            raise BranchPointHit(complex(z.flat[int(np.flatnonzero(bad.ravel())[0])]))
+        _raise_at_first(base == 0, z, BranchPointHit)
         return np.exp(expo * np.log(base))
     raise TypeError(f"unknown expression node {e!r}")
 
@@ -244,16 +249,10 @@ def eval_expr(e: Expr, z):
 
     Raises NonFiniteValue if any component of the result is NaN or inf.
     """
-    scalar_in = np.isscalar(z) or isinstance(z, complex)
     arr = np.asarray(z, dtype=complex)
     out = _ev(e, arr)
-    bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        raise NonFiniteValue(complex(arr.flat[idx]))
-    if scalar_in:
-        return complex(out)
-    return out
+    _raise_at_first(~np.isfinite(out.real) | ~np.isfinite(out.imag), arr, NonFiniteValue)
+    return _scalar_out(out, z)
 
 
 def differentiate(e: Expr) -> Expr:
@@ -323,27 +322,18 @@ def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     normalized member of the class A).  Vectorized over ``z``.
     """
     d = deriv if deriv is not None else differentiate(e)
-    scalar_in = np.isscalar(z) or isinstance(z, complex)
     arr = np.asarray(z, dtype=complex)
     vals = _ev(e, arr)
     dvals = _ev(d, arr)
     at0 = arr == 0
-    den_bad = (vals == 0) & ~at0
-    if np.any(den_bad):
-        idx = int(np.flatnonzero(den_bad.ravel())[0])
-        raise DivisionByZero(complex(arr.flat[idx]), e)
+    _raise_at_first((vals == 0) & ~at0, arr, lambda w: DivisionByZero(w, e))
     out = np.empty(arr.shape, dtype=complex)
     nz = ~at0
     out[nz] = arr[nz] * dvals[nz] / vals[nz]
     if np.any(at0):
         out[at0] = _zero_order(e, d)
-    bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        raise NonFiniteValue(complex(arr.flat[idx]))
-    if scalar_in:
-        return complex(out)
-    return out
+    _raise_at_first(~np.isfinite(out.real) | ~np.isfinite(out.imag), arr, NonFiniteValue)
+    return _scalar_out(out, z)
 
 
 def log_derivative_at(e: Expr, z, deriv: Expr | None = None) -> complex:

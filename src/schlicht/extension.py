@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateJacobian, ParameterError
+from .expr import _raise_at_first, _scalar_out
 
 __all__ = [
     "ExtensionField", "BeltramiSample", "becker_extension",
@@ -42,7 +43,6 @@ class ExtensionField:
         self.label = label
 
     def __call__(self, z):
-        scalar = np.isscalar(z)
         arr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         out = np.empty(arr.shape, dtype=complex)
         r = np.abs(arr)
@@ -54,9 +54,7 @@ class ExtensionField:
             zo = arr[outside]
             ro = r[outside]
             out[outside] = self.chain(zo / ro, np.log(ro))
-        if scalar:
-            return complex(out[0])
-        return out.reshape(np.shape(z))
+        return _scalar_out(out.reshape(np.shape(z)), z)
 
 
 def becker_extension(chain, z):
@@ -100,9 +98,7 @@ def beltrami_field(F, z, step: float = 1e-5, richardson: bool = False):
         fz = (4 * fz2 - fz) / 3
         fzb = (4 * fzb2 - fzb) / 3
     vals = F(arr)
-    bad = np.abs(fz) <= 1e-12
-    if np.any(bad):
-        raise DegenerateJacobian(complex(arr[int(np.flatnonzero(bad)[0])]))
+    _raise_at_first(np.abs(fz) <= 1e-12, arr, DegenerateJacobian)
     mu = fzb / fz
     return vals, fz, fzb, mu, np.abs(mu)
 
@@ -131,9 +127,7 @@ def beltrami_coefficient(F, z, step: float = 1e-5) -> np.ndarray:
     if np.any(r < 1):
         raise ParameterError("the closed-form Beltrami coefficient needs |z| >= 1")
     p = np.asarray(driving_term(arr / r, np.log(r)), dtype=complex)
-    bad = (1 + p == 0) | ~np.isfinite(p)
-    if np.any(bad):
-        raise DegenerateJacobian(complex(arr[int(np.flatnonzero(bad)[0])]))
+    _raise_at_first((1 + p == 0) | ~np.isfinite(p), arr, DegenerateJacobian)
     return arr / np.conj(arr) * (1 - p) / (1 + p)
 
 

@@ -12,13 +12,13 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .chains import chain_callable, chain_t6_callable, qc_bound_k
 from .criteria import (
-    CRITERION_IDS,
     CriterionParams,
     CriterionReport,
     DiskGrid,
@@ -38,7 +38,8 @@ from .operators import QuadratureConfig, operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
 __all__ = ["ResolvedConfig", "load_config", "run_check", "report_json",
-           "atomic_write", "oracle_block", "subject_function", "build_chain"]
+           "atomic_write", "oracle_block", "subject_function", "build_chain",
+           "Criterion", "CRITERIA", "CRITERION_IDS"]
 
 
 @dataclass
@@ -132,10 +133,6 @@ def _cplx(v) -> list[float] | None:
     return [v.real, v.imag]
 
 
-def _grid_dict(grid: DiskGrid) -> dict:
-    return asdict(grid)
-
-
 def _params_dict(p: CriterionParams) -> dict:
     return {"alpha": _cplx(p.alpha), "c": _cplx(p.c), "s": _cplx(p.s),
             "m": p.m, "k": p.k}
@@ -155,20 +152,17 @@ def _report_dict(rep: CriterionReport) -> dict:
             for c in rep.conditions
         ],
         "boundary_trend": [[r, v] for r, v in rep.boundary_trend],
-        "grid": _grid_dict(rep.grid_used),
+        "grid": asdict(rep.grid_used),
     }
 
 
-def subject_function(rc: ResolvedConfig):
-    """The function a criterion speaks about: f itself, or the operator.
+def _operator_subject(rc: ResolvedConfig):
+    """The operator G, carrying its closed-form derivative as ``op.derivative``.
 
-    The operator carries its closed-form derivative as ``op.derivative``.
     Both come from one bracket pass, and the last pass is kept, keyed by
     the exact points array, so asking for G' at the points just evaluated
     (or for G again) integrates nothing.
     """
-    if rc.check == "becker":
-        return rc.f
     last: dict = {}
 
     def evaluate(zz):
@@ -191,37 +185,99 @@ def subject_function(rc: ResolvedConfig):
     return op
 
 
+def _triple(rc: ResolvedConfig) -> AnalyticTriple:
+    return AnalyticTriple.build(rc.f, rc.g, rc.h)
+
+
+def _real_alpha(rc: ResolvedConfig) -> float:
+    if rc.params.alpha.imag != 0:
+        raise ParameterError("this criterion needs real alpha > 0")
+    return float(rc.params.alpha.real)
+
+
+def _main_chain(rc: ResolvedConfig):
+    return chain_callable(_triple(rc), rc.params, rc.quadrature)
+
+
+def _becker_chain(rc: ResolvedConfig):
+    # classical chain: the s = alpha = 1, h = -c reduction
+    params = CriterionParams(alpha=1, c=rc.params.c, s=1,
+                             m=rc.params.m, k=rc.params.k)
+    triple = AnalyticTriple.build(rc.f, Var(), const(-rc.params.c))
+    return chain_callable(triple, params, rc.quadrature)
+
+
+def _logderiv_chain(rc: ResolvedConfig):
+    op = subject_function(rc)
+
+    def chain(z, t):
+        return np.exp(np.asarray(t, dtype=float)) * np.asarray(op(z))
+
+    def driving_term(z, t):
+        # L = e^t G gives p = z G'/G; G and G' share the subject's pass
+        zz = np.asarray(z, dtype=complex)
+        p = zz * op.derivative(zz) / op(zz)
+        return np.broadcast_to(p, np.broadcast_shapes(zz.shape, np.shape(t)))
+
+    chain.driving_term = driving_term
+    return chain
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """How one criterion id runs; every field maps a ResolvedConfig.
+
+    ``check`` gives the CriterionReport, ``subject`` the function the
+    oracle scans (f, or the operator G with its closed-form derivative),
+    and ``chain`` the Loewner chain, carrying ``driving_term``, that the
+    extension uses.  A satisfied check with ``qc_bound`` set reports the
+    dilatation bound K(s, k).
+    """
+
+    check: Callable[[ResolvedConfig], CriterionReport]
+    subject: Callable[[ResolvedConfig], object]
+    chain: Callable[[ResolvedConfig], object]
+    qc_bound: bool = False
+
+
+# The entries call the checks, the subject and the chain builders by their
+# module-level names rather than holding the functions, so a wrapper
+# installed on those module attributes (a profiler, say) sees every call.
+CRITERIA = {
+    "T2": Criterion(lambda rc: check_main_t2(_triple(rc), rc.params, rc.grid),
+                    _operator_subject, _main_chain),
+    "T21": Criterion(lambda rc: check_simplified_t21(_triple(rc), rc.params, rc.grid),
+                     _operator_subject, _main_chain),
+    "becker": Criterion(lambda rc: check_becker(rc.f, rc.params.m, rc.grid),
+                        lambda rc: rc.f, _becker_chain),
+    "T3": Criterion(lambda rc: check_t3(_triple(rc), rc.params, rc.grid),
+                    _operator_subject, _main_chain),
+    "T5-qc": Criterion(lambda rc: check_qc_t5(_triple(rc), rc.params, rc.grid)[0],
+                       _operator_subject, _main_chain, qc_bound=True),
+    "T6": Criterion(
+        lambda rc: check_t6(rc.f, rc.g, _real_alpha(rc), rc.params.k, rc.grid),
+        _operator_subject,
+        lambda rc: chain_t6_callable(rc.f, rc.g, _real_alpha(rc), rc.quadrature)),
+    "logderiv-Uk": Criterion(
+        lambda rc: check_log_derivative_condition(subject_function(rc),
+                                                  rc.params.k, rc.grid),
+        _operator_subject, _logderiv_chain),
+}
+CRITERION_IDS = tuple(CRITERIA)
+
+
+def subject_function(rc: ResolvedConfig):
+    """The function a criterion speaks about: f itself, or the operator."""
+    return CRITERIA[rc.check].subject(rc)
+
+
 def build_chain(rc: ResolvedConfig):
     """Loewner chain matching the configured criterion.
 
     Every chain carries its driving term p = z L'(z,t) / dL/dt as
     ``chain.driving_term(z, t)``, from which the extension takes mu.
     """
-    if rc.check == "T6":
-        return chain_t6_callable(rc.f, rc.g, float(rc.params.alpha.real),
-                                 rc.quadrature)
-    if rc.check == "becker":
-        # classical chain: the s = alpha = 1, h = -c reduction
-        params = CriterionParams(alpha=1, c=rc.params.c, s=1,
-                                 m=rc.params.m, k=rc.params.k)
-        triple = AnalyticTriple.build(rc.f, Var(), const(-rc.params.c))
-        return chain_callable(triple, params, rc.quadrature)
-    if rc.check == "logderiv-Uk":
-        op = subject_function(rc)
-
-        def chain(z, t):
-            return np.exp(np.asarray(t, dtype=float)) * np.asarray(op(z))
-
-        def driving_term(z, t):
-            # L = e^t G gives p = z G'/G; G and G' share the subject's pass
-            zz = np.asarray(z, dtype=complex)
-            p = zz * op.derivative(zz) / op(zz)
-            return np.broadcast_to(p, np.broadcast_shapes(zz.shape, np.shape(t)))
-
-        chain.driving_term = driving_term
-        return chain
-    triple = AnalyticTriple.build(rc.f, rc.g, rc.h)
-    return chain_callable(triple, rc.params, rc.quadrature)
+    return CRITERIA[rc.check].chain(rc)
 
 
 def oracle_block(rc: ResolvedConfig, n_probes: int = 20) -> dict:
@@ -258,34 +314,13 @@ def run_check(rc: ResolvedConfig, with_oracle: bool = True,
     """Run the configured criterion plus the oracle cross-check."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    criterion = CRITERIA[rc.check]
+    rep = criterion.check(rc)
     qc_bound = None
-    if rc.check == "T2":
-        triple = AnalyticTriple.build(rc.f, rc.g, rc.h)
-        rep = check_main_t2(triple, rc.params, rc.grid)
-    elif rc.check == "T21":
-        triple = AnalyticTriple.build(rc.f, rc.g, rc.h)
-        rep = check_simplified_t21(triple, rc.params, rc.grid)
-    elif rc.check == "T3":
-        triple = AnalyticTriple.build(rc.f, rc.g, rc.h)
-        rep = check_t3(triple, rc.params, rc.grid)
-    elif rc.check == "becker":
-        rep = check_becker(rc.f, rc.params.m, rc.grid)
-    elif rc.check == "T5-qc":
-        triple = AnalyticTriple.build(rc.f, rc.g, rc.h)
-        rep, bound = check_qc_t5(triple, rc.params, rc.grid)
-        if bound is not None:
-            qb = qc_bound_k(rc.params.s, rc.params.k)
-            qc_bound = {"s": _cplx(qb.s), "k": qb.k, "l1": qb.l1,
-                        "l2": qb.l2, "l3": qb.l3, "K": qb.K}
-    elif rc.check == "T6":
-        if rc.params.alpha.imag != 0:
-            raise ParameterError("this criterion needs real alpha > 0")
-        rep = check_t6(rc.f, rc.g, rc.params.alpha.real, rc.params.k, rc.grid)
-    elif rc.check == "logderiv-Uk":
-        rep = check_log_derivative_condition(subject_function(rc),
-                                             rc.params.k, rc.grid)
-    else:  # pragma: no cover - guarded in load_config
-        raise ParameterError(f"unknown check {rc.check!r}")
+    if criterion.qc_bound and rep.satisfied:
+        qb = qc_bound_k(rc.params.s, rc.params.k)
+        qc_bound = {"s": _cplx(qb.s), "k": qb.k, "l1": qb.l1,
+                    "l2": qb.l2, "l3": qb.l3, "K": qb.K}
     timings["check_s"] = time.perf_counter() - t0
 
     report = {
@@ -294,7 +329,7 @@ def run_check(rc: ResolvedConfig, with_oracle: bool = True,
             **rc.sources,
             "check": rc.check,
             "params": _params_dict(rc.params),
-            "grid": _grid_dict(rc.grid),
+            "grid": asdict(rc.grid),
             "quadrature": asdict(rc.quadrature),
             "seed": rc.seed,
         },

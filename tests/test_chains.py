@@ -16,9 +16,22 @@ from schlicht.chains import (
     transfer_w,
     verify_chain_conditions,
 )
-from schlicht.criteria import CriterionParams
+from schlicht import criteria
+from schlicht.criteria import (
+    CriterionParams,
+    DiskGrid,
+    check_main_t2,
+    check_qc_t5,
+    check_t3,
+)
 from schlicht.dsl import parse
-from schlicht.errors import DenominatorZero, ParameterError, PoleAtOne
+from schlicht.errors import (
+    DenominatorZero,
+    DivisionByZero,
+    NonvanishingViolation,
+    ParameterError,
+    PoleAtOne,
+)
 from schlicht.expr import AnalyticTriple, eval_expr
 from schlicht.operators import operator_g_alpha
 
@@ -119,6 +132,23 @@ def test_b_at_time_zero_bound():
         z = complex(_rand_disk(rng, 1)[0])
         B = transfer_a(triple, params, z, 0.0) - params.m / (2 * params.a)
         assert abs(B) < params.m / (2 * params.a)
+
+
+def test_h_zero_keeps_each_layer_error():
+    # h = 1 - 2z vanishes at z = 0.5: the chain's transfer function A and
+    # the criteria share one blend, and each keeps its own exception type
+    triple = AnalyticTriple.build(parse("z"), parse("z"), parse("1 - 2*z"))
+    with pytest.raises(NonvanishingViolation) as chain_err:
+        transfer_a(triple, P_TRIVIAL, 0.5, 0.0)
+    assert chain_err.value.where == 0.5
+    with pytest.raises(DivisionByZero) as blend_err:
+        criteria._operator_lhs(triple, P_TRIVIAL, np.array([0.5 + 0j]), 2.0)
+    assert blend_err.value.z == 0.5
+    grid = DiskGrid(n_radial=1, n_angular=1, r_max=0.5)
+    for check in (check_main_t2, check_t3, check_qc_t5):
+        with pytest.raises(DivisionByZero) as check_err:
+            check(triple, P_TRIVIAL, grid)
+        assert check_err.value.z == 0.5
 
 
 def test_transfer_w_examples():

@@ -131,6 +131,21 @@ def test_extend_zero_resolution_exit_two(tmp_path):
                  "--resolution", "0"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--resolution", "0"), ("--ppm-resolution", "0"), ("--ppm-resolution", "-3"),
+    ("--window", "0"), ("--window", "nan"), ("--annulus-rmax", "0.5"),
+])
+def test_extend_bad_flag_exit_two_writes_nothing(tmp_path, capsys, flag, value):
+    cfg = _write(tmp_path, "cfg.json", TRIVIAL)
+    out = tmp_path / "f.csv"
+    ppm = tmp_path / "f.ppm"
+    assert main(["extend", "--config", cfg, "--out", str(out),
+                 "--ppm", str(ppm), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert not ppm.exists()
+
+
 def test_extend_failing_criterion_needs_force(tmp_path):
     cfg = _write(tmp_path, "cfg.json", BECKER_FAIL)
     out = tmp_path / "f.csv"
@@ -215,6 +230,21 @@ def test_preset_list(capsys):
     out = capsys.readouterr().out
     for name in ("ruscheweyh", "becker", "lewandowski", "ovesea"):
         assert name in out
+
+
+PRESET_LIST = """\
+ruscheweyh: m=2, h=1, g=f, alpha=1/s (routes to T3)
+moldoveanu-pascu-remark: m=2, h=1, g=z, Re(s)=1, c=-1/alpha (routes to T3)
+singh-chichra: m=2, g=f, alpha=1/s, h replaced by 1/h with h(0)=1 (routes to T3)
+lewandowski: m=2, g=f, s=alpha=1, c=-1, h=(k_fn+1)/2 (routes to T3)
+ovesea: m=2, h(0)=1 (routes to T2)
+becker: s=alpha=1, h=-c, routed to the (m-2)/2 inequality
+"""
+
+
+def test_preset_list_exact_text(capsys):
+    assert main(["preset-list"]) == 0
+    assert capsys.readouterr().out == PRESET_LIST
 
 
 def test_missing_config_exit_two(tmp_path):

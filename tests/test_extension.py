@@ -149,6 +149,9 @@ def _config(f, g="z", alpha=1, s=(1, 0), m=2, check="T6", preset=None):
 CHAIN_KINDS = {
     **{f"t6-eps{e}": _config(f"z + {e}*z^2") for e in (0.02, 0.1, 0.2)},
     "main": _config("z + 0.1*z^2", alpha=1.5, s=(1.3, 0.2), m=2.6, check="T2"),
+    "t21": _config("z + 0.1*z^2", g="z*exp(0.1*z)", alpha=2, check="T21"),
+    "t3": _config("z + 0.1*z^2", alpha=0.8, s=(1.2, 0.1), m=2.4, check="T3"),
+    "t5-qc": _config("z + 0.1*z^2", alpha=1.2, s=(1.1, -0.3), m=2.2, check="T5-qc"),
     "becker": _config("z + 0.1*z^2", check=None, preset="becker"),
     "t6-ladder": _config("z + 0.1*z^2", g="z*exp(0.1*z)", alpha=2),
     **{f"logderiv-a{a}": _config("z + 0.1*z^2", alpha=a, check="logderiv-Uk")
@@ -164,6 +167,13 @@ def test_closed_form_mu_matches_finite_differences(kind):
     closed = beltrami_coefficient(F, zs)
     _, _, _, reference, _ = beltrami_field(F, zs)
     assert np.max(np.abs(closed - reference)) <= 1e-8
+
+
+def test_t6_chain_rejects_complex_alpha():
+    raw = _config("z + 0.1*z^2", alpha=2)
+    raw["params"]["alpha"] = [2, 0.5]
+    with pytest.raises(ParameterError):
+        reporting.build_chain(reporting.load_config(raw))
 
 
 def test_closed_form_mu_identity_chain():
