@@ -1,4 +1,4 @@
-"""The integral operator family and its quadrature guarantees.
+"""The integral operator family and its numerical guarantees.
 
 The central object is
 
@@ -6,21 +6,25 @@ The central object is
 
 with the principal branch continued radially from the origin.  Three
 classical specializations come for free: g = z (Pascu), f = z
-(Moldoveanu-Pascu), and the g^alpha/u kernel (Mocanu).  Every value
-carries an error estimate from Gauss-Legendre node doubling.
+(Moldoveanu-Pascu), and the g^alpha/u kernel (Mocanu).  Values come
+from Taylor coefficients when g and f' are analytic on the closed disk,
+and from radial Gauss-Legendre quadrature otherwise; every value carries
+an error estimate from the path that made it.
 """
 
 import numpy as np
 
 from schlicht.dsl import parse
+from schlicht.expr import differentiate
 from schlicht.operators import (
+    bracket_final,
     operator_g_alpha,
     operator_mocanu,
     operator_moldoveanu_pascu,
     operator_pascu,
 )
 
-print("== identities the quadrature must hit exactly ==")
+print("== identities the operator must hit exactly ==")
 ov = operator_g_alpha(parse("z"), parse("z"), 2.5, 0.3 + 0.1j)
 print(f"  f=g=z, alpha=2.5:  G(0.3+0.1i) = {ov.value:.15f}")
 print(f"                     error estimate {ov.estimated_error:.2e}, branch ok {ov.branch_ok}")
@@ -36,7 +40,7 @@ for n in range(200):
 series = z * np.sqrt(total)
 ov = operator_g_alpha(parse("z"), parse("z*exp(0.1*z)"), 2.0, z)
 print(f"  g = z e^(0.1z), alpha = 2 at z = {z}")
-print(f"  quadrature: {ov.value:.15f}")
+print(f"  operator: {ov.value:.15f}")
 print(f"  200-term series: {series:.15f}   |diff| = {abs(ov.value - series):.2e}")
 
 print("\n== the classical specializations ==")
@@ -54,3 +58,11 @@ print("\n== normalization G(z)/z -> 1 near the origin ==")
 for z in (1e-2, 1e-3, 1e-4):
     ov = operator_g_alpha(parse("z + 0.1*z^2"), parse("z*exp(0.2*z)"), 1.7, z)
     print(f"  z = {z:g}: G(z)/z = {ov.value / z:.8f}")
+
+print("\n== which path computed the bracket ==")
+zs = 0.9 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)  # no ray through 1/2
+for f_src, g_src in (("z + 0.1*z^2", "z*exp(0.2*z)"), ("koebe", "z"),
+                     ("z", "z*(1 - 2*z)")):
+    fin = bracket_final(parse(g_src), 1.5, zs, weight=differentiate(parse(f_src)))
+    why = fin.fallback_reason or f"cross-check gap {fin.cross_check_gap:.1e}"
+    print(f"  f = {f_src}, g = {g_src}: {fin.path} ({why})")

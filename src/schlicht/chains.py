@@ -13,7 +13,9 @@ W(z,t) with W(0,t) = 1 - (a/c)(e^{mt}-1) h0, so that
 
 and the 1/alpha power is continued first in t (from W = 1 at t = 0,
 halving the time step until the argument moves less than pi/2 per step)
-and then radially in z over the quadrature prefix edges.
+and then radially in z over the edges of the operator bracket: the
+quadrature's panel edges, or the coefficient path's ladder
+(``operators.radial_brackets``).
 
 The automorphism chain of the second extension theorem is handled the
 same way with bracket V(z) + e^{alpha t} - 1.
@@ -47,7 +49,7 @@ from .operators import (
     QuadratureConfig,
     _unwrap_prefix,
     continued_gz_log,
-    iter_radial_brackets,
+    radial_brackets,
 )
 
 __all__ = [
@@ -139,8 +141,9 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
     coeff = (params.a / params.c) * (np.exp(params.m * tf) - 1.0)
 
     out = zf * np.exp(-s * tf + w0l / alpha)  # exact limit for u0 -> 0
-    for sel, br in iter_radial_brackets(triple.g, alpha, u0, cfg,
-                                        phi_exponent=alpha - 1, weight=triple.fp):
+    batch = radial_brackets(triple.g, alpha, u0, cfg,
+                            phi_exponent=alpha - 1, weight=triple.fp)
+    for sel, br in batch.chunks:
         u_edges = u0[sel][:, None] * br.sigmas[None, :]
         phi1 = np.exp((alpha - 1) * br.logphi_edges)
         fpv = _ev(triple.fp, u_edges)
@@ -319,8 +322,8 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t,
         raise ParameterError("chain times must be non-negative")
     out = zf * np.exp(tf)  # exact limit of z U^(1/alpha) as z -> 0
     fp = differentiate(f)
-    for sel, br in iter_radial_brackets(g, alpha, zf, cfg,
-                                        phi_exponent=alpha - 1, weight=fp):
+    batch = radial_brackets(g, alpha, zf, cfg, phi_exponent=alpha - 1, weight=fp)
+    for sel, br in batch.chunks:
         u_pref = br.values + (np.exp(alpha * tf[sel]) - 1.0)[:, None]
         logs, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex),
                                   zf[sel], br.sigmas)

@@ -115,11 +115,11 @@ def cmd_extend(args) -> int:
         sys.stderr.write("criterion unsatisfied; rerun with --force to export anyway\n")
         return 1
     chain = build_chain(rc)
+    # both outputs exist before either is written, and are written together
     csv_text = _field_csv(rc, chain, args.annulus_rmax, args.resolution)
-    atomic_write(args.out, csv_text)
-    if args.ppm:
-        atomic_write(args.ppm, _field_ppm(rc, chain, args.ppm_resolution,
-                                          args.window))
+    ppm = ([(args.ppm, _field_ppm(rc, chain, args.ppm_resolution, args.window))]
+           if args.ppm else [])
+    atomic_write(args.out, csv_text, *ppm)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Radial quadrature for the integral operators and their branch algebra.
+"""The integral operators from Taylor coefficients or radial quadrature.
 
 Everything reduces to one bracket
 
@@ -8,7 +8,42 @@ where Phi(u) = g(u)/u (equal to 1 at the origin) and w is f' or 1.  The
 full integral is then alpha * int_0^z g^(alpha-1) f' du = z^alpha V(z) and
 the operator value is z * V(z)^(1/alpha).
 
-Two branch continuations are maintained along the radial segment:
+Two paths compute V, and :func:`radial_brackets` picks one per batch of
+endpoints, before any ray is integrated.
+
+The coefficient path.  When log Phi is analytic on the closed unit disk,
+so is H = exp(beta log Phi) w = sum h_n u^n, and termwise integration
+gives V(z) = alpha * sum h_n z^n / (n + alpha) for every Re(alpha) > 0.
+g and w are sampled at N roots of unity; log Phi comes from unwrapping
+the phase of Phi around the circle, with the constant fixed so that
+log Phi(0) is the principal log of Phi(0) (0 for normalized g); one FFT
+each gives the coefficients of log Phi and of H (the trapezoidal rule,
+exponentially convergent for analytic data).  N doubles from
+``_SERIES_START`` up to ``_SERIES_MAX``.  The FFT slots n >= N/2 hold
+only aliasing, rounding and any negative Laurent powers, so their sum is
+the error level; coefficients are trimmed from the top while the dropped
+sum stays within it, and twice (error level + dropped sum), which also
+covers the aliasing of the kept ones, bounds the error at |u| <= 1.
+Horner evaluates V and log Phi at u = sigma z on the ladder
+sigma = ``_initial_tau_edges()[1:]**q``, the quadrature's initial panel
+edges, so the result is the same :class:`RadialBracket`.
+
+The gate.  Coefficients are used only if g and w are finite on |u| = 1,
+Phi has no zero there and winding number 0 (with analytic g this rules
+out zeros inside), both coefficient errors fit ``cfg.abs_tolerance``,
+the outer continuation of V over the ladder keeps every step below pi/2,
+and a cross-check passes: the ``_CROSS_CHECK_POINTS`` endpoints of
+largest modulus (lowest index on ties) are integrated by quadrature, and
+V must agree within the sum of the two error bounds plus rounding, on the
+same branches of log V and log Phi.  Otherwise the whole batch is
+integrated by quadrature, and the reason is recorded: a singularity of g
+or w on the circle (Koebe, z/(1-z)), a zero of g/z in the disk, a slow
+coefficient tail, an unresolved ladder step, or a failed or raising
+cross-check.  :func:`continued_gz_log` evaluates the log Phi series the
+same way, cross-checked against the anchor ladder.
+
+The quadrature path (:func:`iter_radial_brackets`) maintains two branch
+continuations along the radial segment:
 
 * Phi(u)^beta uses the continued argument of Phi from its value 1 at
   u = 0, unwrapped over a ladder of shared t anchors.  A gap whose
@@ -50,14 +85,15 @@ from .errors import (
     IntegrandSingular,
     NonvanishingViolation,
     ParameterError,
+    SchlichtError,
     ToleranceNotMet,
 )
 from .expr import Expr, Var, _ev, _raise_at_first, differentiate
 
 __all__ = [
     "QuadratureConfig", "OperatorValue", "RadialBracket", "BracketFinal",
-    "iter_radial_brackets", "bracket_final", "operator_values",
-    "operator_values_with_derivative",
+    "BracketBatch", "radial_brackets", "iter_radial_brackets",
+    "bracket_final", "operator_values", "operator_values_with_derivative",
     "operator_g_alpha", "operator_pascu", "operator_moldoveanu_pascu",
     "operator_mocanu", "continued_gz_log", "DEFAULT_QUADRATURE",
 ]
@@ -65,6 +101,10 @@ __all__ = [
 _HALF_PI = math.pi / 2
 _ZERO_RADIUS = 1e-100
 _CHUNK = 2048
+_SERIES_START = 64         # samples on |u| = 1 at first
+_SERIES_MAX = 1 << 14      # cap of the sample doubling
+_CROSS_CHECK_POINTS = 16   # endpoints integrated by quadrature per batch
+_ROUNDING = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -123,14 +163,34 @@ class RadialBracket:
 
 
 @dataclass
+class BracketBatch:
+    """The bracket chunks of one batch, and which path made them.
+
+    ``path`` is "coefficients" or "quadrature"; ``fallback_reason`` says
+    why the coefficient path was not taken (None when it was), and
+    ``cross_check_gap`` is the largest |V| gap of the cross-check (None
+    when it did not run).
+    """
+
+    chunks: list[tuple[np.ndarray, RadialBracket]]
+    path: str
+    fallback_reason: str | None = None
+    cross_check_gap: float | None = None
+
+
+@dataclass
 class BracketFinal:
-    """Flat per-point bracket results (prefix columns dropped)."""
+    """Flat per-point bracket results (prefix columns dropped), with the
+    path record of :class:`BracketBatch`."""
 
     value: np.ndarray
     log_value: np.ndarray
     logphi_end: np.ndarray
     error: np.ndarray
     branch_ok: np.ndarray
+    path: str
+    fallback_reason: str | None = None
+    cross_check_gap: float | None = None
 
 
 @lru_cache(maxsize=None)
@@ -387,19 +447,215 @@ def iter_radial_brackets(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
         yield sel, _bracket_chunk(g, weight, alpha, beta, q, zarr[sel], cfg)
 
 
+@dataclass(frozen=True)
+class _CircleSeries:
+    """Taylor coefficients of log Phi and of H = exp(beta log Phi) w on
+    |u| <= 1 with their error bounds, or the reason there are none."""
+
+    logphi: np.ndarray | None = None
+    h: np.ndarray | None = None
+    logphi_error: float = 0.0
+    h_error: float = 0.0
+    reason: str | None = None
+
+
+def _trim(coef: np.ndarray, tol: float):
+    """Kept coefficients and their error bound, or (None, bound) above ``tol``.
+
+    The slots n >= N/2 hold no Taylor term of a function analytic on the
+    closed disk, only aliasing and rounding, so their sum is the error
+    level.  Terms are dropped from the top of the lower half while the
+    dropped sum stays within that level.
+    """
+    half = len(coef) // 2
+    mag = np.abs(coef)
+    upper = float(np.sum(mag[half:]))
+    dropped = np.cumsum(mag[half - 1::-1])
+    k = int(np.searchsorted(dropped, upper, side="right"))
+    error = 2 * (upper + (float(dropped[k - 1]) if k else 0.0))
+    if error > tol:
+        return None, error
+    return coef[:max(half - k, 1)], error
+
+
+def _sample_circle(e: Expr, u: np.ndarray, what: str):
+    """Values of ``e`` on the sample circle, or the reason they are unusable."""
+    try:
+        v = _ev(e, u)
+    except SchlichtError as exc:
+        return None, f"{what} cannot be evaluated on |u| = 1 ({type(exc).__name__})"
+    if not np.all(np.isfinite(v)):
+        return None, f"{what} is not finite on |u| = 1"
+    return v, None
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(2 pi i k / n), with u[n - k] = conj(u[k]) exactly."""
+    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    half[-1] = -1
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
+
+
+def _coefficients(samples: np.ndarray) -> np.ndarray:
+    """Taylor coefficients from samples at ``_roots_of_unity``, by one FFT.
+
+    Samples that are exactly conjugate-symmetric come from a function with
+    real coefficients, which are then taken real, so that such a subject
+    keeps its symmetry about the real axis to the last bit.
+    """
+    coef = np.fft.fft(samples) / len(samples)
+    if np.array_equal(samples, np.conj(np.roll(samples[::-1], 1))):
+        coef = coef.real.astype(complex)
+    return coef
+
+
+@lru_cache(maxsize=64)
+def _circle_series(g: Expr, weight: Expr | None, beta: complex,
+                   tol: float) -> _CircleSeries:
+    n = _SERIES_START
+    while True:
+        u = _roots_of_unity(n)
+        if isinstance(g, Var):
+            phi = np.ones(n, dtype=complex)
+        else:
+            gv, reason = _sample_circle(g, u, "g")
+            if reason:
+                return _CircleSeries(reason=reason)
+            phi = gv / u
+            if np.any(phi == 0):
+                return _CircleSeries(reason="g(u)/u vanishes on |u| = 1")
+        wv = np.ones(n, dtype=complex)
+        if weight is not None:
+            wv, reason = _sample_circle(weight, u, "the weight")
+            if reason:
+                return _CircleSeries(reason=reason)
+        steps = np.angle(np.roll(phi, -1) / phi)
+        resolved = np.max(np.abs(steps)) < _HALF_PI
+        if resolved:
+            winding = int(round(float(np.sum(steps)) / (2 * np.pi)))
+            if winding != 0:
+                return _CircleSeries(
+                    reason=f"g(u)/u winds {winding} times around 0 on |u| = 1")
+            theta = np.angle(phi[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+            # the branch with log Phi(0) = Log Phi(0), Phi(0) being the mean
+            theta -= 2 * np.pi * round((np.mean(theta) - np.angle(np.mean(phi)))
+                                       / (2 * np.pi))
+            # the principal phase plus whole turns: conjugate samples of phi
+            # get exactly opposite phases
+            theta = np.angle(phi) + 2 * np.pi * np.round((theta - np.angle(phi))
+                                                         / (2 * np.pi))
+            logphi = np.log(np.abs(phi)) + 1j * theta
+            ell, ell_err = _trim(_coefficients(logphi), tol)
+            h, h_err = _trim(_coefficients(np.exp(beta * logphi) * wv), tol)
+            if ell is not None and h is not None:
+                ell.flags.writeable = h.flags.writeable = False  # cached
+                return _CircleSeries(ell, h, ell_err, h_err)
+        if n >= _SERIES_MAX:
+            if not resolved:
+                return _CircleSeries(
+                    reason=f"phase of g(u)/u unresolved at {n} samples")
+            return _CircleSeries(
+                reason=f"coefficient tail {max(ell_err, h_err):.1e} above "
+                       f"tolerance {tol:.1e} at {n} samples")
+        n *= 2
+
+
+def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = np.full(u.shape, coef[-1], dtype=complex)
+    for c in coef[-2::-1]:
+        out *= u
+        out += c
+    return out
+
+
+def _series_chunk(series: _CircleSeries, alpha: complex, q: int,
+                  zc: np.ndarray, cfg: QuadratureConfig) -> RadialBracket:
+    """The quadrature's bracket data from the coefficients, on its initial ladder."""
+    sigmas = _initial_tau_edges()[1:] ** q
+    u = zc[:, None] * sigmas[None, :]
+    v_coef = alpha * series.h / (np.arange(len(series.h)) + alpha)
+    values = _horner(v_coef, u)
+    logs, ok = _unwrap_prefix(values, 0j, zc, sigmas)
+    # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
+    error = np.full(len(zc), series.h_error)
+    return RadialBracket(
+        z=zc, sigmas=sigmas, values=values, logs=logs,
+        logphi_edges=_horner(series.logphi, u), error=error,
+        branch_ok=ok & (error <= cfg.abs_tolerance),
+    )
+
+
+def _largest(zarr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The cross-check sample: entries of ``idx`` of largest |z|, lowest index on ties."""
+    order = np.argsort(-np.abs(zarr[idx]), kind="stable")
+    return idx[order[:_CROSS_CHECK_POINTS]]
+
+
+def _cross_check(series: _CircleSeries, g: Expr, weight: Expr | None,
+                 alpha: complex, beta: complex, q: int, zs: np.ndarray,
+                 cfg: QuadratureConfig):
+    """(largest |V| gap, reason or None) of the sample against quadrature."""
+    try:
+        (_, quad), = iter_radial_brackets(g, alpha, zs, cfg, beta, weight)
+    except SchlichtError as exc:
+        return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
+    ser = _series_chunk(series, alpha, q, zs, cfg)
+    gap = np.abs(ser.value - quad.value)
+    bound = ser.error + quad.error + _ROUNDING * (1 + np.abs(quad.value))
+    same_branch = ((np.abs(ser.log_value - quad.log_value) < _HALF_PI)
+                   & (np.abs(ser.logphi_end - quad.logphi_end) < _HALF_PI))
+    worst = float(np.max(gap))
+    if np.all(gap <= bound) and np.all(same_branch):
+        return worst, None
+    return worst, f"cross-check gap {worst:.1e} outside the error bounds"
+
+
+def radial_brackets(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
+                    phi_exponent=None, weight: Expr | None = None) -> BracketBatch:
+    """Bracket chunks of a batch from coefficients, or by quadrature if the
+    gate (module docstring) rejects them.  Endpoints with |z| below 1e-100
+    get no chunk row; there V = 1 exactly, and a batch of only such
+    endpoints integrates nothing.
+    """
+    cfg = cfg or DEFAULT_QUADRATURE
+    alpha = _validate_alpha(alpha)
+    beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
+    zarr = _prepare(z)
+    q = _substitution_order(alpha)
+    nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
+    series = _circle_series(g, weight, beta, cfg.abs_tolerance)
+    reason, gap = series.reason, None
+    if reason is None:
+        chunks = [(sel, _series_chunk(series, alpha, q, zarr[sel], cfg))
+                  for sel in (nonzero[s:s + _CHUNK]
+                              for s in range(0, len(nonzero), _CHUNK))]
+        if not all(np.all(br.branch_ok) for _, br in chunks):
+            reason = "outer continuation of V unresolved on the ladder"
+        elif len(nonzero):
+            gap, reason = _cross_check(series, g, weight, alpha, beta, q,
+                                       zarr[_largest(zarr, nonzero)], cfg)
+    if reason is None:
+        return BracketBatch(chunks, "coefficients", None, gap)
+    chunks = list(iter_radial_brackets(g, alpha, zarr, cfg, beta, weight))
+    return BracketBatch(chunks, "quadrature", reason, gap)
+
+
 def bracket_final(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
                   phi_exponent=None, weight: Expr | None = None) -> BracketFinal:
     """Flat bracket values over a batch of endpoints, zeros filled with V = 1."""
     zarr = _prepare(z)
     nz = len(zarr)
+    batch = radial_brackets(g, alpha, zarr, cfg, phi_exponent, weight)
     out = BracketFinal(
         value=np.ones(nz, dtype=complex),
         log_value=np.zeros(nz, dtype=complex),
         logphi_end=np.zeros(nz, dtype=complex),
         error=np.zeros(nz, dtype=float),
         branch_ok=np.ones(nz, dtype=bool),
+        path=batch.path, fallback_reason=batch.fallback_reason,
+        cross_check_gap=batch.cross_check_gap,
     )
-    for sel, br in iter_radial_brackets(g, alpha, zarr, cfg, phi_exponent, weight):
+    for sel, br in batch.chunks:
         out.value[sel] = br.value
         out.log_value[sel] = br.log_value
         out.logphi_end[sel] = br.logphi_end
@@ -472,7 +728,10 @@ def operator_mocanu(g: Expr, alpha, z,
 def continued_gz_log(g: Expr, z, max_rounds: int = 64) -> np.ndarray:
     """Continued log of g(z)/z along each radial segment, 0 at the origin.
 
-    Vectorized over ``z``; the value at z = 0 is exactly 0.
+    Vectorized over ``z``; the value at z = 0 is exactly 0.  On |z| <= 1
+    it is the log Phi series of the coefficient path when the gate admits
+    g and the series agrees with the anchor ladder at the sample of
+    largest |z|; otherwise every point takes the ladder.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     out = np.zeros(zarr.shape, dtype=complex)
@@ -481,9 +740,24 @@ def continued_gz_log(g: Expr, z, max_rounds: int = 64) -> np.ndarray:
     nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
     ts = np.unique(np.concatenate([_initial_tau_edges()[1:], [1.0]]))
     one = np.array([1.0])
+
+    def ladder_logs(zs: np.ndarray) -> np.ndarray:
+        ladder = _RayLadder(g, zs, ts, max_rounds=max_rounds)
+        return ladder.logphi_at(one, ladder._eval(one))[:, 0]
+
+    series = _circle_series(g, None, 0j, DEFAULT_QUADRATURE.abs_tolerance)
+    if (len(nonzero) and series.reason is None
+            and np.all(np.abs(zarr) <= 1 + 1e-9)):
+        zs = zarr[_largest(zarr, nonzero)]
+        sample = _horner(series.logphi, zs)
+        try:
+            gap = np.abs(sample - ladder_logs(zs))
+        except SchlichtError:
+            gap = np.inf
+        if np.all(gap <= series.logphi_error + _ROUNDING * (1 + np.abs(sample))):
+            out[nonzero] = _horner(series.logphi, zarr[nonzero])
+            return out
     for start in range(0, len(nonzero), 8192):
         sel = nonzero[start:start + 8192]
-        ladder = _RayLadder(g, zarr[sel], ts, max_rounds=max_rounds)
-        logs = ladder.logphi_at(one, ladder._eval(one))
-        out[sel] = logs[:, 0]
+        out[sel] = ladder_logs(zarr[sel])
     return out

@@ -12,7 +12,9 @@ pairs: points whose image cells floor(w / cell), cell = max(2*tol, 1e-12),
 differ by at most one on each axis.  The verdict is exact: on the disk
 |z1 - z2| < 2, so a pair with |dw| < tol*|dz| has |dw| < cell and is a near
 pair.  Near pairs are formed ``_PAIR_BUDGET`` at a time, so memory does not
-grow with the grid, even when every image point falls in one cell.
+grow with the grid, even when every image point falls in one cell, and
+none are formed after a chunk reaches the floor ratio 0 (a constant
+subject stops after its first chunk).
 
 Subjects are expressions or vectorized callables.  The derivative check
 differentiates an expression symbolically, uses a callable's own
@@ -88,8 +90,28 @@ def _near_pairs(w: np.ndarray, tol: float):
         yield order[p], order[q]
 
 
+def _equal_image_pair(z: np.ndarray, w: np.ndarray) -> int | None:
+    """Key i*n + j of the lowest pair i < j with w[i] == w[j] and z[i] != z[j].
+
+    One sort groups equal images, each in index order; a group's lowest
+    pair is its first index with the first later index at another point.
+    """
+    n = len(z)
+    order = np.lexsort((np.arange(n), w.imag, w.real))
+    ws = w[order]
+    start = np.concatenate([[True], ws[1:] != ws[:-1]])
+    first = order[np.flatnonzero(start)[np.cumsum(start) - 1]]
+    partner = z[order] != z[first]
+    return int(np.min(first[partner] * n + order[partner])) if np.any(partner) else None
+
+
 def _near_scan(z: np.ndarray, w: np.ndarray, tol: float):
-    """Minimum |dw|/|dz| over the near pairs, and the lowest pair attaining it."""
+    """Minimum |dw|/|dz| over the near pairs, and the lowest pair attaining it.
+
+    Once a chunk reaches the floor ratio 0, no further pair is formed: the
+    pairs at ratio 0 are those with equal images at distinct points, and
+    :func:`_equal_image_pair` finds the lowest of them directly.
+    """
     n = len(z)
     best, key = np.inf, None
     for i, j in _near_pairs(w, tol):
@@ -97,6 +119,10 @@ def _near_scan(z: np.ndarray, w: np.ndarray, tol: float):
         ratios = np.divide(np.abs(w[i] - w[j]), dz, out=np.full(len(dz), np.inf),
                            where=dz > 0)
         r = ratios.min()
+        # a ratio that underflows to 0 has no equal-image pair behind it
+        if r == 0 and (k := _equal_image_pair(z, w)) is not None:
+            best, key = 0.0, k
+            break
         if r > best or r == np.inf:
             continue
         at = ratios == r

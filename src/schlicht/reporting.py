@@ -350,16 +350,42 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write(path: str, data) -> None:
-    """Write text or bytes via a temp file and rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    mode = "wb" if isinstance(data, (bytes, bytearray)) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".schlicht-")
+def _umask() -> int:
+    mask = os.umask(0)  # reading the umask means setting it; put it back
+    os.umask(mask)
+    return mask
+
+
+def atomic_write(path: str, data, *more) -> None:
+    """Write text or bytes via a temp file and rename.
+
+    ``more`` holds further (path, data) pairs.  Every temp file is written
+    before any is renamed, so a failed write leaves none of the outputs.
+    Files get the mode ``open`` would give them (0666 less the umask), and
+    an error names the path asked for, not its temp file.
+    """
+    perm = 0o666 & ~_umask()
+    outputs = [(path, data), *more]
+    temps: list[str] = []
     try:
-        with os.fdopen(fd, mode) as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+        for target, payload in outputs:
+            mode = "wb" if isinstance(payload, (bytes, bytearray)) else "w"
+            try:
+                fd, tmp = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(target)), prefix=".schlicht-")
+                temps.append(tmp)
+                with os.fdopen(fd, mode) as handle:
+                    os.fchmod(handle.fileno(), perm)
+                    handle.write(payload)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, target) from None
+        for (target, _), tmp in zip(outputs, temps):
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, target) from None
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from schlicht import chains, operators
+from schlicht import operators
 from schlicht.criteria import CriterionParams
 from schlicht.expr import (
     Expr,
@@ -87,8 +87,9 @@ def admissible_params(rng, with_h0: bool = True):
 def ray_counter(monkeypatch):
     """List of the ray counts of every quadrature chunk run while active.
 
-    Every ray of radial quadrature passes through
-    ``iter_radial_brackets``, which ``chains`` imports by name.
+    Every ray of radial quadrature, a fallback batch or a cross-check
+    sample, passes through ``operators.iter_radial_brackets``, which the
+    dispatcher ``radial_brackets`` looks up as a module global.
     """
     rays = []
     original = operators.iter_radial_brackets
@@ -99,5 +100,4 @@ def ray_counter(monkeypatch):
             yield sel, br
 
     monkeypatch.setattr(operators, "iter_radial_brackets", counted)
-    monkeypatch.setattr(chains, "iter_radial_brackets", counted)
     return rays

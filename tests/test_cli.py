@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import jsonschema
 import numpy as np
@@ -167,6 +169,36 @@ def test_extend_ppm_raster(tmp_path):
     data = ppm.read_bytes()
     assert data.startswith(b"P6\n32 32\n255\n")
     assert len(data) == len(b"P6\n32 32\n255\n") + 32 * 32 * 3
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+def test_output_files_honour_the_umask(tmp_path, mask):
+    cfg = _write(tmp_path, "cfg.json", TRIVIAL)
+    outs = [tmp_path / name for name in ("rep.json", "f.csv", "f.ppm")]
+    old = os.umask(mask)
+    try:
+        assert main(["check", "--config", cfg, "--out", str(outs[0]),
+                     "--no-timings", "--no-oracle"]) == 0
+        assert main(["extend", "--config", cfg, "--out", str(outs[1]),
+                     "--resolution", "4", "--ppm", str(outs[2]),
+                     "--ppm-resolution", "4"]) == 0
+    finally:
+        os.umask(old)
+    for out in outs:
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+
+
+@pytest.mark.parametrize("bad", ["ppm", "csv"])
+def test_extend_failed_write_leaves_no_output(tmp_path, capsys, bad):
+    cfg = _write(tmp_path, "cfg.json", TRIVIAL)
+    missing = str(tmp_path / "nodir" / f"f.{bad}")
+    out = missing if bad == "csv" else str(tmp_path / "f.csv")
+    ppm = missing if bad == "ppm" else str(tmp_path / "f.ppm")
+    assert main(["extend", "--config", cfg, "--out", out, "--resolution", "4",
+                 "--ppm", ppm, "--ppm-resolution", "4"]) == 2
+    err = capsys.readouterr().err
+    assert repr(missing) in err and ".schlicht-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_extend_t6_family_mu_column(tmp_path):

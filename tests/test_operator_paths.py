@@ -1,0 +1,249 @@
+"""Which path computes the operator bracket, why, and how well it agrees.
+
+Subjects analytic on the closed disk take the coefficient path; the rest
+fall back to radial quadrature, whose values must then be exactly those
+of ``iter_radial_brackets`` on the same batch.  mpmath serves as an
+independent reference (test-only dependency).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from schlicht import operators
+from schlicht.chains import chain_t6_p
+from schlicht.dsl import parse
+from schlicht.errors import ToleranceNotMet
+from schlicht.expr import differentiate
+from schlicht.operators import (
+    bracket_final,
+    continued_gz_log,
+    iter_radial_brackets,
+    operator_values_with_derivative,
+    radial_brackets,
+)
+
+mpmath = pytest.importorskip("mpmath")
+
+RNG_POINTS = np.random.default_rng(61)
+POINTS = 0.999 * np.sqrt(RNG_POINTS.uniform(0, 1, 200)) * np.exp(
+    2j * np.pi * RNG_POINTS.uniform(0, 1, 200))
+
+
+def _quadrature_final(g, alpha, z, weight):
+    """bracket_final assembled from iter_radial_brackets alone."""
+    value = np.ones(len(z), dtype=complex)
+    log_value = np.zeros(len(z), dtype=complex)
+    logphi_end = np.zeros(len(z), dtype=complex)
+    for sel, br in iter_radial_brackets(g, alpha, z, weight=weight):
+        value[sel], log_value[sel], logphi_end[sel] = br.value, br.log_value, br.logphi_end
+    return value, log_value, logphi_end
+
+
+@pytest.mark.parametrize("f_src, g_src, reason", [
+    pytest.param("koebe", "z", "the weight cannot be evaluated on |u| = 1",
+                 id="koebe"),
+    pytest.param("z/(1-z)", "z", "the weight cannot be evaluated on |u| = 1",
+                 id="geometric-f"),
+    pytest.param("z + 0.1*z^2", "z/(1-z)", "g cannot be evaluated on |u| = 1",
+                 id="geometric-g"),
+    # g/z = 1 - 2u vanishes at u = 1/2
+    pytest.param("z + 0.1*z^2", "z*(1 - 2*z)",
+                 "g(u)/u winds 1 times around 0 on |u| = 1", id="zero-in-disk"),
+    # log g/z has coefficients 0.999^n/n: no N up to the cap resolves them
+    pytest.param("z + 0.1*z^2", "z/(1 - 0.999*z)", "coefficient tail", id="slow-tail"),
+])
+@pytest.mark.parametrize("alpha", [2.0, 0.7 + 0.2j])
+def test_fallback_matches_quadrature_bit_for_bit(ray_counter, f_src, g_src, reason, alpha):
+    f, g = parse(f_src), parse(g_src)
+    z = POINTS[:40]
+    fin = bracket_final(g, alpha, z, weight=differentiate(f))
+    assert fin.path == "quadrature"
+    assert fin.fallback_reason.startswith(reason)
+    assert fin.cross_check_gap is None
+    assert ray_counter == [40]
+    for got, want in zip((fin.value, fin.log_value, fin.logphi_end),
+                         _quadrature_final(g, alpha, z, differentiate(f))):
+        assert np.array_equal(got, want)
+
+
+def test_interior_zero_of_g_still_raises_through_the_fallback():
+    g = parse("z*(1 - 2*z)")
+    assert bracket_final(g, 2.0, np.array([0.3]), weight=parse("1")).path == "quadrature"
+    with pytest.raises(operators.IntegrandSingular):
+        bracket_final(g, 2.0, np.array([1.0]), weight=parse("1"))
+
+
+@pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)", "z + 0.1*z^2", "z/(1 - 0.3*z)"])
+def test_catalog_subjects_take_the_coefficient_path(ray_counter, g_src):
+    f, g = parse("z/(1 - 0.17*z)"), parse(g_src)
+    fin = bracket_final(g, 1.5, POINTS, weight=differentiate(f))
+    assert fin.path == "coefficients" and fin.fallback_reason is None
+    assert 0 <= fin.cross_check_gap <= 1e-12
+    assert ray_counter == [operators._CROSS_CHECK_POINTS]
+    assert np.all(fin.branch_ok) and np.max(fin.error) <= 1e-10
+
+
+def test_cross_check_takes_the_largest_points_lowest_index_first(monkeypatch):
+    seen = []
+    original = operators.iter_radial_brackets
+
+    def recording(g, alpha, z, *args, **kwargs):
+        seen.append(np.array(z))
+        return original(g, alpha, z, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "iter_radial_brackets", recording)
+    ring = 0.9 * 1j ** np.arange(10)  # ten ties of modulus exactly 0.9
+    z = np.concatenate([0.5 * np.ones(20), ring, [0.0]])
+    z[3], z[7] = 0.95, -0.95j
+    radial_brackets(parse("z*exp(0.1*z)"), 2.0, z, weight=parse("1 + z"))
+    expected = np.concatenate([[0.95, -0.95j], ring, 0.5 * np.ones(4)])
+    assert len(seen) == 1 and np.array_equal(seen[0], expected)
+
+
+def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
+    original = operators.iter_radial_brackets
+
+    def shifted(*args, **kwargs):
+        for sel, br in original(*args, **kwargs):
+            br.values = br.values + 1e-8
+            yield sel, br
+
+    monkeypatch.setattr(operators, "iter_radial_brackets", shifted)
+    fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, weight=parse("1 + z"))
+    assert fin.path == "quadrature"
+    assert fin.fallback_reason.startswith("cross-check gap 1.0e-08")
+    assert fin.cross_check_gap == pytest.approx(1e-8, rel=1e-6)
+
+
+def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
+    calls = []
+    original = operators.iter_radial_brackets
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ToleranceNotMet("outer branch continuation unresolved")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "iter_radial_brackets", failing_once)
+    fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, weight=parse("1 + z"))
+    assert fin.path == "quadrature" and len(calls) == 2
+    assert fin.fallback_reason == ("cross-check quadrature raised ToleranceNotMet: "
+                                   "outer branch continuation unresolved")
+
+
+def test_origin_only_batch_integrates_nothing(ray_counter):
+    fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, np.zeros(3, dtype=complex),
+                        weight=parse("1 + z"))
+    assert ray_counter == [] and fin.cross_check_gap is None
+    assert np.all(fin.value == 1) and np.all(fin.log_value == 0)
+
+
+# --- mpmath references ------------------------------------------------------
+
+# f' and the continued log of g(u)/u, written for mpmath; each g(u)/u stays
+# in the right half-plane on the disk, so its principal log is the
+# continued one.
+FAMILIES = {
+    ("z + 0.17*z^2", "z"): (lambda u: 1 + 0.34 * u, lambda u: 0 * u),
+    ("z + 0.17*z^3", "z*exp(0.1*z)"): (lambda u: 1 + 0.51 * u**2, lambda u: 0.1 * u),
+    ("z*exp(0.17*z)", "z + 0.1*z^2"): (
+        lambda u: (1 + 0.17 * u) * mpmath.exp(0.17 * u), lambda u: mpmath.log(1 + 0.1 * u)),
+    ("z/(1 - 0.17*z)", "z/(1 - 0.3*z)"): (
+        lambda u: 1 / (1 - 0.17 * u) ** 2, lambda u: -mpmath.log(1 - 0.3 * u)),
+}
+REF_POINTS = (0.5 * np.exp(0.4j), 0.9 * np.exp(2.2j), 0.999 * np.exp(-1.9j))
+
+
+def _reference_operator(fp, logphi, alpha, z):
+    """z * V^(1/alpha), V = alpha int_0^1 t^(alpha-1) Phi(zt)^(alpha-1) f'(zt) dt.
+
+    With t = s^(1/alpha), alpha t^(alpha-1) dt = ds, so V is the integral
+    of a function without endpoint singularity.
+    """
+    with mpmath.workdps(30):
+        a, zz = mpmath.mpc(alpha), mpmath.mpc(z)
+
+        def integrand(s):
+            u = zz * s ** (1 / a)
+            return mpmath.exp((a - 1) * logphi(u)) * fp(u)
+
+        v = mpmath.quad(integrand, [0, 1])
+        return complex(zz * mpmath.exp(mpmath.log(v) / a))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7 + 0.2j, 2.0])
+@pytest.mark.parametrize("family", list(FAMILIES), ids=["quad", "cubic", "exp", "moeb"])
+def test_coefficient_path_matches_mpmath(family, alpha):
+    f, g = map(parse, family)
+    z = np.array(REF_POINTS)
+    vals, _, _, ok = operator_values_with_derivative(f, g, alpha, z)
+    assert np.all(ok)
+    assert bracket_final(g, alpha, z, weight=differentiate(f)).path == "coefficients"
+    ref = np.array([_reference_operator(*FAMILIES[family], alpha, zz) for zz in z])
+    assert np.max(np.abs(vals - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", list(FAMILIES), ids=["quad", "cubic", "exp", "moeb"])
+def test_continued_gz_log_matches_mpmath_on_the_circle(family):
+    # chain_t6_p evaluates it at z/|z| for every exterior point
+    g = parse(family[1])
+    z = np.exp(2j * np.pi * np.arange(16) / 16 + 0.1j)
+    ref = np.array([complex(FAMILIES[family][1](mpmath.mpc(zz))) for zz in z])
+    assert np.max(np.abs(continued_gz_log(g, z) - ref)) <= 1e-12
+    p = chain_t6_p(parse(family[0]), g, 2.0, z, 0.5)
+    wv = np.exp(ref) * np.array([complex(FAMILIES[family][0](mpmath.mpc(zz))) for zz in z])
+    assert np.max(np.abs(p - (np.exp(-1.0) * wv + 1 - np.exp(-1.0)))) <= 1e-12
+
+
+def test_continued_gz_log_falls_back_to_the_ladder():
+    g = parse("z/(1-z)")
+    z = POINTS[:50]
+    ladder = operators._RayLadder(g, z, np.unique(np.concatenate(
+        [operators._initial_tau_edges()[1:], [1.0]])))
+    expected = ladder.logphi_at(np.array([1.0]), ladder._eval(np.array([1.0])))[:, 0]
+    assert np.array_equal(continued_gz_log(g, z), expected)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0])
+def test_real_coefficients_keep_the_conjugate_symmetry(alpha):
+    # real Taylor coefficients give G(conj z) = conj G(z), real on the axis
+    f, g = parse("z*exp(0.17*z)"), parse("z/(1 - 0.3*z)")
+    n = len(POINTS)
+    z = np.concatenate([POINTS, POINTS.conj(), [0.5, -0.999]])
+    vals, derivs, _, _ = operator_values_with_derivative(f, g, alpha, z)
+    assert bracket_final(g, alpha, z, weight=differentiate(f)).path == "coefficients"
+    for arr in (vals, derivs):
+        assert np.array_equal(arr[n:2 * n], arr[:n].conj())
+        assert np.all(arr[2 * n:].imag == 0)
+    logs = continued_gz_log(g, z)
+    assert np.array_equal(logs[n:2 * n], logs[:n].conj()) and np.all(logs[2 * n:].imag == 0)
+
+
+def test_phase_beyond_pi_on_the_circle_keeps_the_branch_from_the_origin():
+    # log g(u)/u = 4iu: the phase on |u| = 1 spans [-4, 4], so unwrapping
+    # from the principal phase at u = 1 lands one turn off until the
+    # constant is fixed by log Phi(0) = 0
+    g = parse("z*exp(4i*z)")
+    z = POINTS[:50]
+    fin = bracket_final(g, 2.0, z, weight=parse("1 + z"))
+    assert fin.path == "coefficients"
+    assert np.max(np.abs(fin.logphi_end - 4j * z)) <= 1e-12
+    assert np.max(np.abs(continued_gz_log(g, z) - 4j * z)) <= 1e-12
+
+
+def test_cross_check_rejects_another_branch_of_log_phi():
+    # with beta = 1 a whole turn in log Phi leaves V unchanged, so only
+    # the branch comparison can see it
+    g, w = parse("z*exp(0.5*z)"), parse("1 + z")
+    series = operators._circle_series(g, w, 1 + 0j, 1e-10)
+    shifted = dataclasses.replace(
+        series, logphi=series.logphi + np.eye(1, len(series.logphi))[0] * 2j * np.pi)
+    zs = POINTS[:16]
+    gap, reason = operators._cross_check(
+        shifted, g, w, 2 + 0j, 1 + 0j, 1, zs, operators.DEFAULT_QUADRATURE)
+    assert gap <= 1e-12 and reason is not None
+    assert operators._cross_check(series, g, w, 2 + 0j, 1 + 0j, 1, zs,
+                                  operators.DEFAULT_QUADRATURE)[1] is None

@@ -3,9 +3,10 @@ import pytest
 
 from schlicht.dsl import parse
 from schlicht.errors import AlphaTooSmall, IntegrandSingular, ParameterError
-from schlicht.expr import Var, eval_expr
+from schlicht.expr import Var, differentiate, eval_expr
 from schlicht.operators import (
     QuadratureConfig,
+    iter_radial_brackets,
     operator_g_alpha,
     operator_mocanu,
     operator_moldoveanu_pascu,
@@ -159,6 +160,34 @@ def test_panel_layout_independence():
     a = operator_g_alpha(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=8))
     b = operator_g_alpha(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=24))
     assert abs(a.value - b.value) <= a.estimated_error + b.estimated_error + 1e-14
+
+
+def _quadrature_value(f, g, alpha, z, cfg):
+    """G(z) and its error estimate from radial quadrature alone."""
+    (_, br), = iter_radial_brackets(g, alpha, complex(z), cfg, weight=differentiate(f))
+    value = z * np.exp(br.log_value[0] / alpha)
+    return value, br.error[0] * abs(value) / abs(alpha * br.value[0])
+
+
+def test_quadrature_halving_tolerance_stays_within_error():
+    # the twin of test_halving_tolerance_stays_within_error, whose entire
+    # subject now takes the coefficient path
+    f, g = parse("z + 0.1*z^2"), parse("z*exp(0.3*z)")
+    loose = QuadratureConfig(abs_tolerance=1e-8)
+    tight = QuadratureConfig(abs_tolerance=5e-9)
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        z = 0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        a, err_a = _quadrature_value(f, g, 1.6, z, loose)
+        b, err_b = _quadrature_value(f, g, 1.6, z, tight)
+        assert abs(a - b) <= max(err_a, err_b) + 1e-15
+
+
+def test_quadrature_panel_layout_independence():
+    f, g = parse("z + 0.1*z^2"), parse("z/(1-0.4*z)")
+    a, err_a = _quadrature_value(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=8))
+    b, err_b = _quadrature_value(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=24))
+    assert abs(a - b) <= err_a + err_b + 1e-14
 
 
 def test_fractional_and_complex_alpha():

@@ -128,6 +128,40 @@ def test_near_pairs_agree_with_brute_force(monkeypatch, tol):
         assert found == expected
 
 
+def test_constant_subject_stops_after_first_chunk(monkeypatch):
+    chunks = []
+    original = oracle._near_pairs
+
+    def counted(w, tol):
+        for pair in original(w, tol):
+            chunks.append(len(pair[0]))
+            yield pair
+
+    monkeypatch.setattr(oracle, "_near_pairs", counted)
+    grid = DiskGrid()
+    rep = injectivity_test(parse("1"), grid)
+    z = grid.points().ravel()
+    assert rep.min_separation_ratio == 0
+    assert rep.collision_pair == (z[0], z[1])
+    assert chunks == [oracle._PAIR_BUDGET]  # of 33.5 M pairs in one cell
+
+
+@pytest.mark.parametrize("budget", [97, 1 << 16])
+def test_equal_image_pair_is_the_lowest_collision(monkeypatch, budget):
+    monkeypatch.setattr(oracle, "_PAIR_BUDGET", budget)
+    for seed in range(20):
+        z, w = _planted_cloud(np.random.default_rng(seed), 1e-6)
+        # a duplicate point at 2 and 3 (dz = 0, never a collision), both
+        # with the image of 100: the lowest collision is (2, 100)
+        z[2], w[2] = z[3], w[3]
+        w[100] = w[3]
+        equal = (w[:, None] == w[None, :]) & (z[:, None] != z[None, :])
+        i, j = min(zip(*np.nonzero(np.triu(equal, k=1))))
+        best, pair = oracle._near_scan(z, w, 1e-6)
+        assert best == 0
+        assert pair == (z[i], z[j])
+
+
 def _all_pairs_minimum(f, grid):
     z = grid.points().ravel()
     w = np.asarray(f(grid.points())).ravel()
