@@ -66,7 +66,6 @@ from .extension import (
 )
 from .operators import (
     OperatorValue,
-    QuadratureConfig,
     operator_g_alpha,
     operator_mocanu,
     operator_moldoveanu_pascu,

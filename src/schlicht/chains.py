@@ -45,12 +45,7 @@ from .expr import (
     _scalar_out,
     differentiate,
 )
-from .operators import (
-    QuadratureConfig,
-    _unwrap_prefix,
-    continued_gz_log,
-    radial_brackets,
-)
+from .operators import _unwrap_prefix, continued_gz_log, radial_brackets
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -61,7 +56,7 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2
-_TINY = 1e-100
+_TIME_ROUNDS = 24  # halving rounds of the time ladder of W0
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,7 @@ class QcBound:
     K: float
 
 
-def _w0_log(params: CriterionParams, h0: complex, ts: np.ndarray,
-            max_rounds: int = 24) -> np.ndarray:
+def _w0_log(params: CriterionParams, h0: complex, ts: np.ndarray) -> np.ndarray:
     """Continued log of W0(tau) = 1 - (a/c)(e^{m tau}-1) h0 at each tau."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
@@ -101,7 +95,7 @@ def _w0_log(params: CriterionParams, h0: complex, ts: np.ndarray,
     if tmax == 0.0:
         return np.zeros(ts.shape, dtype=complex)
     ladder = np.unique(np.concatenate([np.linspace(0.0, tmax, 129), ts.ravel()]))
-    for _ in range(max_rounds):
+    for _ in range(_TIME_ROUNDS):
         vals = w0(ladder)
         _raise_at_first((vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag),
                         ladder, BranchPointHit)
@@ -127,8 +121,7 @@ def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
     return _scalar_out(np.exp(-params.s * ts + logs / params.alpha), t)
 
 
-def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
-            cfg: QuadratureConfig | None = None):
+def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t):
     """Sample the chain at (z, t); vectorized over broadcast arrays."""
     params.validate()
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
@@ -141,8 +134,8 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
     coeff = (params.a / params.c) * (np.exp(params.m * tf) - 1.0)
 
     out = zf * np.exp(-s * tf + w0l / alpha)  # exact limit for u0 -> 0
-    batch = radial_brackets(triple.g, alpha, u0, cfg,
-                            phi_exponent=alpha - 1, weight=triple.fp)
+    batch = radial_brackets(triple.g, alpha, u0, phi_exponent=alpha - 1,
+                            weight=triple.fp)
     for sel, br in batch.chunks:
         u_edges = u0[sel][:, None] * br.sigmas[None, :]
         phi1 = np.exp((alpha - 1) * br.logphi_edges)
@@ -309,8 +302,7 @@ def disk_inclusion_check(s, m: float, k: float, l: float) -> tuple[bool, float]:
     return (bool(slack >= -1e-12), float(slack))
 
 
-def chain_t6(f: Expr, g: Expr, alpha: float, z, t,
-             cfg: QuadratureConfig | None = None):
+def chain_t6(f: Expr, g: Expr, alpha: float, z, t):
     """The automorphism chain [alpha int_0^z g^(a-1) f' du + (e^{alpha t}-1) z^alpha]^(1/alpha)."""
     alpha = float(alpha)
     if not alpha > 0:
@@ -322,7 +314,7 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t,
         raise ParameterError("chain times must be non-negative")
     out = zf * np.exp(tf)  # exact limit of z U^(1/alpha) as z -> 0
     fp = differentiate(f)
-    batch = radial_brackets(g, alpha, zf, cfg, phi_exponent=alpha - 1, weight=fp)
+    batch = radial_brackets(g, alpha, zf, phi_exponent=alpha - 1, weight=fp)
     for sel, br in batch.chunks:
         u_pref = br.values + (np.exp(alpha * tf[sel]) - 1.0)[:, None]
         logs, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex),
@@ -348,30 +340,28 @@ def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
     return _scalar_out(decay * wv + (1 - decay), z, t)
 
 
-def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t,
-                cfg: QuadratureConfig | None = None) -> ChainPoint:
+def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t) -> ChainPoint:
     """Full sampled chain state at one (z, t)."""
     zc, tc = complex(z), float(t)
     A = transfer_a(triple, params, zc, tc)
     w = transfer_w(A, params.s, params.m)
     return ChainPoint(
         z=zc, t=tc,
-        L=chain_l(triple, params, zc, tc, cfg),
+        L=chain_l(triple, params, zc, tc),
         A=A, B=A - params.m / (2 * params.a),
         w=w, p=transfer_p(w),
         a1=chain_a1(params, triple.h0, tc),
     )
 
 
-def chain_callable(triple: AnalyticTriple, params: CriterionParams,
-                   cfg: QuadratureConfig | None = None):
+def chain_callable(triple: AnalyticTriple, params: CriterionParams):
     """Vectorized (z, t) -> L(z, t) closure for the extension builder.
 
     It carries its driving term p = transfer_p(transfer_w(transfer_a)) as
     ``chain.driving_term(z, t)``, which needs no quadrature.
     """
     def chain(z, t):
-        return chain_l(triple, params, z, t, cfg)
+        return chain_l(triple, params, z, t)
 
     def driving_term(z, t):
         return transfer_p(transfer_w(transfer_a(triple, params, z, t),
@@ -381,14 +371,13 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams,
     return chain
 
 
-def chain_t6_callable(f: Expr, g: Expr, alpha: float,
-                      cfg: QuadratureConfig | None = None):
+def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
 
     It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.
     """
     def chain(z, t):
-        return chain_t6(f, g, alpha, z, t, cfg)
+        return chain_t6(f, g, alpha, z, t)
 
     def driving_term(z, t):
         return chain_t6_p(f, g, alpha, z, t)

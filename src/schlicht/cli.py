@@ -29,7 +29,7 @@ from .reporting import (
 def _load(path: str, args) -> "ResolvedConfig":
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    overrides: dict = {"grid": {}, "quadrature": {}, "params": {}}
+    overrides: dict = {"grid": {}, "params": {}}
     if getattr(args, "grid", None):
         nr, _, na = args.grid.partition("x")
         overrides["grid"]["n_radial"] = int(nr)

@@ -187,17 +187,12 @@ def _refine_maximum(objective, grid: DiskGrid,
     return best, best_r * np.exp(1j * best_th)
 
 
-def _pointwise(field_fn):
-    """Adapt a field over complex points to the (radii, angles) signature."""
-    def objective(radii, angles):
+def _grid_condition(name: str, strict: bool, rhs: float, field_fn, grid: DiskGrid):
+    def obj(radii, angles):
+        """``field_fn`` over complex points, on the (radii, angles) grid."""
         zz = np.asarray(radii)[:, None] * np.exp(1j * np.asarray(angles))[None, :]
         return field_fn(zz)
-    return objective
 
-
-def _grid_condition(name: str, strict: bool, rhs: float, field_fn,
-                    grid: DiskGrid, polar: bool = False):
-    obj = field_fn if polar else _pointwise(field_fn)
     radii = grid.radii()
     base = np.asarray(obj(radii, grid.angles()), dtype=float)
     # refinement starts at the base argmax and only moves up

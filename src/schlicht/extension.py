@@ -11,8 +11,8 @@ which :func:`beltrami_coefficient` evaluates whenever the chain carries
 ``driving_term``; for the main chain this is mu = -(z/conj z) w.  Plain
 callables fall back to Wirtinger finite differences (:func:`beltrami_field`):
 F_x and F_y by central differences with spacing step*|z|, then
-F_z = (F_x - i F_y)/2 and F_zbar = (F_x + i F_y)/2, with Richardson
-refinement on demand.  The tests use that path as the reference.
+F_z = (F_x - i F_y)/2 and F_zbar = (F_x + i F_y)/2.  The tests use that
+path as the reference.
 
 The dilatation report is a grid maximum over a geometric annulus plus the
 inner-radius trend; |mu| peaks at |z| -> 1+ for every chain built here, so
@@ -72,7 +72,7 @@ class BeltramiSample:
     abs_mu: float
 
 
-def beltrami_field(F, z, step: float = 1e-5, richardson: bool = False):
+def beltrami_field(F, z, step: float = 1e-5):
     """Wirtinger data over an exterior point batch.
 
     Returns (values, F_z, F_zbar, mu, abs_mu) as arrays.  Points must stay
@@ -93,36 +93,31 @@ def beltrami_field(F, z, step: float = 1e-5, richardson: bool = False):
         return (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
 
     fz, fzb = wirtinger(h)
-    if richardson:
-        fz2, fzb2 = wirtinger(h / 2)
-        fz = (4 * fz2 - fz) / 3
-        fzb = (4 * fzb2 - fzb) / 3
     vals = F(arr)
     _raise_at_first(np.abs(fz) <= 1e-12, arr, DegenerateJacobian)
     mu = fzb / fz
     return vals, fz, fzb, mu, np.abs(mu)
 
 
-def beltrami_estimate(F, z, step: float = 1e-5,
-                      richardson: bool = False) -> BeltramiSample:
+def beltrami_estimate(F, z) -> BeltramiSample:
     """Single-point convenience wrapper around :func:`beltrami_field`."""
-    vals, fz, fzb, mu, am = beltrami_field(F, complex(z), step, richardson)
+    vals, fz, fzb, mu, am = beltrami_field(F, complex(z))
     return BeltramiSample(complex(z), complex(vals[0]), complex(fz[0]),
                           complex(fzb[0]), complex(mu[0]), float(am[0]))
 
 
-def beltrami_coefficient(F, z, step: float = 1e-5) -> np.ndarray:
+def beltrami_coefficient(F, z) -> np.ndarray:
     """Complex mu at exterior points, as a flat array.
 
     When ``F`` is an :class:`ExtensionField` whose chain carries
     ``driving_term``, mu is the closed form (z/conj z)(1-p)/(1+p) for any
     |z| >= 1, with no chain value and no quadrature.  Any other callable
-    goes through :func:`beltrami_field` with spacing ``step``.
+    goes through :func:`beltrami_field` with its default spacing.
     """
     arr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     driving_term = getattr(getattr(F, "chain", None), "driving_term", None)
     if driving_term is None:
-        return beltrami_field(F, arr, step)[3]
+        return beltrami_field(F, arr)[3]
     r = np.abs(arr)
     if np.any(r < 1):
         raise ParameterError("the closed-form Beltrami coefficient needs |z| >= 1")
@@ -142,17 +137,15 @@ def annulus_grid(r_inner: float = 1 + 1e-3, r_outer: float = 10.0,
 
 
 def max_dilatation(F, r_inner: float = 1 + 1e-3, r_outer: float = 10.0,
-                   n_radial: int = 64, n_angular: int = 256,
-                   step: float = 1e-5) -> tuple[float, complex]:
+                   n_radial: int = 64, n_angular: int = 256) -> tuple[float, complex]:
     """Grid maximum of |mu| over the standard annulus, with its witness.
 
     This is a sampled maximum, not an essential supremum; ties break to the
-    first point in radius-major enumeration.  ``step`` is used only by the
-    finite-difference path of :func:`beltrami_coefficient`.
+    first point in radius-major enumeration.
     """
     grid = annulus_grid(r_inner, r_outer, n_radial, n_angular)
     flat = grid.ravel()
-    am = np.abs(beltrami_coefficient(F, flat, step))
+    am = np.abs(beltrami_coefficient(F, flat))
     i = int(np.argmax(am))
     return float(am[i]), complex(flat[i])
 

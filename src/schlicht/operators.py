@@ -30,7 +30,7 @@ edges, so the result is the same :class:`RadialBracket`.
 
 The gate.  Coefficients are used only if g and w are finite on |u| = 1,
 Phi has no zero there and winding number 0 (with analytic g this rules
-out zeros inside), both coefficient errors fit ``cfg.abs_tolerance``,
+out zeros inside), both coefficient errors fit ``_ABS_TOLERANCE``,
 the outer continuation of V over the ladder keeps every step below pi/2,
 and a cross-check passes: the ``_CROSS_CHECK_POINTS`` endpoints of
 largest modulus (lowest index on ties) are integrated by quadrature, and
@@ -63,9 +63,11 @@ endpoint (``logphi_end`` and ``log_value``), the same branches that define
 the integrand and G itself.  At the origin Phi = V = 1, so G'(0) = f'(0)
 and no ray is integrated.
 
-Panels are Gauss-Legendre with a fixed node count; the error of each panel
-is estimated by doubling the node count, and panels are bisected until the
-estimate fits into the panel's share of the absolute tolerance.  For
+Panels are Gauss-Legendre with ``_NODES_PER_PANEL`` nodes; the error of
+each panel is estimated by doubling the node count, and panels are bisected,
+at most ``_MAX_DEPTH`` times, until the estimate fits into the panel's share
+of ``_ABS_TOLERANCE``.  These three constants are the one numerical budget
+of every operator value; they are read at call time.  For
 Re(alpha) < 1 the substitution t = tau^q with q = ceil(1/Re(alpha))
 removes the endpoint singularity of t^(alpha-1) before panels are laid
 down.
@@ -91,11 +93,11 @@ from .errors import (
 from .expr import Expr, Var, _ev, _raise_at_first, differentiate
 
 __all__ = [
-    "QuadratureConfig", "OperatorValue", "RadialBracket", "BracketFinal",
-    "BracketBatch", "radial_brackets", "iter_radial_brackets",
-    "bracket_final", "operator_values", "operator_values_with_derivative",
-    "operator_g_alpha", "operator_pascu", "operator_moldoveanu_pascu",
-    "operator_mocanu", "continued_gz_log", "DEFAULT_QUADRATURE",
+    "OperatorValue", "RadialBracket", "BracketFinal", "BracketBatch",
+    "radial_brackets", "iter_radial_brackets", "bracket_final",
+    "operator_values", "operator_values_with_derivative", "operator_g_alpha",
+    "operator_pascu", "operator_moldoveanu_pascu", "operator_mocanu",
+    "continued_gz_log",
 ]
 
 _HALF_PI = math.pi / 2
@@ -105,24 +107,10 @@ _SERIES_START = 64         # samples on |u| = 1 at first
 _SERIES_MAX = 1 << 14      # cap of the sample doubling
 _CROSS_CHECK_POINTS = 16   # endpoints integrated by quadrature per batch
 _ROUNDING = 100 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    nodes_per_panel: int = 16
-    abs_tolerance: float = 1e-10
-    max_subdivision_depth: int = 60
-
-    def __post_init__(self):
-        if self.nodes_per_panel < 4:
-            raise ParameterError("nodes_per_panel must be >= 4")
-        if not self.abs_tolerance > 0:
-            raise ParameterError("abs_tolerance must be positive")
-        if self.max_subdivision_depth < 1:
-            raise ParameterError("max_subdivision_depth must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+_NODES_PER_PANEL = 16      # Gauss-Legendre nodes; the error estimate uses twice as many
+_ABS_TOLERANCE = 1e-10     # absolute error budget of V
+_MAX_DEPTH = 60            # bisections of one panel before ToleranceNotMet
+_LADDER_ROUNDS = 64        # anchor insertion rounds of one branch ladder
 
 
 @dataclass(frozen=True)
@@ -208,11 +196,9 @@ class _RayLadder:
     inserts new anchors, and failure to resolve it is an error.
     """
 
-    def __init__(self, g: Expr, z: np.ndarray, ts: np.ndarray,
-                 max_rounds: int = 64):
+    def __init__(self, g: Expr, z: np.ndarray, ts: np.ndarray):
         self.g = g
         self.z = z
-        self.max_rounds = max_rounds
         self.ts = np.asarray(ts, dtype=float)
         self.phi = None
         self.logphi = None
@@ -226,7 +212,7 @@ class _RayLadder:
         return gu / u
 
     def _rebuild(self) -> None:
-        for _ in range(self.max_rounds):
+        for _ in range(_LADDER_ROUNDS):
             phi = self._eval(self.ts)
             left = np.concatenate(
                 [np.ones((len(self.z), 1), dtype=complex), phi[:, :-1]], axis=1
@@ -249,7 +235,7 @@ class _RayLadder:
 
     def logphi_at(self, ts: np.ndarray, phi_q: np.ndarray) -> np.ndarray:
         """Continued log of Phi at query fractions, given Phi there."""
-        for _ in range(self.max_rounds):
+        for _ in range(_LADDER_ROUNDS):
             idx = np.searchsorted(self.ts, ts, side="right") - 1
             has_anchor = idx >= 0
             anchor_phi = np.where(has_anchor[None, :],
@@ -302,10 +288,9 @@ def _initial_tau_edges() -> np.ndarray:
 
 
 def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
-                   q: int, zc: np.ndarray, cfg: QuadratureConfig) -> RadialBracket:
-    n = cfg.nodes_per_panel
-    xlo, wlo = _leg(n)
-    xhi, whi = _leg(2 * n)
+                   q: int, zc: np.ndarray) -> RadialBracket:
+    xlo, wlo = _leg(_NODES_PER_PANEL)
+    xhi, whi = _leg(2 * _NODES_PER_PANEL)
     qa = q * alpha
     nz = len(zc)
 
@@ -355,13 +340,13 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
             i_hi = half[None, :] * np.einsum("zkn,n->zk", f_hi, whi)
             err = np.abs(i_hi - i_lo)
             scale = 1.0 / max(1.0, abs(alpha))
-            thresh = 0.25 * cfg.abs_tolerance * scale * (b_arr - a_arr)
+            thresh = 0.25 * _ABS_TOLERANCE * scale * (b_arr - a_arr)
             # the cascade toward the endpoint singularity at 0 converges
             # slower than panel length shrinks, so it gets a geometric
             # budget (summable, and beaten by the 2^-Re(q alpha) decay)
             at_zero = a_arr == 0.0
             depth_arr = np.array(depths, dtype=float)
-            thresh[at_zero] = (0.1 * cfg.abs_tolerance * scale
+            thresh[at_zero] = (0.1 * _ABS_TOLERANCE * scale
                                * 0.75 ** depth_arr[at_zero])
             # rule differences bottom out at rounding noise of the panel sums
             noise = 100 * np.finfo(float).eps * (np.abs(i_lo) + np.abs(i_hi))
@@ -372,7 +357,7 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
                     accepted.append((a_arr[j], b_arr[j], depths[j],
                                      i_hi[:, j], err[:, j]))
                     continue
-                if depths[j] >= cfg.max_subdivision_depth:
+                if depths[j] >= _MAX_DEPTH:
                     raise ToleranceNotMet(
                         f"panel [{a_arr[j]:.3g},{b_arr[j]:.3g}] above tolerance "
                         f"at depth {depths[j]}"
@@ -406,7 +391,7 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
     else:
         logphi_edges = ladder.logphi_at(sigmas, ladder._eval(sigmas))
     err_total = abs(alpha) * np.sum(err_panels, axis=1)
-    branch_ok = ok & (err_total <= cfg.abs_tolerance)
+    branch_ok = ok & (err_total <= _ABS_TOLERANCE)
     return RadialBracket(
         z=zc, sigmas=sigmas, values=v_pref, logs=logs,
         logphi_edges=logphi_edges, error=err_total, branch_ok=branch_ok,
@@ -429,14 +414,13 @@ def _prepare(z) -> np.ndarray:
     return zarr
 
 
-def iter_radial_brackets(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
-                         phi_exponent=None, weight: Expr | None = None,
+def iter_radial_brackets(g: Expr, alpha, z, phi_exponent=None,
+                         weight: Expr | None = None,
                          ) -> Iterator[tuple[np.ndarray, RadialBracket]]:
     """Yield (flat indices, RadialBracket) per processing chunk.
 
     Endpoints with |z| below 1e-100 are skipped; there V = 1 exactly.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     alpha = _validate_alpha(alpha)
     beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
     zarr = _prepare(z)
@@ -444,7 +428,7 @@ def iter_radial_brackets(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
     idx_nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
     for start in range(0, len(idx_nonzero), _CHUNK):
         sel = idx_nonzero[start:start + _CHUNK]
-        yield sel, _bracket_chunk(g, weight, alpha, beta, q, zarr[sel], cfg)
+        yield sel, _bracket_chunk(g, weight, alpha, beta, q, zarr[sel])
 
 
 @dataclass(frozen=True)
@@ -569,7 +553,7 @@ def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _series_chunk(series: _CircleSeries, alpha: complex, q: int,
-                  zc: np.ndarray, cfg: QuadratureConfig) -> RadialBracket:
+                  zc: np.ndarray) -> RadialBracket:
     """The quadrature's bracket data from the coefficients, on its initial ladder."""
     sigmas = _initial_tau_edges()[1:] ** q
     u = zc[:, None] * sigmas[None, :]
@@ -581,7 +565,7 @@ def _series_chunk(series: _CircleSeries, alpha: complex, q: int,
     return RadialBracket(
         z=zc, sigmas=sigmas, values=values, logs=logs,
         logphi_edges=_horner(series.logphi, u), error=error,
-        branch_ok=ok & (error <= cfg.abs_tolerance),
+        branch_ok=ok & (error <= _ABS_TOLERANCE),
     )
 
 
@@ -592,14 +576,13 @@ def _largest(zarr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _cross_check(series: _CircleSeries, g: Expr, weight: Expr | None,
-                 alpha: complex, beta: complex, q: int, zs: np.ndarray,
-                 cfg: QuadratureConfig):
+                 alpha: complex, beta: complex, q: int, zs: np.ndarray):
     """(largest |V| gap, reason or None) of the sample against quadrature."""
     try:
-        (_, quad), = iter_radial_brackets(g, alpha, zs, cfg, beta, weight)
+        (_, quad), = iter_radial_brackets(g, alpha, zs, beta, weight)
     except SchlichtError as exc:
         return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
-    ser = _series_chunk(series, alpha, q, zs, cfg)
+    ser = _series_chunk(series, alpha, q, zs)
     gap = np.abs(ser.value - quad.value)
     bound = ser.error + quad.error + _ROUNDING * (1 + np.abs(quad.value))
     same_branch = ((np.abs(ser.log_value - quad.log_value) < _HALF_PI)
@@ -610,42 +593,41 @@ def _cross_check(series: _CircleSeries, g: Expr, weight: Expr | None,
     return worst, f"cross-check gap {worst:.1e} outside the error bounds"
 
 
-def radial_brackets(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
-                    phi_exponent=None, weight: Expr | None = None) -> BracketBatch:
+def radial_brackets(g: Expr, alpha, z, phi_exponent=None,
+                    weight: Expr | None = None) -> BracketBatch:
     """Bracket chunks of a batch from coefficients, or by quadrature if the
     gate (module docstring) rejects them.  Endpoints with |z| below 1e-100
     get no chunk row; there V = 1 exactly, and a batch of only such
     endpoints integrates nothing.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     alpha = _validate_alpha(alpha)
     beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
     zarr = _prepare(z)
     q = _substitution_order(alpha)
     nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
-    series = _circle_series(g, weight, beta, cfg.abs_tolerance)
+    series = _circle_series(g, weight, beta, _ABS_TOLERANCE)
     reason, gap = series.reason, None
     if reason is None:
-        chunks = [(sel, _series_chunk(series, alpha, q, zarr[sel], cfg))
+        chunks = [(sel, _series_chunk(series, alpha, q, zarr[sel]))
                   for sel in (nonzero[s:s + _CHUNK]
                               for s in range(0, len(nonzero), _CHUNK))]
         if not all(np.all(br.branch_ok) for _, br in chunks):
             reason = "outer continuation of V unresolved on the ladder"
         elif len(nonzero):
             gap, reason = _cross_check(series, g, weight, alpha, beta, q,
-                                       zarr[_largest(zarr, nonzero)], cfg)
+                                       zarr[_largest(zarr, nonzero)])
     if reason is None:
         return BracketBatch(chunks, "coefficients", None, gap)
-    chunks = list(iter_radial_brackets(g, alpha, zarr, cfg, beta, weight))
+    chunks = list(iter_radial_brackets(g, alpha, zarr, beta, weight))
     return BracketBatch(chunks, "quadrature", reason, gap)
 
 
-def bracket_final(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
-                  phi_exponent=None, weight: Expr | None = None) -> BracketFinal:
+def bracket_final(g: Expr, alpha, z, phi_exponent=None,
+                  weight: Expr | None = None) -> BracketFinal:
     """Flat bracket values over a batch of endpoints, zeros filled with V = 1."""
     zarr = _prepare(z)
     nz = len(zarr)
-    batch = radial_brackets(g, alpha, zarr, cfg, phi_exponent, weight)
+    batch = radial_brackets(g, alpha, zarr, phi_exponent, weight)
     out = BracketFinal(
         value=np.ones(nz, dtype=complex),
         log_value=np.zeros(nz, dtype=complex),
@@ -664,8 +646,7 @@ def bracket_final(g: Expr, alpha, z, cfg: QuadratureConfig | None = None,
     return out
 
 
-def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
-                                    cfg: QuadratureConfig | None = None):
+def operator_values_with_derivative(f: Expr, g: Expr, alpha, z):
     """Operator values and closed-form G' from one bracket pass.
 
     Returns (values, derivatives, errors, branch_ok), vectorized over z.
@@ -673,7 +654,7 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
     alpha = _validate_alpha(alpha)
     zarr = _prepare(z)
     fp = differentiate(f)
-    fin = bracket_final(g, alpha, zarr, cfg, phi_exponent=alpha - 1, weight=fp)
+    fin = bracket_final(g, alpha, zarr, phi_exponent=alpha - 1, weight=fp)
     vals = zarr * np.exp(fin.log_value / alpha)
     derivs = _ev(fp, zarr) * np.exp((alpha - 1) * (fin.logphi_end
                                                    - fin.log_value / alpha))
@@ -681,10 +662,9 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
     return vals, derivs, fin.error * scale, fin.branch_ok
 
 
-def operator_values(f: Expr, g: Expr, alpha, z,
-                    cfg: QuadratureConfig | None = None):
+def operator_values(f: Expr, g: Expr, alpha, z):
     """Vectorized operator evaluation; returns (values, errors, branch_ok)."""
-    vals, _, errs, ok = operator_values_with_derivative(f, g, alpha, z, cfg)
+    vals, _, errs, ok = operator_values_with_derivative(f, g, alpha, z)
     return vals, errs, ok
 
 
@@ -692,40 +672,36 @@ def _scalar_operator(vals, errs, ok) -> OperatorValue:
     return OperatorValue(complex(vals[0]), float(errs[0]), bool(ok[0]))
 
 
-def operator_g_alpha(f: Expr, g: Expr, alpha, z,
-                     cfg: QuadratureConfig | None = None) -> OperatorValue:
+def operator_g_alpha(f: Expr, g: Expr, alpha, z) -> OperatorValue:
     """[alpha * int_0^z g^(alpha-1)(u) f'(u) du]^(1/alpha), branch continued."""
-    return _scalar_operator(*operator_values(f, g, alpha, complex(z), cfg))
+    return _scalar_operator(*operator_values(f, g, alpha, complex(z)))
 
 
-def operator_pascu(f: Expr, alpha, z,
-                   cfg: QuadratureConfig | None = None) -> OperatorValue:
+def operator_pascu(f: Expr, alpha, z) -> OperatorValue:
     """The g = z specialization."""
-    return operator_g_alpha(f, Var(), alpha, z, cfg)
+    return operator_g_alpha(f, Var(), alpha, z)
 
 
-def _weightless(g: Expr, alpha, z, cfg, phi_exponent) -> OperatorValue:
+def _weightless(g: Expr, alpha, z, phi_exponent) -> OperatorValue:
     alpha = _validate_alpha(alpha)
     zc = np.atleast_1d(np.asarray(complex(z)))
-    fin = bracket_final(g, alpha, zc, cfg, phi_exponent=phi_exponent, weight=None)
+    fin = bracket_final(g, alpha, zc, phi_exponent=phi_exponent, weight=None)
     vals = zc * np.exp(fin.log_value / alpha)
     scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
     return _scalar_operator(vals, fin.error * scale, fin.branch_ok)
 
 
-def operator_moldoveanu_pascu(g: Expr, alpha, z,
-                              cfg: QuadratureConfig | None = None) -> OperatorValue:
+def operator_moldoveanu_pascu(g: Expr, alpha, z) -> OperatorValue:
     """The f = z specialization (f' identically 1)."""
-    return _weightless(g, alpha, z, cfg, phi_exponent=complex(alpha) - 1)
+    return _weightless(g, alpha, z, phi_exponent=complex(alpha) - 1)
 
 
-def operator_mocanu(g: Expr, alpha, z,
-                    cfg: QuadratureConfig | None = None) -> OperatorValue:
+def operator_mocanu(g: Expr, alpha, z) -> OperatorValue:
     """[alpha * int_0^z g^alpha(u)/u du]^(1/alpha); g^alpha/u = u^(alpha-1)(g/u)^alpha."""
-    return _weightless(g, alpha, z, cfg, phi_exponent=complex(alpha))
+    return _weightless(g, alpha, z, phi_exponent=complex(alpha))
 
 
-def continued_gz_log(g: Expr, z, max_rounds: int = 64) -> np.ndarray:
+def continued_gz_log(g: Expr, z) -> np.ndarray:
     """Continued log of g(z)/z along each radial segment, 0 at the origin.
 
     Vectorized over ``z``; the value at z = 0 is exactly 0.  On |z| <= 1
@@ -742,10 +718,10 @@ def continued_gz_log(g: Expr, z, max_rounds: int = 64) -> np.ndarray:
     one = np.array([1.0])
 
     def ladder_logs(zs: np.ndarray) -> np.ndarray:
-        ladder = _RayLadder(g, zs, ts, max_rounds=max_rounds)
+        ladder = _RayLadder(g, zs, ts)
         return ladder.logphi_at(one, ladder._eval(one))[:, 0]
 
-    series = _circle_series(g, None, 0j, DEFAULT_QUADRATURE.abs_tolerance)
+    series = _circle_series(g, None, 0j, _ABS_TOLERANCE)
     if (len(nonzero) and series.reason is None
             and np.all(np.abs(zarr) <= 1 + 1e-9)):
         zs = zarr[_largest(zarr, nonzero)]

@@ -34,7 +34,7 @@ from .criteria import (
 from .dsl import parse
 from .errors import ParameterError
 from .expr import AnalyticTriple, Expr, Var, const, eval_expr
-from .operators import QuadratureConfig, operator_values_with_derivative
+from .operators import operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
 __all__ = ["ResolvedConfig", "load_config", "run_check", "report_json",
@@ -51,7 +51,6 @@ class ResolvedConfig:
     check: str
     preset: str | None
     grid: DiskGrid
-    quadrature: QuadratureConfig
     seed: int
     sources: dict
 
@@ -64,17 +63,32 @@ def _to_complex(v) -> complex:
     return complex(v)
 
 
+# The keys a config may hold: top level (""), then the sections.
+_CONFIG_KEYS = {"": ("f", "g", "h", "k_fn", "params", "check", "preset", "grid", "seed"),
+                "grid": ("n_radial", "n_angular", "r_max", "refinement_levels"),
+                "params": ("alpha", "c", "s", "m", "k")}
+
+
 def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
-    """Resolve a config mapping; flags in ``overrides`` win over the file."""
+    """Resolve a config mapping; flags in ``overrides`` win over the file.
+
+    A key that a config cannot hold raises ParameterError naming it.
+    """
     overrides = overrides or {}
     merged = dict(raw)
-    for key in ("grid", "quadrature", "params"):
+    for key in ("grid", "params"):
         section = dict(raw.get(key) or {})
         section.update(overrides.get(key) or {})
         merged[key] = section
     for key in ("check", "preset", "seed", "f", "g", "h", "k_fn"):
         if overrides.get(key) is not None:
             merged[key] = overrides[key]
+    for section, known in _CONFIG_KEYS.items():
+        unknown = [k for k in (merged[section] if section else merged) if k not in known]
+        if unknown:
+            name = f"{section}.{unknown[0]}" if section else unknown[0]
+            raise ParameterError(f"unknown config key {name!r}; "
+                                 f"known: {', '.join(known)}")
 
     f = parse(merged.get("f", "z"))
     g = parse(merged.get("g", "z"))
@@ -97,12 +111,6 @@ def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
         r_max=float(gr.get("r_max", 0.999)),
         refinement_levels=int(gr.get("refinement_levels", 3)),
     )
-    qd = merged.get("quadrature") or {}
-    quad = QuadratureConfig(
-        nodes_per_panel=int(qd.get("nodes_per_panel", 16)),
-        abs_tolerance=float(qd.get("abs_tolerance", 1e-10)),
-        max_subdivision_depth=int(qd.get("max_subdivision_depth", 60)),
-    )
 
     preset = merged.get("preset")
     check = merged.get("check")
@@ -122,7 +130,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
         "preset": preset,
     }
     return ResolvedConfig(f=f, g=g, h=h, params=params, check=check,
-                          preset=preset, grid=grid, quadrature=quad,
+                          preset=preset, grid=grid,
                           seed=int(merged.get("seed", 0)), sources=sources)
 
 
@@ -170,7 +178,7 @@ def _operator_subject(rc: ResolvedConfig):
         points = last.get("points")
         if points is None or not np.array_equal(points, zz):
             vals, derivs, _, _ = operator_values_with_derivative(
-                rc.f, rc.g, rc.params.alpha, zz.ravel(), rc.quadrature)
+                rc.f, rc.g, rc.params.alpha, zz.ravel())
             last.update(points=zz.copy(), values=vals.reshape(zz.shape),
                         derivatives=derivs.reshape(zz.shape))
             # a hit hands the same arrays to another caller
@@ -196,7 +204,7 @@ def _real_alpha(rc: ResolvedConfig) -> float:
 
 
 def _main_chain(rc: ResolvedConfig):
-    return chain_callable(_triple(rc), rc.params, rc.quadrature)
+    return chain_callable(_triple(rc), rc.params)
 
 
 def _becker_chain(rc: ResolvedConfig):
@@ -204,7 +212,7 @@ def _becker_chain(rc: ResolvedConfig):
     params = CriterionParams(alpha=1, c=rc.params.c, s=1,
                              m=rc.params.m, k=rc.params.k)
     triple = AnalyticTriple.build(rc.f, Var(), const(-rc.params.c))
-    return chain_callable(triple, params, rc.quadrature)
+    return chain_callable(triple, params)
 
 
 def _logderiv_chain(rc: ResolvedConfig):
@@ -257,7 +265,7 @@ CRITERIA = {
     "T6": Criterion(
         lambda rc: check_t6(rc.f, rc.g, _real_alpha(rc), rc.params.k, rc.grid),
         _operator_subject,
-        lambda rc: chain_t6_callable(rc.f, rc.g, _real_alpha(rc), rc.quadrature)),
+        lambda rc: chain_t6_callable(rc.f, rc.g, _real_alpha(rc))),
     "logderiv-Uk": Criterion(
         lambda rc: check_log_derivative_condition(subject_function(rc),
                                                   rc.params.k, rc.grid),
@@ -280,8 +288,9 @@ def build_chain(rc: ResolvedConfig):
     return CRITERIA[rc.check].chain(rc)
 
 
-def oracle_block(rc: ResolvedConfig, n_probes: int = 20) -> dict:
+def oracle_block(rc: ResolvedConfig) -> dict:
     """Injectivity, winding-count and derivative evidence for the subject."""
+    n_probes = 20
     fn = subject_function(rc)
     inj = injectivity_test(fn, rc.grid)
     # right after the scan, so an operator subject reuses the scan's pass
@@ -330,7 +339,6 @@ def run_check(rc: ResolvedConfig, with_oracle: bool = True,
             "check": rc.check,
             "params": _params_dict(rc.params),
             "grid": asdict(rc.grid),
-            "quadrature": asdict(rc.quadrature),
             "seed": rc.seed,
         },
         "check": _report_dict(rep),

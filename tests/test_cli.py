@@ -1,12 +1,18 @@
+import importlib.util
 import json
 import os
 import stat
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from schlicht.cli import main
+from schlicht.reporting import load_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 TRIVIAL = {
     "f": "z", "g": "z", "h": "1",
@@ -248,6 +254,33 @@ def test_invalid_params_exit_two(tmp_path):
         "params": {"alpha": [1, 0], "c": [1, 0], "s": [1, 0], "m": 2, "k": 0},
     })
     assert main(["check", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"grid": {"n_radail": 8}}, "grid.n_radail"),
+    ({"parms": {"k": 0.9}}, "parms"),
+    ({"params": {"alpha": [1, 0], "kk": 0.9}}, "params.kk"),
+    ({"quadrature": {"nodes_per_panel": 16, "abs_tolerance": 1e-10}}, "quadrature"),
+])
+def test_unknown_config_key_exit_two(tmp_path, capsys, payload, key):
+    cfg = _write(tmp_path, "cfg.json", {"f": "z", "check": "T2", **payload})
+    assert main(["check", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown config key {key!r}" in captured.err
+
+
+def test_every_shipped_config_loads(monkeypatch):
+    # the demo configs and the benchmark's item configs hold only known keys
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    configs = [json.loads(p.read_text())
+               for p in sorted((REPO / "demos" / "configs").glob("*.json"))]
+    for raw in configs + [item.config for item in workloads.full_catalog()]:
+        load_config(raw)
 
 
 def test_oracle_subcommand(tmp_path, capsys):

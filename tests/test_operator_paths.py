@@ -51,6 +51,9 @@ def _quadrature_final(g, alpha, z, weight):
     # g/z = 1 - 2u vanishes at u = 1/2
     pytest.param("z + 0.1*z^2", "z*(1 - 2*z)",
                  "g(u)/u winds 1 times around 0 on |u| = 1", id="zero-in-disk"),
+    # g/z = 1 - u is exactly 0 at the sample u = 1
+    pytest.param("z + 0.1*z^2", "z*(1 - z)", "g(u)/u vanishes on |u| = 1",
+                 id="zero-on-circle"),
     # log g/z has coefficients 0.999^n/n: no N up to the cap resolves them
     pytest.param("z + 0.1*z^2", "z/(1 - 0.999*z)", "coefficient tail", id="slow-tail"),
 ])
@@ -242,8 +245,6 @@ def test_cross_check_rejects_another_branch_of_log_phi():
     shifted = dataclasses.replace(
         series, logphi=series.logphi + np.eye(1, len(series.logphi))[0] * 2j * np.pi)
     zs = POINTS[:16]
-    gap, reason = operators._cross_check(
-        shifted, g, w, 2 + 0j, 1 + 0j, 1, zs, operators.DEFAULT_QUADRATURE)
+    gap, reason = operators._cross_check(shifted, g, w, 2 + 0j, 1 + 0j, 1, zs)
     assert gap <= 1e-12 and reason is not None
-    assert operators._cross_check(series, g, w, 2 + 0j, 1 + 0j, 1, zs,
-                                  operators.DEFAULT_QUADRATURE)[1] is None
+    assert operators._cross_check(series, g, w, 2 + 0j, 1 + 0j, 1, zs)[1] is None

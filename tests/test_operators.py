@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from schlicht import operators
 from schlicht.dsl import parse
-from schlicht.errors import AlphaTooSmall, IntegrandSingular, ParameterError
+from schlicht.errors import (
+    AlphaTooSmall,
+    IntegrandSingular,
+    NonvanishingViolation,
+    ParameterError,
+    ToleranceNotMet,
+)
 from schlicht.expr import Var, differentiate, eval_expr
 from schlicht.operators import (
-    QuadratureConfig,
     iter_radial_brackets,
     operator_g_alpha,
     operator_mocanu,
@@ -142,51 +148,55 @@ def test_normalization_near_origin():
         assert abs(ov.value / z - 1) < 1e-3
 
 
-def test_halving_tolerance_stays_within_error():
+def test_halving_tolerance_stays_within_error(monkeypatch):
     f, g = parse("z + 0.1*z^2"), parse("z*exp(0.3*z)")
-    loose = QuadratureConfig(abs_tolerance=1e-8)
-    tight = QuadratureConfig(abs_tolerance=5e-9)
     rng = np.random.default_rng(31)
     for _ in range(10):
         z = 0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        a = operator_g_alpha(f, g, 1.6, z, loose)
-        b = operator_g_alpha(f, g, 1.6, z, tight)
+        monkeypatch.setattr(operators, "_ABS_TOLERANCE", 1e-8)
+        a = operator_g_alpha(f, g, 1.6, z)
+        monkeypatch.setattr(operators, "_ABS_TOLERANCE", 5e-9)
+        b = operator_g_alpha(f, g, 1.6, z)
         assert abs(a.value - b.value) <= max(a.estimated_error, b.estimated_error) + 1e-15
 
 
-def test_panel_layout_independence():
+def test_panel_layout_independence(monkeypatch):
     # richer node counts must agree within the combined error estimates
     f, g = parse("z + 0.1*z^2"), parse("z/(1-0.4*z)")
-    a = operator_g_alpha(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=8))
-    b = operator_g_alpha(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=24))
+    monkeypatch.setattr(operators, "_NODES_PER_PANEL", 8)
+    a = operator_g_alpha(f, g, 1.8, 0.77)
+    monkeypatch.setattr(operators, "_NODES_PER_PANEL", 24)
+    b = operator_g_alpha(f, g, 1.8, 0.77)
     assert abs(a.value - b.value) <= a.estimated_error + b.estimated_error + 1e-14
 
 
-def _quadrature_value(f, g, alpha, z, cfg):
+def _quadrature_value(f, g, alpha, z):
     """G(z) and its error estimate from radial quadrature alone."""
-    (_, br), = iter_radial_brackets(g, alpha, complex(z), cfg, weight=differentiate(f))
+    (_, br), = iter_radial_brackets(g, alpha, complex(z), weight=differentiate(f))
     value = z * np.exp(br.log_value[0] / alpha)
     return value, br.error[0] * abs(value) / abs(alpha * br.value[0])
 
 
-def test_quadrature_halving_tolerance_stays_within_error():
+def test_quadrature_halving_tolerance_stays_within_error(monkeypatch):
     # the twin of test_halving_tolerance_stays_within_error, whose entire
     # subject now takes the coefficient path
     f, g = parse("z + 0.1*z^2"), parse("z*exp(0.3*z)")
-    loose = QuadratureConfig(abs_tolerance=1e-8)
-    tight = QuadratureConfig(abs_tolerance=5e-9)
     rng = np.random.default_rng(31)
     for _ in range(10):
         z = 0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        a, err_a = _quadrature_value(f, g, 1.6, z, loose)
-        b, err_b = _quadrature_value(f, g, 1.6, z, tight)
+        monkeypatch.setattr(operators, "_ABS_TOLERANCE", 1e-8)
+        a, err_a = _quadrature_value(f, g, 1.6, z)
+        monkeypatch.setattr(operators, "_ABS_TOLERANCE", 5e-9)
+        b, err_b = _quadrature_value(f, g, 1.6, z)
         assert abs(a - b) <= max(err_a, err_b) + 1e-15
 
 
-def test_quadrature_panel_layout_independence():
+def test_quadrature_panel_layout_independence(monkeypatch):
     f, g = parse("z + 0.1*z^2"), parse("z/(1-0.4*z)")
-    a, err_a = _quadrature_value(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=8))
-    b, err_b = _quadrature_value(f, g, 1.8, 0.77, QuadratureConfig(nodes_per_panel=24))
+    monkeypatch.setattr(operators, "_NODES_PER_PANEL", 8)
+    a, err_a = _quadrature_value(f, g, 1.8, 0.77)
+    monkeypatch.setattr(operators, "_NODES_PER_PANEL", 24)
+    b, err_b = _quadrature_value(f, g, 1.8, 0.77)
     assert abs(a - b) <= err_a + err_b + 1e-14
 
 
@@ -199,7 +209,29 @@ def test_fractional_and_complex_alpha():
 def test_error_estimate_honored():
     ov = operator_g_alpha(parse("z + 0.1*z^2"), parse("z*exp(0.3*z)"), 1.6, 0.9)
     assert ov.branch_ok
-    assert ov.estimated_error <= QuadratureConfig().abs_tolerance
+    assert ov.estimated_error <= operators._ABS_TOLERANCE
+
+
+def test_subdivision_depth_limit_names_the_panel(monkeypatch):
+    # Koebe's f' blows up at u = 1, so the last panel of a ray to 0.99
+    # needs more than one bisection; at the full depth it converges
+    f = parse("koebe")
+    assert operator_g_alpha(f, parse("z"), 2.0, 0.99).branch_ok
+    monkeypatch.setattr(operators, "_MAX_DEPTH", 1)
+    with pytest.raises(ToleranceNotMet,
+                       match=r"panel \[0\.969,1\] above tolerance at depth 1"):
+        operator_g_alpha(f, parse("z"), 2.0, 0.99)
+
+
+@pytest.mark.parametrize("bad", [0, np.nan, np.inf, complex(0, np.nan)])
+def test_unwrap_prefix_names_the_first_row_of_the_innermost_bad_column(bad):
+    vals = np.ones((4, 5), dtype=complex)
+    vals[3, 1] = vals[2, 1] = vals[0, 3] = bad
+    rays = np.array([0.1, 0.2j, -0.3, 0.4 - 0.1j])
+    sigmas = np.array([0.1, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(NonvanishingViolation) as info:
+        operators._unwrap_prefix(vals, 0j, rays, sigmas)
+    assert info.value.where == rays[2] * sigmas[1]
 
 
 def test_alpha_guards():
