@@ -11,11 +11,10 @@ W(z,t) with W(0,t) = 1 - (a/c)(e^{mt}-1) h0, so that
 
     L = z e^{-st} W^(1/alpha),    a1(t) = e^{-st} W(0,t)^(1/alpha),
 
-and the 1/alpha power is continued first in t (from W = 1 at t = 0,
-halving the time step until the argument moves less than pi/2 per step)
-and then radially in z over the edges of the operator bracket: the
-quadrature's panel edges, or the coefficient path's ladder
-(``operators.radial_brackets``).
+and the 1/alpha power is continued with the operators' one continuation
+rule: first in t, on the anchor ladder ``operators._Ladder`` of W0 from
+W = 1 at t = 0, then radially in z by ``operators._continued_log`` over
+the edges of the operator bracket (``operators.radial_brackets``).
 
 The automorphism chain of the second extension theorem is handled the
 same way with bracket V(z) + e^{alpha t} - 1.
@@ -23,7 +22,6 @@ same way with bracket V(z) + e^{alpha t} - 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +43,7 @@ from .expr import (
     _scalar_out,
     differentiate,
 )
-from .operators import _unwrap_prefix, continued_gz_log, radial_brackets
+from .operators import _Ladder, _unwrap_prefix, continued_gz_log, radial_brackets
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -55,7 +53,6 @@ __all__ = [
     "chain_callable", "chain_t6_callable", "subordination_spot_check",
 ]
 
-_HALF_PI = math.pi / 2
 _TIME_ROUNDS = 24  # halving rounds of the time ladder of W0
 
 
@@ -86,28 +83,21 @@ def _w0_log(params: CriterionParams, h0: complex, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ParameterError("chain times must be non-negative")
-    coeff = (params.a / params.c) * h0
+    coeff = complex((params.a / params.c) * h0)
 
     def w0(tau):
-        return 1.0 - coeff * (np.exp(params.m * tau) - 1.0)
+        vals = 1.0 - coeff * (np.exp(params.m * tau) - 1.0)
+        _raise_at_first((vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag),
+                        tau, BranchPointHit)
+        return vals[None, :]
 
     tmax = float(np.max(ts, initial=0.0))
     if tmax == 0.0:
         return np.zeros(ts.shape, dtype=complex)
-    ladder = np.unique(np.concatenate([np.linspace(0.0, tmax, 129), ts.ravel()]))
-    for _ in range(_TIME_ROUNDS):
-        vals = w0(ladder)
-        _raise_at_first((vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag),
-                        ladder, BranchPointHit)
-        dlog = np.log(vals[1:] / vals[:-1])
-        jump = np.abs(dlog.imag) >= _HALF_PI
-        if not np.any(jump):
-            logs = np.concatenate([[0.0 + 0j], np.cumsum(dlog)])
-            idx = np.searchsorted(ladder, ts.ravel())
-            return logs[idx].reshape(ts.shape)
-        mids = 0.5 * (ladder[:-1][jump] + ladder[1:][jump])
-        ladder = np.unique(np.concatenate([ladder, mids]))
-    raise ToleranceNotMet("time continuation of the chain bracket unresolved")
+    # every requested time is an anchor, so its log is read off the ladder
+    anchors = np.unique(np.concatenate([np.linspace(0.0, tmax, 129), ts.ravel()]))
+    ladder = _Ladder(w0, anchors, "the chain bracket in time", _TIME_ROUNDS)
+    return ladder.logs[0, np.searchsorted(ladder.ts, ts.ravel())].reshape(ts.shape)
 
 
 def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
@@ -142,10 +132,10 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t):
         fpv = _ev(triple.fp, u_edges)
         hv = _ev(triple.h, u_edges)
         w_pref = br.values - coeff[sel][:, None] * phi1 * fpv * hv
-        logs, ok = _unwrap_prefix(w_pref, w0l[sel], u0[sel], br.sigmas)
+        log_end, ok = _unwrap_prefix(w_pref, w0l[sel], u0[sel], br.sigmas)
         if not np.all(ok):
             raise ToleranceNotMet("radial continuation of the chain bracket unresolved")
-        out[sel] = zf[sel] * np.exp(-s * tf[sel] + logs[:, -1] / alpha)
+        out[sel] = zf[sel] * np.exp(-s * tf[sel] + log_end / alpha)
     return _scalar_out(out.reshape(zb.shape), z, t)
 
 
@@ -317,11 +307,11 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t):
     batch = radial_brackets(g, alpha, zf, phi_exponent=alpha - 1, weight=fp)
     for sel, br in batch.chunks:
         u_pref = br.values + (np.exp(alpha * tf[sel]) - 1.0)[:, None]
-        logs, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex),
-                                  zf[sel], br.sigmas)
+        log_end, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex),
+                                     zf[sel], br.sigmas)
         if not np.all(ok):
             raise ToleranceNotMet("radial continuation of the chain bracket unresolved")
-        out[sel] = zf[sel] * np.exp(logs[:, -1] / alpha)
+        out[sel] = zf[sel] * np.exp(log_end / alpha)
     return _scalar_out(out.reshape(zb.shape), z, t)
 
 

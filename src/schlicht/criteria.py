@@ -27,6 +27,7 @@ from .expr import (
     _ev,
     _raise_at_first,
     add,
+    as_subject,
     const,
     differentiate,
     div,
@@ -380,47 +381,22 @@ def check_t6(f: Expr, g: Expr, alpha: float, k: float,
     return _assemble("T6", [main], grid, trend)
 
 
-def _sampled_log_derivative(fn, zz: np.ndarray, derivative=None) -> np.ndarray:
-    """z G'/G for a sampled operator.
-
-    G' is ``derivative(zz)`` when the subject supplies one (asked after G
-    at the same points, so a subject that keeps its last pass integrates
-    once), else Richardson central differences.
-    """
-    vals = fn(zz)
-    if derivative is not None:
-        deriv = derivative(zz)
-    else:
-        h = 1e-5 * (1 - np.abs(zz))
-        d1 = (fn(zz + h) - fn(zz - h)) / (2 * h)
-        d2 = (fn(zz + h / 2) - fn(zz - h / 2)) / h
-        deriv = (4 * d2 - d1) / 3
-    _raise_at_first(vals == 0, zz, DivisionByZero)
-    return zz * deriv / vals
-
-
 def check_log_derivative_condition(G, k: float, grid: DiskGrid) -> CriterionReport:
     """z G'/G in U(k); G may be an expression or a sampled operator callable.
 
-    A callable may carry its derivative as ``G.derivative`` (the operator
-    subject does); otherwise G' comes from finite differences.
+    G' is the ``derivative`` of ``as_subject(G)``, asked right after G at
+    the same points, so the operator subject, which keeps its last pass,
+    integrates once.
     """
     if not (0 <= k < 1):
         raise ParameterError(f"k={k} must lie in [0, 1)")
-    if isinstance(G, Expr):
-        gp = differentiate(G)
+    subject = as_subject(G)
 
-        def fld(zz):
-            return _uk_distance_field(log_derivative_field(G, zz, gp))
-    else:
-        def flat(fn):
-            return lambda q: np.asarray(fn(q.ravel())).reshape(q.shape)
-
-        deriv = getattr(G, "derivative", None)
-        deriv = flat(deriv) if deriv is not None else None
-
-        def fld(zz):
-            return _uk_distance_field(_sampled_log_derivative(flat(G), zz, deriv))
+    def fld(zz):
+        vals = np.asarray(subject(zz))
+        deriv = subject.derivative(zz)
+        _raise_at_first(vals == 0, zz, DivisionByZero)
+        return _uk_distance_field(zz * deriv / vals)
 
     main, trend = _grid_condition("uk-logderiv", False, k, fld, grid)
     return _assemble("logderiv-Uk", [main], grid, trend)

@@ -20,7 +20,7 @@ __all__ = [
     "Expr", "Var", "Const", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Log",
     "Z", "var", "const", "neg", "add", "sub", "mul", "div", "pow_", "exp_", "log_",
     "eval_expr", "differentiate", "principal_power", "log_derivative_at",
-    "log_derivative_field", "AnalyticTriple",
+    "log_derivative_field", "AnalyticTriple", "as_subject",
 ]
 
 
@@ -253,6 +253,37 @@ def eval_expr(e: Expr, z):
     out = _ev(e, arr)
     _raise_at_first(~np.isfinite(out.real) | ~np.isfinite(out.imag), arr, NonFiniteValue)
     return _scalar_out(out, z)
+
+
+def as_subject(f):
+    """A vectorized callable for an expression or a callable, carrying ``.derivative``.
+
+    The derivative is symbolic for an expression.  A callable that has its
+    own ``derivative`` (the operator subject's closed-form G') is returned
+    as it is; any other callable gets Richardson central differences.
+    """
+    if isinstance(f, Expr):
+        df = differentiate(f)
+
+        def subject(z):
+            return eval_expr(f, z)
+
+        subject.derivative = lambda z: eval_expr(df, z)
+        return subject
+    if hasattr(f, "derivative"):
+        return f
+
+    def sampled(z):
+        return f(z)
+
+    def derivative(z):
+        h = 1e-5 * (1 - np.abs(z))
+        d1 = (f(z + h) - f(z - h)) / (2 * h)
+        d2 = (f(z + h / 2) - f(z - h / 2)) / h
+        return (4 * d2 - d1) / 3
+
+    sampled.derivative = derivative
+    return sampled
 
 
 def differentiate(e: Expr) -> Expr:

@@ -42,16 +42,14 @@ coefficient tail, an unresolved ladder step, or a failed or raising
 cross-check.  :func:`continued_gz_log` evaluates the log Phi series the
 same way, cross-checked against the anchor ladder.
 
-The quadrature path (:func:`iter_radial_brackets`) maintains two branch
-continuations along the radial segment:
-
-* Phi(u)^beta uses the continued argument of Phi from its value 1 at
-  u = 0, unwrapped over a ladder of shared t anchors.  A gap whose
-  principal argument jump reaches pi/2 is bisected; if bisection cannot
-  resolve it the run is rejected.
-* the outer 1/alpha power uses the continued logarithm of V along the
-  partial integrals at panel edges, again starting from V = 1 at the
-  origin.
+Every branch here, and in the chains, is continued by one rule from the
+value 1 at the origin: :func:`_continued_log` takes one principal log
+step per entry and flags steps that turn the argument by pi/2 or more.
+:class:`_Ladder` carries it over shared anchors and bisects unresolved
+gaps; it serves Phi = g(u)/u along the rays and W0 in time (``chains``).
+The quadrature path (:func:`iter_radial_brackets`) thus continues Phi^beta
+on the ladder, and the outer 1/alpha power over the partial integrals at
+the panel edges, halving every panel until each step resolves.
 
 The derivative of the operator needs no further quadrature.  Since
 G(z)^alpha = z^alpha V(z) = alpha * int_0^z g^(alpha-1) f' du,
@@ -125,14 +123,15 @@ class RadialBracket:
     """Bracket data for one batch of rays sharing a panel layout.
 
     ``sigmas`` are fractions of |z|; column j of ``values`` holds
-    V(sigmas[j] * z).  ``logs`` and ``logphi_edges`` are the continued
-    logarithms of V and of Phi = g(u)/u at the edge points.
+    V(sigmas[j] * z).  ``logphi_edges`` is the continued logarithm of
+    Phi = g(u)/u at the edge points and ``log_value`` that of V at z.
+    ``error`` bounds V at z, and ``branch_ok`` says whether the
+    continuation of log V resolved, whatever the error.
     """
 
-    z: np.ndarray
     sigmas: np.ndarray
     values: np.ndarray
-    logs: np.ndarray
+    log_value: np.ndarray
     logphi_edges: np.ndarray
     error: np.ndarray
     branch_ok: np.ndarray
@@ -140,10 +139,6 @@ class RadialBracket:
     @property
     def value(self) -> np.ndarray:
         return self.values[:, -1]
-
-    @property
-    def log_value(self) -> np.ndarray:
-        return self.logs[:, -1]
 
     @property
     def logphi_end(self) -> np.ndarray:
@@ -186,42 +181,46 @@ def _leg(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-class _RayLadder:
-    """Anchor ladder carrying the continued log of Phi = g(u)/u per ray.
+def _continued_log(vals: np.ndarray, start_log=0j, start=None):
+    """Continued log along the last axis of ``vals``: the one continuation step.
 
-    All rays share the anchor fractions t of their own |z|, so the ladder
-    state is a matrix indexed (ray, anchor).  Phi(0) = 1 anchors the
-    continuation.  Queries resolve against the nearest anchor to the left;
-    an argument jump >= pi/2, between anchors or from anchor to query,
-    inserts new anchors, and failure to resolve it is an error.
+    Each entry takes the principal log of its ratio to the entry on its
+    left, and the first entry its ratio to ``start`` (by default
+    exp(start_log)), whose log is ``start_log``; ``start_log`` broadcasts
+    to the shape of ``vals[..., 0]``, which ``start`` has.  Returns (logs,
+    resolved); ``resolved`` flags the steps that turned the argument by
+    less than pi/2.
+    """
+    start_log = np.broadcast_to(np.asarray(start_log, dtype=complex), vals.shape[:-1])
+    start = np.exp(start_log) if start is None else start
+    steps = np.log(vals / np.concatenate([start[..., None], vals[..., :-1]], axis=-1))
+    return start_log[..., None] + np.cumsum(steps, axis=-1), np.abs(steps.imag) < _HALF_PI
+
+
+class _Ladder:
+    """Anchor ladder carrying a continued log per row from its value 1 at t = 0.
+
+    ``fn(ts)`` returns one row per ray at the sorted fractions ``ts``, and
+    each row equals 1 at t = 0, which anchors the continuation.  The
+    anchors ``ts`` are shared by all rows; ``vals`` and ``logs`` hold the
+    rows and their continued logs there.  A gap whose step reaches pi/2 in
+    argument on any row is bisected, for at most ``rounds`` evaluations;
+    ``what`` names the continued function when that does not resolve it.
     """
 
-    def __init__(self, g: Expr, z: np.ndarray, ts: np.ndarray):
-        self.g = g
-        self.z = z
+    def __init__(self, fn, ts: np.ndarray, what: str, rounds: int):
+        self.fn = fn
         self.ts = np.asarray(ts, dtype=float)
-        self.phi = None
-        self.logphi = None
+        self.what = what
+        self.rounds = rounds
         self._rebuild()
 
-    def _eval(self, ts: np.ndarray) -> np.ndarray:
-        u = self.z[:, None] * ts[None, :]
-        gu = _ev(self.g, u)
-        _raise_at_first((gu == 0) | ~np.isfinite(gu.real) | ~np.isfinite(gu.imag),
-                        u, IntegrandSingular)
-        return gu / u
-
     def _rebuild(self) -> None:
-        for _ in range(_LADDER_ROUNDS):
-            phi = self._eval(self.ts)
-            left = np.concatenate(
-                [np.ones((len(self.z), 1), dtype=complex), phi[:, :-1]], axis=1
-            )
-            dlog = np.log(phi / left)
-            bad_gaps = np.any(np.abs(dlog.imag) >= _HALF_PI, axis=0)
+        for _ in range(self.rounds):
+            self.vals = self.fn(self.ts)
+            self.logs, resolved = _continued_log(self.vals)
+            bad_gaps = ~np.all(resolved, axis=0)
             if not np.any(bad_gaps):
-                self.phi = phi
-                self.logphi = np.cumsum(dlog, axis=1)
                 return
             lefts = np.concatenate([[0.0], self.ts[:-1]])
             mids = 0.5 * (lefts[bad_gaps] + self.ts[bad_gaps])
@@ -230,27 +229,40 @@ class _RayLadder:
                 break
             self.ts = merged
         raise ToleranceNotMet(
-            "argument of g(u)/u jumps >= pi/2 between anchors; branch unresolved"
-        )
+            f"argument of {self.what} jumps >= pi/2 between anchors; branch unresolved")
 
-    def logphi_at(self, ts: np.ndarray, phi_q: np.ndarray) -> np.ndarray:
-        """Continued log of Phi at query fractions, given Phi there."""
-        for _ in range(_LADDER_ROUNDS):
+    def log_at(self, ts: np.ndarray) -> np.ndarray:
+        """Continued log at query fractions, one step from the nearest anchor
+        on the left; a query whose step reaches pi/2 becomes an anchor."""
+        vals = self.fn(ts)
+        for _ in range(self.rounds):
             idx = np.searchsorted(self.ts, ts, side="right") - 1
             has_anchor = idx >= 0
-            anchor_phi = np.where(has_anchor[None, :],
-                                  self.phi[:, np.maximum(idx, 0)], 1.0)
-            anchor_log = np.where(has_anchor[None, :],
-                                  self.logphi[:, np.maximum(idx, 0)], 0.0)
-            dlog = np.log(phi_q / anchor_phi)
-            bad = np.any(np.abs(dlog.imag) >= _HALF_PI, axis=0)
+            anchor_val = np.where(has_anchor, self.vals[:, np.maximum(idx, 0)], 1.0)
+            anchor_log = np.where(has_anchor, self.logs[:, np.maximum(idx, 0)], 0.0)
+            logs, resolved = _continued_log(vals[..., None], anchor_log, anchor_val)
+            bad = ~np.all(resolved[..., 0], axis=0)
             if not np.any(bad):
-                return anchor_log + dlog
+                # an array of its own, not a view: numpy multiplies a large
+                # fresh temporary in place, and that loop rounds differently
+                return logs[..., 0].copy()
             self.ts = np.unique(np.concatenate([self.ts, ts[bad]]))
             self._rebuild()
-        raise ToleranceNotMet(
-            "argument of g(u)/u jumps >= pi/2 from anchor to node; branch unresolved"
-        )
+        raise ToleranceNotMet(f"argument of {self.what} jumps >= pi/2 from anchor "
+                              "to node; branch unresolved")
+
+
+def _phi_ladder(g: Expr, z: np.ndarray, ts: np.ndarray) -> _Ladder:
+    """The ladder of Phi = g(u)/u on the rays to ``z``; a zero or non-finite
+    g raises IntegrandSingular at that u."""
+    def phi(t: np.ndarray) -> np.ndarray:
+        u = z[:, None] * t[None, :]
+        gu = _ev(g, u)
+        _raise_at_first((gu == 0) | ~np.isfinite(gu.real) | ~np.isfinite(gu.imag),
+                        u, IntegrandSingular)
+        return gu / u
+
+    return _Ladder(phi, ts, "g(u)/u", _LADDER_ROUNDS)
 
 
 def _unwrap_prefix(vals: np.ndarray, start_log, rays: np.ndarray,
@@ -259,20 +271,17 @@ def _unwrap_prefix(vals: np.ndarray, start_log, rays: np.ndarray,
 
     ``vals[i, j]`` is a prefix bracket at the point ``rays[i] * sigmas[j]``.
     Its first zero or non-finite value, innermost column first, raises
-    NonvanishingViolation at that point.  Returns (logs, ok); ok flags rows
-    whose every principal step stayed below pi/2 in argument.
+    NonvanishingViolation at that point.  Returns (log at the last column,
+    ok); ok flags rows whose every principal step stayed below pi/2 in
+    argument.
     """
     bad = (vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
     if np.any(bad):
         j = int(np.flatnonzero(np.any(bad, axis=0))[0])
         i = int(np.flatnonzero(bad[:, j])[0])
         raise NonvanishingViolation(complex(rays[i] * sigmas[j]))
-    start = np.broadcast_to(np.asarray(start_log, dtype=complex), (vals.shape[0],))
-    left = np.concatenate([np.exp(start)[:, None], vals[:, :-1]], axis=1)
-    dlog = np.log(vals / left)
-    ok = np.all(np.abs(dlog.imag) < _HALF_PI, axis=1)
-    logs = start[:, None] + np.cumsum(dlog, axis=1)
-    return logs, ok
+    logs, resolved = _continued_log(vals, start_log)
+    return logs[:, -1], np.all(resolved, axis=1)
 
 
 def _substitution_order(alpha: complex) -> int:
@@ -294,16 +303,14 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
     qa = q * alpha
     nz = len(zc)
 
-    g_arg = None if isinstance(g, Var) else g
-    ladder = (None if g_arg is None
-              else _RayLadder(g_arg, zc, _initial_tau_edges()[1:] ** q))
+    ladder = (None if isinstance(g, Var)
+              else _phi_ladder(g, zc, _initial_tau_edges()[1:] ** q))
 
     def phi_power(t: np.ndarray) -> np.ndarray:
         """Branch-continued Phi(z t)^beta at shared fractions t, per ray."""
         if ladder is None:
             return np.ones((nz, len(t)), dtype=complex)
-        phi_q = ladder._eval(t)
-        return np.exp(beta * ladder.logphi_at(t, phi_q))
+        return np.exp(beta * ladder.log_at(t))
 
     def rule_values(tau_nodes: np.ndarray) -> np.ndarray:
         # tau_nodes is (panels, nodes); result is (nz, panels, nodes)
@@ -373,7 +380,7 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
         sigmas = b_edges ** q
         prefix = np.cumsum(partial, axis=1)
         v_pref = alpha * prefix * np.exp(-alpha * np.log(sigmas))[None, :]
-        logs, ok = _unwrap_prefix(v_pref, 0j, zc, sigmas)
+        log_end, ok = _unwrap_prefix(v_pref, 0j, zc, sigmas)
         if np.all(ok):
             break
         # outer continuation needs denser prefix edges: halve every panel
@@ -389,12 +396,11 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
     if ladder is None:
         logphi_edges = np.zeros((nz, len(sigmas)), dtype=complex)
     else:
-        logphi_edges = ladder.logphi_at(sigmas, ladder._eval(sigmas))
-    err_total = abs(alpha) * np.sum(err_panels, axis=1)
-    branch_ok = ok & (err_total <= _ABS_TOLERANCE)
+        logphi_edges = ladder.log_at(sigmas)
     return RadialBracket(
-        z=zc, sigmas=sigmas, values=v_pref, logs=logs,
-        logphi_edges=logphi_edges, error=err_total, branch_ok=branch_ok,
+        sigmas=sigmas, values=v_pref, log_value=log_end,
+        logphi_edges=logphi_edges,
+        error=abs(alpha) * np.sum(err_panels, axis=1), branch_ok=ok,
     )
 
 
@@ -559,13 +565,12 @@ def _series_chunk(series: _CircleSeries, alpha: complex, q: int,
     u = zc[:, None] * sigmas[None, :]
     v_coef = alpha * series.h / (np.arange(len(series.h)) + alpha)
     values = _horner(v_coef, u)
-    logs, ok = _unwrap_prefix(values, 0j, zc, sigmas)
+    log_end, ok = _unwrap_prefix(values, 0j, zc, sigmas)
     # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
-    error = np.full(len(zc), series.h_error)
     return RadialBracket(
-        z=zc, sigmas=sigmas, values=values, logs=logs,
-        logphi_edges=_horner(series.logphi, u), error=error,
-        branch_ok=ok & (error <= _ABS_TOLERANCE),
+        sigmas=sigmas, values=values, log_value=log_end,
+        logphi_edges=_horner(series.logphi, u),
+        error=np.full(len(zc), series.h_error), branch_ok=ok,
     )
 
 
@@ -715,11 +720,9 @@ def continued_gz_log(g: Expr, z) -> np.ndarray:
         return out
     nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
     ts = np.unique(np.concatenate([_initial_tau_edges()[1:], [1.0]]))
-    one = np.array([1.0])
 
     def ladder_logs(zs: np.ndarray) -> np.ndarray:
-        ladder = _RayLadder(g, zs, ts)
-        return ladder.logphi_at(one, ladder._eval(one))[:, 0]
+        return _phi_ladder(g, zs, ts).log_at(np.array([1.0]))[:, 0]
 
     series = _circle_series(g, None, 0j, _ABS_TOLERANCE)
     if (len(nonzero) and series.reason is None

@@ -16,12 +16,13 @@ grow with the grid, even when every image point falls in one cell, and
 none are formed after a chunk reaches the floor ratio 0 (a constant
 subject stops after its first chunk).
 
-Subjects are expressions or vectorized callables.  The derivative check
-differentiates an expression symbolically, uses a callable's own
-``derivative`` attribute when it has one (the operator subject's closed
-form G', see ``operators``), and falls back to finite differences only
-for a plain callable.  ``preimage_count`` takes one target or a sequence
-of targets; a sequence shares the evaluations of each winding circle.
+Subjects are expressions or vectorized callables, taken through
+``expr.as_subject``, which also gives the derivative check its f': symbolic
+for an expression, the callable's own ``derivative`` when it has one (the
+operator subject's closed form G', see ``operators``), and finite
+differences only for a plain callable.  ``preimage_count`` takes one target
+or a sequence of targets; a sequence shares the evaluations of each winding
+circle.
 """
 
 from __future__ import annotations
@@ -32,21 +33,14 @@ import numpy as np
 
 from .criteria import DiskGrid
 from .errors import NonFiniteValue, OnCurve, UnresolvedWinding
-from .expr import Expr, differentiate, eval_expr
+from .expr import as_subject
 
 __all__ = [
     "InjectivityReport", "injectivity_test", "preimage_count",
-    "derivative_nonvanishing", "DerivativeReport", "as_callable",
+    "derivative_nonvanishing", "DerivativeReport",
 ]
 
 _PAIR_BUDGET = 1 << 16  # candidate pairs formed at once
-
-
-def as_callable(f):
-    """Accept an expression tree or a vectorized callable."""
-    if isinstance(f, Expr):
-        return lambda zz: eval_expr(f, zz)
-    return f
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,7 @@ def injectivity_test(f, grid: DiskGrid, tol: float = 1e-6) -> InjectivityReport:
 
     Raises NonFiniteValue at the first grid point with a non-finite value.
     """
-    fn = as_callable(f)
+    fn = as_subject(f)
     z2d = grid.points()
     w2d = np.asarray(fn(z2d))
     z, w = z2d.ravel(), w2d.ravel()
@@ -179,7 +173,7 @@ def preimage_count(f, w0, r: float = 0.9, n_nodes: int = 512,
     once for all of them.  Each target takes the same nudges and doublings
     as on its own, and the first target that fails raises.
     """
-    fn = as_callable(f)
+    fn = as_subject(f)
     circles: dict[tuple[int, int], np.ndarray] = {}
 
     def circle(attempt: int, nodes: int) -> np.ndarray:
@@ -231,25 +225,15 @@ def derivative_nonvanishing(f, grid: DiskGrid,
                             flag_below: float = 1e-10) -> DerivativeReport:
     """Minimum of |f'| over the grid and the origin; must stay positive.
 
-    The derivative is symbolic for an expression and the subject's own
-    ``derivative`` when it has one (the operator's closed form, asked at
-    the grid array itself so that a subject which keeps its last pass
-    reuses the injectivity scan).  Only a plain callable falls back to
-    Richardson central differences.
+    f' is the ``derivative`` of ``as_subject(f)``, asked at the grid array
+    itself before the origin, so that a subject which keeps its last pass
+    (the operator) reuses the injectivity scan.
     """
+    derivative = as_subject(f).derivative
     pts = grid.points()
     z = np.concatenate([[0j], pts.ravel()])
-    if isinstance(f, Expr):
-        d = np.asarray(eval_expr(differentiate(f), z))
-    elif hasattr(f, "derivative"):
-        on_grid = np.ravel(f.derivative(pts))
-        d = np.concatenate([np.ravel(f.derivative(z[:1])), on_grid])
-    else:
-        fn = as_callable(f)
-        h = 1e-5 * (1 - np.abs(z))
-        d1 = (fn(z + h) - fn(z - h)) / (2 * h)
-        d2 = (fn(z + h / 2) - fn(z - h / 2)) / h
-        d = (4 * d2 - d1) / 3
+    on_grid = np.ravel(derivative(pts))
+    d = np.concatenate([np.ravel(derivative(z[:1])), on_grid])
     mags = np.abs(d)
     i = int(np.argmin(mags))
     return DerivativeReport(float(mags[i]), complex(z[i]),

@@ -33,7 +33,7 @@ from .criteria import (
 )
 from .dsl import parse
 from .errors import ParameterError
-from .expr import AnalyticTriple, Expr, Var, const, eval_expr
+from .expr import AnalyticTriple, Expr, Var, as_subject, const
 from .operators import operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
@@ -72,14 +72,20 @@ _CONFIG_KEYS = {"": ("f", "g", "h", "k_fn", "params", "check", "preset", "grid",
 def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
     """Resolve a config mapping; flags in ``overrides`` win over the file.
 
-    A key that a config cannot hold raises ParameterError naming it.
+    A key that a config cannot hold, and a config or a ``grid`` or
+    ``params`` section that is not a JSON object (null counts as an empty
+    section), raise ParameterError naming it.
     """
     overrides = overrides or {}
+    if not isinstance(raw, dict):
+        raise ParameterError(f"a config must be a JSON object, got {type(raw).__name__}")
     merged = dict(raw)
     for key in ("grid", "params"):
-        section = dict(raw.get(key) or {})
-        section.update(overrides.get(key) or {})
-        merged[key] = section
+        section = {} if raw.get(key) is None else raw[key]
+        if not isinstance(section, dict):
+            raise ParameterError(f"config section {key!r} must be a JSON object, "
+                                 f"got {type(section).__name__}")
+        merged[key] = {**section, **(overrides.get(key) or {})}
     for key in ("check", "preset", "seed", "f", "g", "h", "k_fn"):
         if overrides.get(key) is not None:
             merged[key] = overrides[key]
@@ -291,18 +297,14 @@ def build_chain(rc: ResolvedConfig):
 def oracle_block(rc: ResolvedConfig) -> dict:
     """Injectivity, winding-count and derivative evidence for the subject."""
     n_probes = 20
-    fn = subject_function(rc)
+    fn = as_subject(subject_function(rc))
     inj = injectivity_test(fn, rc.grid)
     # right after the scan, so an operator subject reuses the scan's pass
     deriv = derivative_nonvanishing(fn, rc.grid)
     rng = np.random.default_rng(rc.seed)
     zz = 0.85 * np.sqrt(rng.uniform(0, 1, n_probes)) * np.exp(
         2j * np.pi * rng.uniform(0, 1, n_probes))
-    if isinstance(fn, Expr):
-        targets = [eval_expr(fn, complex(z)) for z in zz]
-    else:
-        targets = list(np.asarray(fn(zz)))
-    counts = preimage_count(fn, [complex(w0) for w0 in targets], r=0.9)
+    counts = preimage_count(fn, [complex(w0) for w0 in np.asarray(fn(zz))], r=0.9)
     return {
         "injective_on_grid": inj.injective_on_grid,
         "collision_pair": ([_cplx(inj.collision_pair[0]), _cplx(inj.collision_pair[1])]

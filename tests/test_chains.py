@@ -31,6 +31,7 @@ from schlicht.errors import (
     NonvanishingViolation,
     ParameterError,
     PoleAtOne,
+    ToleranceNotMet,
 )
 from schlicht.expr import AnalyticTriple, eval_expr
 from schlicht.operators import operator_g_alpha
@@ -84,6 +85,34 @@ def test_a1_magnitude_increases():
         params, h0 = admissible_params(rng)
         mags = np.abs(chain_a1(params, h0, ts))
         assert np.all(np.diff(mags) > 0)
+
+
+def test_a1_time_ladder_bisects_where_w0_passes_near_zero():
+    # W0(tau) = 2 - e^(2 tau) + 0.01i (e^(2 tau) - 1) passes within 0.01 of
+    # 0 near tau = ln 2 / 2, where steps of the first time ladder turn its
+    # argument by more than pi/2
+    h0 = -1 + 0.01j
+    tau = np.linspace(0.0, 1.0, 200_001)
+    w0 = 1 - (P_TRIVIAL.a / P_TRIVIAL.c) * h0 * (np.exp(P_TRIVIAL.m * tau) - 1)
+    logw = np.log(np.abs(w0)) + 1j * np.unwrap(np.angle(w0))
+    ref = np.exp(-tau + logw)[[100_000, 200_000]]
+    assert np.max(np.abs(chain_a1(P_TRIVIAL, h0, [0.5, 1.0]) - ref)) <= 3e-15
+
+
+def test_a1_time_ladder_fails_where_w0_crosses_zero():
+    # h0 = -1 gives W0(tau) = 2 - e^(2 tau), which turns negative past
+    # tau = ln 2 / 2: no ladder continues its log from 1 across that zero
+    with pytest.raises(ToleranceNotMet, match="chain bracket"):
+        chain_a1(P_TRIVIAL, complex(-1), [0.5, 1.0])
+
+
+def test_a1_with_a_real_h0_continues_in_complex_arithmetic():
+    # a float h0 must not make W0 real, where the log of a negative value
+    # is NaN instead of a step of pi
+    assert chain_a1(P_TRIVIAL, -0.5, 0.25) == pytest.approx(
+        np.exp(-0.25) * (1.5 - 0.5 * np.exp(0.5)), rel=1e-14)
+    with pytest.raises(ToleranceNotMet, match="chain bracket"):
+        chain_a1(P_TRIVIAL, -1.0, [0.5, 1.0])
 
 
 def test_transfer_a_trivial_is_one():

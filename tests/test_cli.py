@@ -270,6 +270,21 @@ def test_unknown_config_key_exit_two(tmp_path, capsys, payload, key):
     assert f"unknown config key {key!r}" in captured.err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"f": "z", "check": "T2", "grid": 5},
+     "config section 'grid' must be a JSON object, got int"),
+    ({"f": "z", "check": "T2", "params": "x"},
+     "config section 'params' must be a JSON object, got str"),
+    ([1, 2], "a config must be a JSON object, got list"),
+], ids=["grid", "params", "top-level"])
+def test_config_that_is_not_an_object_exit_two(tmp_path, capsys, payload, message):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["check", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_every_shipped_config_loads(monkeypatch):
     # the demo configs and the benchmark's item configs hold only known keys
     spec = importlib.util.spec_from_file_location(

@@ -204,10 +204,21 @@ def test_continued_gz_log_matches_mpmath_on_the_circle(family):
 def test_continued_gz_log_falls_back_to_the_ladder():
     g = parse("z/(1-z)")
     z = POINTS[:50]
-    ladder = operators._RayLadder(g, z, np.unique(np.concatenate(
+    ladder = operators._phi_ladder(g, z, np.unique(np.concatenate(
         [operators._initial_tau_edges()[1:], [1.0]])))
-    expected = ladder.logphi_at(np.array([1.0]), ladder._eval(np.array([1.0])))[:, 0]
+    expected = ladder.log_at(np.array([1.0]))[:, 0]
     assert np.array_equal(continued_gz_log(g, z), expected)
+
+
+def test_coefficient_path_refuses_an_unresolved_outer_continuation():
+    # V = 1 + 2u passes within 1e-3 of 0 on the ray to 0.9 e^(i(pi + 1e-3)):
+    # the coefficient ladder steps over that point by more than pi/2, while
+    # quadrature halves its panels until the continuation resolves
+    z = np.array([0.9 * np.exp(1j * (np.pi + 1e-3))])
+    fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z + 2*z^2")))
+    assert fin.path == "quadrature"
+    assert fin.fallback_reason == "outer continuation of V unresolved on the ladder"
+    assert np.max(np.abs(fin.value - (1 + 2 * z))) <= 3e-16
 
 
 @pytest.mark.parametrize("alpha", [0.3, 2.0])

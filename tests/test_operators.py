@@ -12,6 +12,7 @@ from schlicht.errors import (
 )
 from schlicht.expr import Var, differentiate, eval_expr
 from schlicht.operators import (
+    bracket_final,
     iter_radial_brackets,
     operator_g_alpha,
     operator_mocanu,
@@ -212,6 +213,20 @@ def test_error_estimate_honored():
     assert ov.estimated_error <= operators._ABS_TOLERANCE
 
 
+def test_branch_ok_means_the_continuation_resolved():
+    # V is about 2e6 at 0.999, so its summed panel error sits at the
+    # rounding floor the panels were accepted at, far above the absolute
+    # budget; the error bounds show that, and the branch is fine
+    f, z = parse("koebe"), 0.999
+    fin = bracket_final(parse("z"), 2.0, [z], weight=differentiate(f))
+    assert fin.error[0] > operators._ABS_TOLERANCE and fin.branch_ok[0]
+    ov = operator_g_alpha(f, parse("z"), 2.0, z)
+    # G^2 = 2 int_0^z u f'(u) du = 2 (z f(z) - 1/(1-z) + 1 - log(1-z))
+    ref = np.sqrt(2 * (z * z / (1 - z) ** 2 - 1 / (1 - z) + 1 - np.log1p(-z)))
+    assert ov.branch_ok
+    assert abs(ov.value - ref) <= ov.estimated_error
+
+
 def test_subdivision_depth_limit_names_the_panel(monkeypatch):
     # Koebe's f' blows up at u = 1, so the last panel of a ray to 0.99
     # needs more than one bisection; at the full depth it converges
@@ -221,6 +236,16 @@ def test_subdivision_depth_limit_names_the_panel(monkeypatch):
     with pytest.raises(ToleranceNotMet,
                        match=r"panel \[0\.969,1\] above tolerance at depth 1"):
         operator_g_alpha(f, parse("z"), 2.0, 0.99)
+
+
+def test_ladder_inserts_anchors_where_phi_turns_fast():
+    # the argument of Phi, 2 sin(111.7 u), swings by up to 4 radians
+    # between the initial ladder edges of a ray to 0.9, so anchors go in
+    # between
+    g = parse("z*exp(1.0*(exp(111.7i*z) - exp(-111.7i*z)))")
+    (_, br), = iter_radial_brackets(g, 1.5, [0.9])
+    ref = 2j * np.sin(111.7 * 0.9 * br.sigmas)
+    assert np.max(np.abs(br.logphi_edges[0] - ref)) <= 3e-14
 
 
 @pytest.mark.parametrize("bad", [0, np.nan, np.inf, complex(0, np.nan)])

@@ -8,6 +8,7 @@ from schlicht import oracle, reporting
 from schlicht.criteria import DiskGrid
 from schlicht.dsl import parse
 from schlicht.errors import NonFiniteValue, OnCurve, UnresolvedWinding
+from schlicht.expr import as_subject
 from schlicht.oracle import (
     derivative_nonvanishing,
     injectivity_test,
@@ -181,7 +182,7 @@ def test_min_separation_ratio_is_the_all_pairs_minimum(subject):
     else:
         raw = json.loads((CONFIGS / f"{subject}.json").read_text())
         fn = reporting.subject_function(reporting.load_config(raw))
-    fn = oracle.as_callable(fn)
+    fn = as_subject(fn)
     rep = injectivity_test(fn, grid)
     assert rep.injective_on_grid
     assert rep.min_separation_ratio == _all_pairs_minimum(fn, grid)
