@@ -9,12 +9,17 @@ The main chain is
 Writing u0 = e^{-st} z and pulling out u0^alpha leaves a bracket
 W(z,t) with W(0,t) = 1 - (a/c)(e^{mt}-1) h0, so that
 
-    L = z e^{-st} W^(1/alpha),    a1(t) = e^{-st} W(0,t)^(1/alpha),
+    L = z e^{-st} W^(1/alpha),    a1(t) = e^{-st} W(0,t)^(1/alpha).
 
-and the 1/alpha power is continued with the operators' one continuation
-rule: first in t, on the anchor ladder ``operators._Ladder`` of W0 from
-W = 1 at t = 0, then radially in z by ``operators._continued_log`` over
-the edges of the operator bracket (``operators.radial_brackets``).
+The 1/alpha power takes the branch continued from W = 1 at (0, 0):
+radially at t = 0, which is the operator's own continued log V
+(``operators.bracket_final`` at u0), then in time at fixed u0.  In time
+W = V(u0) (1 - (e^{mt}-1) D) is affine in e^{mt}, so the rest of the
+branch is the principal log of 1 - (e^{mt}-1) D along a straight segment
+from 1 (:func:`_time_log`), which fails only where that segment passes
+through 0.  Continuing in time first and radially after gives the same
+branch whenever W has no zero in the rectangle of chain points between
+the two paths, which holds whenever L is a Loewner chain.
 
 The automorphism chain of the second extension theorem is handled the
 same way with bracket V(z) + e^{alpha t} - 1.
@@ -26,24 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionParams, _blend
+from .criteria import CriterionParams, _blend, t6_field
 from .errors import (
-    BranchPointHit,
     DenominatorZero,
     NonvanishingViolation,
     ParameterError,
     PoleAtOne,
     ToleranceNotMet,
 )
-from .expr import (
-    AnalyticTriple,
-    Expr,
-    _ev,
-    _raise_at_first,
-    _scalar_out,
-    differentiate,
-)
-from .operators import _Ladder, _unwrap_prefix, continued_gz_log, radial_brackets
+from .expr import AnalyticTriple, Expr, _ev, _scalar_out, differentiate
+from .operators import bracket_final
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -52,9 +49,6 @@ __all__ = [
     "disk_inclusion_check", "chain_t6", "chain_t6_p", "chain_point",
     "chain_callable", "chain_t6_callable", "subordination_spot_check",
 ]
-
-_TIME_ROUNDS = 24  # halving rounds of the time ladder of W0
-
 
 @dataclass(frozen=True)
 class ChainPoint:
@@ -78,26 +72,27 @@ class QcBound:
     K: float
 
 
-def _w0_log(params: CriterionParams, h0: complex, ts: np.ndarray) -> np.ndarray:
-    """Continued log of W0(tau) = 1 - (a/c)(e^{m tau}-1) h0 at each tau."""
-    ts = np.asarray(ts, dtype=float)
+def _time_log(drift, x) -> np.ndarray:
+    """Continued log of 1 - x drift from its value 1 at x = 0, for x >= 0.
+
+    The value runs along a straight segment from 1, so its continued log is
+    the principal one unless the segment passes through 0, which happens
+    exactly when x drift is real and at least 1; that, or a non-finite
+    value, raises ToleranceNotMet.
+    """
+    vals = 1.0 - x * np.asarray(drift, dtype=complex)
+    crossed = (vals.imag == 0) & (vals.real <= 0)
+    if np.any(crossed | ~np.isfinite(vals)):
+        raise ToleranceNotMet("the chain bracket vanishes or is not finite "
+                              "on its segment in time; branch unresolved")
+    return np.log(vals)
+
+
+def _times(t) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
     if np.any(ts < 0):
         raise ParameterError("chain times must be non-negative")
-    coeff = complex((params.a / params.c) * h0)
-
-    def w0(tau):
-        vals = 1.0 - coeff * (np.exp(params.m * tau) - 1.0)
-        _raise_at_first((vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag),
-                        tau, BranchPointHit)
-        return vals[None, :]
-
-    tmax = float(np.max(ts, initial=0.0))
-    if tmax == 0.0:
-        return np.zeros(ts.shape, dtype=complex)
-    # every requested time is an anchor, so its log is read off the ladder
-    anchors = np.unique(np.concatenate([np.linspace(0.0, tmax, 129), ts.ravel()]))
-    ladder = _Ladder(w0, anchors, "the chain bracket in time", _TIME_ROUNDS)
-    return ladder.logs[0, np.searchsorted(ladder.ts, ts.ravel())].reshape(ts.shape)
+    return ts
 
 
 def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
@@ -106,36 +101,29 @@ def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
     The power takes the branch continued in t from the value 1 at t = 0,
     which collapses to exp(-s t + log W0(t)/alpha).
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    logs = _w0_log(params, h0, ts)
+    ts = np.atleast_1d(_times(t))
+    logs = _time_log((params.a / params.c) * h0, np.expm1(params.m * ts))
     return _scalar_out(np.exp(-params.s * ts + logs / params.alpha), t)
 
 
 def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t):
-    """Sample the chain at (z, t); vectorized over broadcast arrays."""
-    params.validate()
-    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                 np.asarray(t, dtype=float))
-    zf = zb.ravel()
-    tf = tb.ravel()
-    alpha, s = params.alpha, params.s
-    u0 = np.exp(-s * tf) * zf
-    w0l = _w0_log(params, triple.h0, tf)
-    coeff = (params.a / params.c) * (np.exp(params.m * tf) - 1.0)
+    """Sample the chain at (z, t); vectorized over broadcast arrays.
 
-    out = zf * np.exp(-s * tf + w0l / alpha)  # exact limit for u0 -> 0
-    batch = radial_brackets(triple.g, alpha, u0, phi_exponent=alpha - 1,
-                            weight=triple.fp)
-    for sel, br in batch.chunks:
-        u_edges = u0[sel][:, None] * br.sigmas[None, :]
-        phi1 = np.exp((alpha - 1) * br.logphi_edges)
-        fpv = _ev(triple.fp, u_edges)
-        hv = _ev(triple.h, u_edges)
-        w_pref = br.values - coeff[sel][:, None] * phi1 * fpv * hv
-        log_end, ok = _unwrap_prefix(w_pref, w0l[sel], u0[sel], br.sigmas)
-        if not np.all(ok):
-            raise ToleranceNotMet("radial continuation of the chain bracket unresolved")
-        out[sel] = zf[sel] * np.exp(-s * tf[sel] + log_end / alpha)
+    With u0 = e^{-st} z the bracket is W = V(u0) (1 - (e^{mt}-1) D) with
+    D = (a/c) Phi(u0)^(alpha-1) f'(u0) h(u0) / V(u0), so its log is the
+    operator's continued log V plus :func:`_time_log`.
+    """
+    params.validate()
+    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
+    zf, tf = zb.ravel(), tb.ravel()
+    alpha = params.alpha
+    u0 = np.exp(-params.s * tf) * zf
+    fin = bracket_final(triple.g, alpha, u0, phi_exponent=alpha - 1,
+                        weight=triple.fp)
+    drift = ((params.a / params.c) * np.exp((alpha - 1) * fin.logphi_end)
+             * _ev(triple.fp, u0) * _ev(triple.h, u0) / fin.value)
+    log_w = fin.log_value + _time_log(drift, np.expm1(params.m * tf))
+    out = zf * np.exp(-params.s * tf + log_w / alpha)
     return _scalar_out(out.reshape(zb.shape), z, t)
 
 
@@ -293,26 +281,18 @@ def disk_inclusion_check(s, m: float, k: float, l: float) -> tuple[bool, float]:
 
 
 def chain_t6(f: Expr, g: Expr, alpha: float, z, t):
-    """The automorphism chain [alpha int_0^z g^(a-1) f' du + (e^{alpha t}-1) z^alpha]^(1/alpha)."""
+    """The automorphism chain [alpha int_0^z g^(a-1) f' du + (e^{alpha t}-1) z^alpha]^(1/alpha).
+
+    Its bracket is U = V(z) + e^{alpha t} - 1 = V(z) (1 + (e^{alpha t}-1) / V(z)).
+    """
     alpha = float(alpha)
     if not alpha > 0:
         raise ParameterError("alpha must be a positive real number here")
-    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                 np.asarray(t, dtype=float))
+    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
-    if np.any(tf < 0):
-        raise ParameterError("chain times must be non-negative")
-    out = zf * np.exp(tf)  # exact limit of z U^(1/alpha) as z -> 0
-    fp = differentiate(f)
-    batch = radial_brackets(g, alpha, zf, phi_exponent=alpha - 1, weight=fp)
-    for sel, br in batch.chunks:
-        u_pref = br.values + (np.exp(alpha * tf[sel]) - 1.0)[:, None]
-        log_end, ok = _unwrap_prefix(u_pref, (alpha * tf[sel]).astype(complex),
-                                     zf[sel], br.sigmas)
-        if not np.all(ok):
-            raise ToleranceNotMet("radial continuation of the chain bracket unresolved")
-        out[sel] = zf[sel] * np.exp(log_end / alpha)
-    return _scalar_out(out.reshape(zb.shape), z, t)
+    fin = bracket_final(g, alpha, zf, phi_exponent=alpha - 1, weight=differentiate(f))
+    log_u = fin.log_value + _time_log(-1.0 / fin.value, np.expm1(alpha * tf))
+    return _scalar_out((zf * np.exp(log_u / alpha)).reshape(zb.shape), z, t)
 
 
 def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
@@ -324,10 +304,8 @@ def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
     alpha = float(alpha)
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                  np.asarray(t, dtype=float))
-    logphi = continued_gz_log(g, zb.ravel()).reshape(zb.shape)
-    wv = np.exp((alpha - 1) * logphi) * _ev(differentiate(f), zb)
     decay = np.exp(-alpha * tb)
-    return _scalar_out(decay * wv + (1 - decay), z, t)
+    return _scalar_out(decay * t6_field(f, g, alpha, zb) + (1 - decay), z, t)
 
 
 def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t) -> ChainPoint:

@@ -55,7 +55,7 @@ def cmd_check(args) -> int:
     return code
 
 
-def _field_csv(rc, chain, annulus_rmax: float, resolution: int) -> str:
+def _field_csv(chain, annulus_rmax: float, resolution: int) -> str:
     F = ExtensionField(chain)
     lines = ["x,y,reF,imF,absMu"]
 
@@ -89,7 +89,7 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def _field_ppm(rc, chain, resolution: int, window: float) -> bytes:
+def _field_ppm(chain, resolution: int, window: float) -> bytes:
     F = ExtensionField(chain)
     xs = np.linspace(-window, window, resolution)
     grid = xs[None, :] + 1j * xs[::-1, None]
@@ -116,8 +116,8 @@ def cmd_extend(args) -> int:
         return 1
     chain = build_chain(rc)
     # both outputs exist before either is written, and are written together
-    csv_text = _field_csv(rc, chain, args.annulus_rmax, args.resolution)
-    ppm = ([(args.ppm, _field_ppm(rc, chain, args.ppm_resolution, args.window))]
+    csv_text = _field_csv(chain, args.annulus_rmax, args.resolution)
+    ppm = ([(args.ppm, _field_ppm(chain, args.ppm_resolution, args.window))]
            if args.ppm else [])
     atomic_write(args.out, csv_text, *ppm)
     return 0

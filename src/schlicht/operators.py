@@ -8,7 +8,7 @@ where Phi(u) = g(u)/u (equal to 1 at the origin) and w is f' or 1.  The
 full integral is then alpha * int_0^z g^(alpha-1) f' du = z^alpha V(z) and
 the operator value is z * V(z)^(1/alpha).
 
-Two paths compute V, and :func:`radial_brackets` picks one per batch of
+Two paths compute V, and :func:`bracket_final` picks one per batch of
 endpoints, before any ray is integrated.
 
 The coefficient path.  When log Phi is analytic on the closed unit disk,
@@ -42,14 +42,15 @@ coefficient tail, an unresolved ladder step, or a failed or raising
 cross-check.  :func:`continued_gz_log` evaluates the log Phi series the
 same way, cross-checked against the anchor ladder.
 
-Every branch here, and in the chains, is continued by one rule from the
-value 1 at the origin: :func:`_continued_log` takes one principal log
-step per entry and flags steps that turn the argument by pi/2 or more.
-:class:`_Ladder` carries it over shared anchors and bisects unresolved
-gaps; it serves Phi = g(u)/u along the rays and W0 in time (``chains``).
-The quadrature path (:func:`iter_radial_brackets`) thus continues Phi^beta
-on the ladder, and the outer 1/alpha power over the partial integrals at
-the panel edges, halving every panel until each step resolves.
+Every branch here is continued by one rule from the value 1 at the
+origin: :func:`_continued_log` takes one principal log step per entry and
+flags steps that turn the argument by pi/2 or more.  :class:`_Ladder`
+carries it for Phi = g(u)/u over anchors shared by the rays and bisects
+unresolved gaps.  The quadrature path (:func:`iter_radial_brackets`) thus
+continues Phi^beta on the ladder, and the outer 1/alpha power over the
+partial integrals at the panel edges, halving every panel until each step
+resolves.  The chains continue their brackets from ``log_value`` at the
+endpoint (``chains``).
 
 The derivative of the operator needs no further quadrature.  Since
 G(z)^alpha = z^alpha V(z) = alpha * int_0^z g^(alpha-1) f' du,
@@ -91,8 +92,8 @@ from .errors import (
 from .expr import Expr, Var, _ev, _raise_at_first, differentiate
 
 __all__ = [
-    "OperatorValue", "RadialBracket", "BracketFinal", "BracketBatch",
-    "radial_brackets", "iter_radial_brackets", "bracket_final",
+    "OperatorValue", "RadialBracket", "BracketFinal", "iter_radial_brackets",
+    "bracket_final",
     "operator_values", "operator_values_with_derivative", "operator_g_alpha",
     "operator_pascu", "operator_moldoveanu_pascu", "operator_mocanu",
     "continued_gz_log",
@@ -146,25 +147,14 @@ class RadialBracket:
 
 
 @dataclass
-class BracketBatch:
-    """The bracket chunks of one batch, and which path made them.
+class BracketFinal:
+    """Flat per-point bracket results (prefix columns dropped).
 
     ``path`` is "coefficients" or "quadrature"; ``fallback_reason`` says
     why the coefficient path was not taken (None when it was), and
     ``cross_check_gap`` is the largest |V| gap of the cross-check (None
     when it did not run).
     """
-
-    chunks: list[tuple[np.ndarray, RadialBracket]]
-    path: str
-    fallback_reason: str | None = None
-    cross_check_gap: float | None = None
-
-
-@dataclass
-class BracketFinal:
-    """Flat per-point bracket results (prefix columns dropped), with the
-    path record of :class:`BracketBatch`."""
 
     value: np.ndarray
     log_value: np.ndarray
@@ -198,25 +188,23 @@ def _continued_log(vals: np.ndarray, start_log=0j, start=None):
 
 
 class _Ladder:
-    """Anchor ladder carrying a continued log per row from its value 1 at t = 0.
+    """Anchor ladder carrying log Phi per ray from its value 1 at t = 0.
 
-    ``fn(ts)`` returns one row per ray at the sorted fractions ``ts``, and
-    each row equals 1 at t = 0, which anchors the continuation.  The
-    anchors ``ts`` are shared by all rows; ``vals`` and ``logs`` hold the
-    rows and their continued logs there.  A gap whose step reaches pi/2 in
-    argument on any row is bisected, for at most ``rounds`` evaluations;
-    ``what`` names the continued function when that does not resolve it.
+    ``fn(ts)`` returns Phi = g(u)/u, one row per ray, at the sorted
+    fractions ``ts``; each row equals 1 at t = 0, which anchors the
+    continuation.  The anchors ``ts`` are shared by all rows; ``vals`` and
+    ``logs`` hold the rows and their continued logs there.  A gap whose
+    step reaches pi/2 in argument on any row is bisected, for at most
+    ``_LADDER_ROUNDS`` evaluations.
     """
 
-    def __init__(self, fn, ts: np.ndarray, what: str, rounds: int):
+    def __init__(self, fn, ts: np.ndarray):
         self.fn = fn
         self.ts = np.asarray(ts, dtype=float)
-        self.what = what
-        self.rounds = rounds
         self._rebuild()
 
     def _rebuild(self) -> None:
-        for _ in range(self.rounds):
+        for _ in range(_LADDER_ROUNDS):
             self.vals = self.fn(self.ts)
             self.logs, resolved = _continued_log(self.vals)
             bad_gaps = ~np.all(resolved, axis=0)
@@ -229,26 +217,27 @@ class _Ladder:
                 break
             self.ts = merged
         raise ToleranceNotMet(
-            f"argument of {self.what} jumps >= pi/2 between anchors; branch unresolved")
+            "argument of g(u)/u jumps >= pi/2 between anchors; branch unresolved")
 
     def log_at(self, ts: np.ndarray) -> np.ndarray:
-        """Continued log at query fractions, one step from the nearest anchor
-        on the left; a query whose step reaches pi/2 becomes an anchor."""
+        """Continued log at query fractions: the stored log at an anchor, else
+        one step from the nearest anchor on the left; a query whose step
+        reaches pi/2 becomes an anchor."""
         vals = self.fn(ts)
-        for _ in range(self.rounds):
+        for _ in range(_LADDER_ROUNDS):
             idx = np.searchsorted(self.ts, ts, side="right") - 1
             has_anchor = idx >= 0
-            anchor_val = np.where(has_anchor, self.vals[:, np.maximum(idx, 0)], 1.0)
-            anchor_log = np.where(has_anchor, self.logs[:, np.maximum(idx, 0)], 0.0)
+            left = np.maximum(idx, 0)
+            anchor_val = np.where(has_anchor, self.vals[:, left], 1.0)
+            anchor_log = np.where(has_anchor, self.logs[:, left], 0.0)
             logs, resolved = _continued_log(vals[..., None], anchor_log, anchor_val)
             bad = ~np.all(resolved[..., 0], axis=0)
             if not np.any(bad):
-                # an array of its own, not a view: numpy multiplies a large
-                # fresh temporary in place, and that loop rounds differently
-                return logs[..., 0].copy()
+                return np.where(has_anchor & (self.ts[left] == ts), anchor_log,
+                                logs[..., 0])
             self.ts = np.unique(np.concatenate([self.ts, ts[bad]]))
             self._rebuild()
-        raise ToleranceNotMet(f"argument of {self.what} jumps >= pi/2 from anchor "
+        raise ToleranceNotMet("argument of g(u)/u jumps >= pi/2 from anchor "
                               "to node; branch unresolved")
 
 
@@ -262,7 +251,7 @@ def _phi_ladder(g: Expr, z: np.ndarray, ts: np.ndarray) -> _Ladder:
                         u, IntegrandSingular)
         return gu / u
 
-    return _Ladder(phi, ts, "g(u)/u", _LADDER_ROUNDS)
+    return _Ladder(phi, ts)
 
 
 def _unwrap_prefix(vals: np.ndarray, start_log, rays: np.ndarray,
@@ -598,16 +587,16 @@ def _cross_check(series: _CircleSeries, g: Expr, weight: Expr | None,
     return worst, f"cross-check gap {worst:.1e} outside the error bounds"
 
 
-def radial_brackets(g: Expr, alpha, z, phi_exponent=None,
-                    weight: Expr | None = None) -> BracketBatch:
-    """Bracket chunks of a batch from coefficients, or by quadrature if the
-    gate (module docstring) rejects them.  Endpoints with |z| below 1e-100
-    get no chunk row; there V = 1 exactly, and a batch of only such
+def bracket_final(g: Expr, alpha, z, phi_exponent=None,
+                  weight: Expr | None = None) -> BracketFinal:
+    """Flat bracket values over a batch of endpoints, from coefficients, or
+    by quadrature if the gate (module docstring) rejects them.  Endpoints
+    with |z| below 1e-100 take V = 1 exactly, and a batch of only such
     endpoints integrates nothing.
     """
+    zarr = _prepare(z)
     alpha = _validate_alpha(alpha)
     beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
-    zarr = _prepare(z)
     q = _substitution_order(alpha)
     nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
     series = _circle_series(g, weight, beta, _ABS_TOLERANCE)
@@ -621,34 +610,32 @@ def radial_brackets(g: Expr, alpha, z, phi_exponent=None,
         elif len(nonzero):
             gap, reason = _cross_check(series, g, weight, alpha, beta, q,
                                        zarr[_largest(zarr, nonzero)])
-    if reason is None:
-        return BracketBatch(chunks, "coefficients", None, gap)
-    chunks = list(iter_radial_brackets(g, alpha, zarr, beta, weight))
-    return BracketBatch(chunks, "quadrature", reason, gap)
-
-
-def bracket_final(g: Expr, alpha, z, phi_exponent=None,
-                  weight: Expr | None = None) -> BracketFinal:
-    """Flat bracket values over a batch of endpoints, zeros filled with V = 1."""
-    zarr = _prepare(z)
+    if reason is not None:
+        chunks = iter_radial_brackets(g, alpha, zarr, beta, weight)
     nz = len(zarr)
-    batch = radial_brackets(g, alpha, zarr, phi_exponent, weight)
     out = BracketFinal(
         value=np.ones(nz, dtype=complex),
         log_value=np.zeros(nz, dtype=complex),
         logphi_end=np.zeros(nz, dtype=complex),
         error=np.zeros(nz, dtype=float),
         branch_ok=np.ones(nz, dtype=bool),
-        path=batch.path, fallback_reason=batch.fallback_reason,
-        cross_check_gap=batch.cross_check_gap,
+        path="coefficients" if reason is None else "quadrature",
+        fallback_reason=reason, cross_check_gap=gap,
     )
-    for sel, br in batch.chunks:
+    for sel, br in chunks:
         out.value[sel] = br.value
         out.log_value[sel] = br.log_value
         out.logphi_end[sel] = br.logphi_end
         out.error[sel] = br.error
         out.branch_ok[sel] = br.branch_ok
     return out
+
+
+def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
+    """Operator values z V^(1/alpha) and their error bounds from one bracket pass."""
+    vals = zarr * np.exp(fin.log_value / alpha)
+    scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
+    return vals, fin.error * scale
 
 
 def operator_values_with_derivative(f: Expr, g: Expr, alpha, z):
@@ -660,11 +647,10 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z):
     zarr = _prepare(z)
     fp = differentiate(f)
     fin = bracket_final(g, alpha, zarr, phi_exponent=alpha - 1, weight=fp)
-    vals = zarr * np.exp(fin.log_value / alpha)
+    vals, errs = _operator_from(zarr, alpha, fin)
     derivs = _ev(fp, zarr) * np.exp((alpha - 1) * (fin.logphi_end
                                                    - fin.log_value / alpha))
-    scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
-    return vals, derivs, fin.error * scale, fin.branch_ok
+    return vals, derivs, errs, fin.branch_ok
 
 
 def operator_values(f: Expr, g: Expr, alpha, z):
@@ -690,10 +676,8 @@ def operator_pascu(f: Expr, alpha, z) -> OperatorValue:
 def _weightless(g: Expr, alpha, z, phi_exponent) -> OperatorValue:
     alpha = _validate_alpha(alpha)
     zc = np.atleast_1d(np.asarray(complex(z)))
-    fin = bracket_final(g, alpha, zc, phi_exponent=phi_exponent, weight=None)
-    vals = zc * np.exp(fin.log_value / alpha)
-    scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
-    return _scalar_operator(vals, fin.error * scale, fin.branch_ok)
+    fin = bracket_final(g, alpha, zc, phi_exponent=phi_exponent)
+    return _scalar_operator(*_operator_from(zc, alpha, fin), fin.branch_ok)
 
 
 def operator_moldoveanu_pascu(g: Expr, alpha, z) -> OperatorValue:

@@ -1,4 +1,5 @@
-"""Shared generators for randomized property tests (all seeded, no hypothesis)."""
+"""Shared generators for randomized property tests (all seeded, no hypothesis),
+and ``ray_counter``, the count of the rays radial quadrature integrates."""
 
 from __future__ import annotations
 
@@ -88,8 +89,9 @@ def ray_counter(monkeypatch):
     """List of the ray counts of every quadrature chunk run while active.
 
     Every ray of radial quadrature, a fallback batch or a cross-check
-    sample, passes through ``operators.iter_radial_brackets``, which the
-    dispatcher ``radial_brackets`` looks up as a module global.
+    sample, passes through ``operators.iter_radial_brackets``, which
+    ``bracket_final`` looks up as a module global; the chains integrate
+    only through ``bracket_final``.
     """
     rays = []
     original = operators.iter_radial_brackets

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,8 @@ from schlicht.errors import (
     PoleAtOne,
     ToleranceNotMet,
 )
-from schlicht.expr import AnalyticTriple, eval_expr
-from schlicht.operators import operator_g_alpha
+from schlicht.expr import AnalyticTriple, differentiate, eval_expr
+from schlicht.operators import bracket_final, operator_g_alpha, operator_values
 
 TRIPLE_TRIVIAL = AnalyticTriple.build(parse("z"), parse("z"), parse("1"))
 P_TRIVIAL = CriterionParams(alpha=1, c=-1, s=1, m=2.0)
@@ -113,6 +115,30 @@ def test_a1_with_a_real_h0_continues_in_complex_arithmetic():
         np.exp(-0.25) * (1.5 - 0.5 * np.exp(0.5)), rel=1e-14)
     with pytest.raises(ToleranceNotMet, match="chain bracket"):
         chain_a1(P_TRIVIAL, -1.0, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("f_src, g_src, alpha, path", [
+    ("z + 0.05*z^3", "z*exp(0.1*z)", 2.0, "coefficients"),
+    ("z + 0.1*z^2", "z/(1 - 0.3*z)", 0.6, "coefficients"),
+    ("z/(1-z)", "z", 1.5, "quadrature"),
+])
+def test_chains_at_time_zero_are_the_operator_bit_for_bit(f_src, g_src, alpha, path):
+    f, g = parse(f_src), parse(g_src)
+    z = _rand_disk(np.random.default_rng(76), 40, r=0.95)
+    assert bracket_final(g, alpha, z, weight=differentiate(f)).path == path
+    G = operator_values(f, g, alpha, z)[0]
+    triple = AnalyticTriple.build(f, g, parse("1 + 0.3*z"))
+    params = CriterionParams(alpha=alpha, c=-1.2 + 0.3j, s=1.3 + 0.2j, m=2.6)
+    assert np.array_equal(chain_l(triple, params, z, 0.0), G)
+    assert np.array_equal(chain_t6(f, g, alpha, z, 0.0), G)
+
+
+def test_chain_l_raises_where_the_chain_bracket_crosses_zero():
+    # h = -1 gives W0(t) = 2 - e^(2t), which reaches 0 at t = ln 2 / 2
+    triple = dataclasses.replace(TRIPLE_TRIVIAL, h=parse("-1"), h0=-1 + 0j,
+                                 hp=parse("0"))
+    with pytest.raises(ToleranceNotMet, match="chain bracket"):
+        chain_l(triple, P_TRIVIAL, np.array([0.5 + 0.1j, -0.3j]), 1.0)
 
 
 def test_transfer_a_trivial_is_one():
@@ -355,3 +381,27 @@ def test_subordination_spot_checks():
     for t, s in ((0.0, 0.5), (0.5, 1.5), (1.0, 3.0), (2.0, 2.0)):
         assert subordination_spot_check(trivial_chain, t, s)
         assert subordination_spot_check(becker_chain, t, s)
+
+
+def test_identity_chains_are_e_to_the_t_to_rounding():
+    rng = np.random.default_rng(77)
+    zs = _rand_disk(rng, 400, r=0.95)
+    ts = rng.uniform(0, 3, 400)
+    ref = np.exp(ts) * zs
+    for L in (chain_l(TRIPLE_TRIVIAL, P_TRIVIAL, zs, ts),
+              chain_t6(parse("z"), parse("z"), 1.0, zs, ts)):
+        assert np.max(np.abs(L - ref) / np.abs(ref)) <= 1e-15
+    a1 = chain_a1(P_TRIVIAL, 1.0, ts)
+    assert np.max(np.abs(a1 - np.exp(ts)) / np.exp(ts)) <= 1e-15
+
+
+def test_chain_l_follows_a_bracket_that_passes_near_zero():
+    # h = -1 + 1e-12i: W0(t) = 1 + h0 (e^(2t) - 1) passes within 1e-12 of 0
+    # at t = ln 2 / 2 but not through it, so L = e^(-t) z W0 all the way
+    h0 = -1 + 1e-12j
+    triple = AnalyticTriple.build(parse("z"), parse("z"), parse("-1 + 1e-12i"))
+    z = _rand_disk(np.random.default_rng(78), 6)
+    t = np.array([0.1, 0.3, 0.5, 1.0, 2.0, 3.0])
+    expected = np.exp(-t) * z * (1 + h0 * (np.exp(2 * t) - 1))
+    L = chain_l(triple, P_TRIVIAL, z, t)
+    assert np.max(np.abs(L - expected) / np.abs(expected)) <= 1e-14

@@ -21,7 +21,6 @@ from schlicht.operators import (
     continued_gz_log,
     iter_radial_brackets,
     operator_values_with_derivative,
-    radial_brackets,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -100,7 +99,7 @@ def test_cross_check_takes_the_largest_points_lowest_index_first(monkeypatch):
     ring = 0.9 * 1j ** np.arange(10)  # ten ties of modulus exactly 0.9
     z = np.concatenate([0.5 * np.ones(20), ring, [0.0]])
     z[3], z[7] = 0.95, -0.95j
-    radial_brackets(parse("z*exp(0.1*z)"), 2.0, z, weight=parse("1 + z"))
+    bracket_final(parse("z*exp(0.1*z)"), 2.0, z, weight=parse("1 + z"))
     expected = np.concatenate([[0.95, -0.95j], ring, 0.5 * np.ones(4)])
     assert len(seen) == 1 and np.array_equal(seen[0], expected)
 
@@ -208,6 +207,14 @@ def test_continued_gz_log_falls_back_to_the_ladder():
         [operators._initial_tau_edges()[1:], [1.0]])))
     expected = ladder.log_at(np.array([1.0]))[:, 0]
     assert np.array_equal(continued_gz_log(g, z), expected)
+
+
+@pytest.mark.parametrize("g_src", ["z/(1-z)", "z*exp(0.1*z)", "z*exp(4i*z)"])
+def test_ladder_queries_at_anchors_read_the_stored_logs(g_src):
+    # a complex quotient v/v need not round to 1, so a step taken from an
+    # anchor to itself can move its log in the last bit
+    ladder = operators._phi_ladder(parse(g_src), POINTS, operators._initial_tau_edges()[1:])
+    assert np.array_equal(ladder.log_at(ladder.ts), ladder.logs)
 
 
 def test_coefficient_path_refuses_an_unresolved_outer_continuation():
