@@ -13,7 +13,7 @@ W(z,t) with W(0,t) = 1 - (a/c)(e^{mt}-1) h0, so that
 
 The 1/alpha power takes the branch continued from W = 1 at (0, 0):
 radially at t = 0, which is the operator's own continued log V
-(``operators.bracket_final`` at u0), then in time at fixed u0.  In time
+(``operators.BracketFit`` at u0), then in time at fixed u0.  In time
 W = V(u0) (1 - (e^{mt}-1) D) is affine in e^{mt}, so the rest of the
 branch is the principal log of 1 - (e^{mt}-1) D along a straight segment
 from 1 (:func:`_time_log`), which fails only where that segment passes
@@ -40,7 +40,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expr import AnalyticTriple, Expr, _ev, _scalar_out, differentiate
-from .operators import bracket_final
+from .operators import BracketFit
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -106,20 +106,24 @@ def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
     return _scalar_out(np.exp(-params.s * ts + logs / params.alpha), t)
 
 
-def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t):
+def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
+            fit: BracketFit | None = None):
     """Sample the chain at (z, t); vectorized over broadcast arrays.
 
     With u0 = e^{-st} z the bracket is W = V(u0) (1 - (e^{mt}-1) D) with
     D = (a/c) Phi(u0)^(alpha-1) f'(u0) h(u0) / V(u0), so its log is the
-    operator's continued log V plus :func:`_time_log`.
+    operator's continued log V plus :func:`_time_log`.  ``fit``, the
+    operator's ``BracketFit(triple.g, params.alpha, weight=triple.fp)``,
+    is reused across calls; by default each call fits its own.
     """
     params.validate()
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
     alpha = params.alpha
     u0 = np.exp(-params.s * tf) * zf
-    fin = bracket_final(triple.g, alpha, u0, phi_exponent=alpha - 1,
-                        weight=triple.fp)
+    if fit is None:
+        fit = BracketFit(triple.g, alpha, weight=triple.fp)
+    fin = fit.final(u0)
     drift = ((params.a / params.c) * np.exp((alpha - 1) * fin.logphi_end)
              * _ev(triple.fp, u0) * _ev(triple.h, u0) / fin.value)
     log_w = fin.log_value + _time_log(drift, np.expm1(params.m * tf))
@@ -280,17 +284,21 @@ def disk_inclusion_check(s, m: float, k: float, l: float) -> tuple[bool, float]:
     return (bool(slack >= -1e-12), float(slack))
 
 
-def chain_t6(f: Expr, g: Expr, alpha: float, z, t):
+def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None):
     """The automorphism chain [alpha int_0^z g^(a-1) f' du + (e^{alpha t}-1) z^alpha]^(1/alpha).
 
     Its bracket is U = V(z) + e^{alpha t} - 1 = V(z) (1 + (e^{alpha t}-1) / V(z)).
+    ``fit``, the operator's ``BracketFit(g, alpha, weight=differentiate(f))``,
+    is reused across calls; by default each call fits its own.
     """
     alpha = float(alpha)
     if not alpha > 0:
         raise ParameterError("alpha must be a positive real number here")
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
-    fin = bracket_final(g, alpha, zf, phi_exponent=alpha - 1, weight=differentiate(f))
+    if fit is None:
+        fit = BracketFit(g, alpha, weight=differentiate(f))
+    fin = fit.final(zf)
     log_u = fin.log_value + _time_log(-1.0 / fin.value, np.expm1(alpha * tf))
     return _scalar_out((zf * np.exp(log_u / alpha)).reshape(zb.shape), z, t)
 
@@ -326,10 +334,13 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams):
     """Vectorized (z, t) -> L(z, t) closure for the extension builder.
 
     It carries its driving term p = transfer_p(transfer_w(transfer_a)) as
-    ``chain.driving_term(z, t)``, which needs no quadrature.
+    ``chain.driving_term(z, t)``, which needs no quadrature.  Its values
+    share one bracket fit.
     """
+    fit = BracketFit(triple.g, params.alpha, weight=triple.fp)
+
     def chain(z, t):
-        return chain_l(triple, params, z, t)
+        return chain_l(triple, params, z, t, fit)
 
     def driving_term(z, t):
         return transfer_p(transfer_w(transfer_a(triple, params, z, t),
@@ -342,10 +353,13 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams):
 def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
 
-    It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.
+    It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
+    values share one bracket fit.
     """
+    fit = BracketFit(g, alpha, weight=differentiate(f))
+
     def chain(z, t):
-        return chain_t6(f, g, alpha, z, t)
+        return chain_t6(f, g, alpha, z, t, fit)
 
     def driving_term(z, t):
         return chain_t6_p(f, g, alpha, z, t)

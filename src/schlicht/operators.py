@@ -8,8 +8,10 @@ where Phi(u) = g(u)/u (equal to 1 at the origin) and w is f' or 1.  The
 full integral is then alpha * int_0^z g^(alpha-1) f' du = z^alpha V(z) and
 the operator value is z * V(z)^(1/alpha).
 
-Two paths compute V, and :func:`bracket_final` picks one per batch of
-endpoints, before any ray is integrated.
+Two paths compute V.  A :class:`BracketFit` of one (g, w, alpha, beta)
+picks one for all the batches of endpoints that a subject or chain object
+evaluates, before any ray is integrated; :func:`bracket_final` is the
+same for one batch.
 
 The coefficient path.  When log Phi is analytic on the closed unit disk,
 so is H = exp(beta log Phi) w = sum h_n u^n, and termwise integration
@@ -24,33 +26,38 @@ only aliasing, rounding and any negative Laurent powers, so their sum is
 the error level; coefficients are trimmed from the top while the dropped
 sum stays within it, and twice (error level + dropped sum), which also
 covers the aliasing of the kept ones, bounds the error at |u| <= 1.
-Horner evaluates V and log Phi at u = sigma z on the ladder
-sigma = ``_initial_tau_edges()[1:]**q``, the quadrature's initial panel
-edges, so the result is the same :class:`RadialBracket`.
+The coefficients of log V come the same way (:func:`_circle_log`), from
+V sampled on the circle by one inverse FFT of its own coefficients.  A
+point costs Horner for V and log Phi at the endpoint; its log V is the
+principal log of V plus the whole turns that the log V series puts on it.
 
-The gate.  Coefficients are used only if g and w are finite on |u| = 1,
-Phi has no zero there and winding number 0 (with analytic g this rules
-out zeros inside), both coefficient errors fit ``_ABS_TOLERANCE``,
-the outer continuation of V over the ladder keeps every step below pi/2,
-and a cross-check passes: the ``_CROSS_CHECK_POINTS`` endpoints of
-largest modulus (lowest index on ties) are integrated by quadrature, and
-V must agree within the sum of the two error bounds plus rounding, on the
-same branches of log V and log Phi.  Otherwise the whole batch is
-integrated by quadrature, and the reason is recorded: a singularity of g
-or w on the circle (Koebe, z/(1-z)), a zero of g/z in the disk, a slow
-coefficient tail, an unresolved ladder step, or a failed or raising
-cross-check.  :func:`continued_gz_log` evaluates the log Phi series the
-same way, cross-checked against the anchor ladder.
+The fit gate.  Coefficients are used only if g and w are finite on
+|u| = 1, Phi has no zero there and winding number 0 (with analytic g
+this rules out zeros inside), both coefficient errors fit
+``_ABS_TOLERANCE``, V has no zero on the circle, winds 0 times around 0
+and stays above its coefficient error there (so by Rouche's theorem V
+has no zero in the disk), the log V tail fits ``_ABS_TOLERANCE``, and
+one cross-check per fit passes: the ``_CROSS_CHECK_POINTS`` roots of
+unity, on the circle where the error bounds are claimed and where the
+maximum modulus principle puts the largest gap of the two analytic
+brackets, are integrated by quadrature, and V must agree within the sum
+of the two error bounds plus rounding, on the same branches of log V and
+log Phi.  Otherwise every batch of the fit is integrated by quadrature,
+and the reason is recorded: a singularity of g or w on the circle
+(Koebe, z/(1-z)), a zero of g/z or of V in the disk, a slow coefficient
+tail, or a failed or raising cross-check.  :func:`continued_gz_log`
+evaluates the log Phi series the same way, cross-checked against the
+anchor ladder on the same roots of unity.
 
-Every branch here is continued by one rule from the value 1 at the
-origin: :func:`_continued_log` takes one principal log step per entry and
-flags steps that turn the argument by pi/2 or more.  :class:`_Ladder`
-carries it for Phi = g(u)/u over anchors shared by the rays and bisects
-unresolved gaps.  The quadrature path (:func:`iter_radial_brackets`) thus
-continues Phi^beta on the ladder, and the outer 1/alpha power over the
-partial integrals at the panel edges, halving every panel until each step
-resolves.  The chains continue their brackets from ``log_value`` at the
-endpoint (``chains``).
+Every branch that quadrature and the ladder take is continued by one
+rule from the value 1 at the origin: :func:`_continued_log` takes one
+principal log step per entry and flags steps that turn the argument by
+pi/2 or more.  :class:`_Ladder` carries it for Phi = g(u)/u over anchors
+shared by the rays and bisects unresolved gaps.  The quadrature path
+(:func:`iter_radial_brackets`) thus continues Phi^beta on the ladder, and
+the outer 1/alpha power over the partial integrals at the panel edges,
+halving every panel until each step resolves.  The chains continue their
+brackets from ``log_value`` at the endpoint (``chains``).
 
 The derivative of the operator needs no further quadrature.  Since
 G(z)^alpha = z^alpha V(z) = alpha * int_0^z g^(alpha-1) f' du,
@@ -92,8 +99,8 @@ from .errors import (
 from .expr import Expr, Var, _ev, _raise_at_first, differentiate
 
 __all__ = [
-    "OperatorValue", "RadialBracket", "BracketFinal", "iter_radial_brackets",
-    "bracket_final",
+    "OperatorValue", "RadialBracket", "BracketFinal", "BracketFit",
+    "iter_radial_brackets", "bracket_final",
     "operator_values", "operator_values_with_derivative", "operator_g_alpha",
     "operator_pascu", "operator_moldoveanu_pascu", "operator_mocanu",
     "continued_gz_log",
@@ -104,7 +111,7 @@ _ZERO_RADIUS = 1e-100
 _CHUNK = 2048
 _SERIES_START = 64         # samples on |u| = 1 at first
 _SERIES_MAX = 1 << 14      # cap of the sample doubling
-_CROSS_CHECK_POINTS = 16   # endpoints integrated by quadrature per batch
+_CROSS_CHECK_POINTS = 16   # roots of unity integrated by quadrature per fit
 _ROUNDING = 100 * np.finfo(float).eps
 _NODES_PER_PANEL = 16      # Gauss-Legendre nodes; the error estimate uses twice as many
 _ABS_TOLERANCE = 1e-10     # absolute error budget of V
@@ -488,6 +495,33 @@ def _coefficients(samples: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _circle_log(vals: np.ndarray, what: str):
+    """The log of samples at ``_roots_of_unity`` on its branch analytic in the disk.
+
+    The phase is unwrapped around the circle, and its constant fixed so
+    that the log at the origin (where the function is the mean of the
+    samples) is the principal one.  Returns (logs, reason): a zero, or a
+    winding number other than 0, gives a reason and no logs; a phase step
+    of pi/2 or more gives neither, since more samples may resolve it.
+    """
+    if np.any(vals == 0):
+        return None, f"{what} vanishes on |u| = 1"
+    steps = np.angle(np.roll(vals, -1) / vals)
+    if np.max(np.abs(steps)) >= _HALF_PI:
+        return None, None
+    winding = int(round(float(np.sum(steps)) / (2 * np.pi)))
+    if winding != 0:
+        return None, f"{what} winds {winding} times around 0 on |u| = 1"
+    theta = np.angle(vals[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    theta -= 2 * np.pi * round((np.mean(theta) - np.angle(np.mean(vals)))
+                               / (2 * np.pi))
+    # the principal phase plus whole turns: conjugate samples get exactly
+    # opposite phases
+    theta = np.angle(vals) + 2 * np.pi * np.round((theta - np.angle(vals))
+                                                  / (2 * np.pi))
+    return np.log(np.abs(vals)) + 1j * theta, None
+
+
 @lru_cache(maxsize=64)
 def _circle_series(g: Expr, weight: Expr | None, beta: complex,
                    tol: float) -> _CircleSeries:
@@ -501,41 +535,57 @@ def _circle_series(g: Expr, weight: Expr | None, beta: complex,
             if reason:
                 return _CircleSeries(reason=reason)
             phi = gv / u
-            if np.any(phi == 0):
-                return _CircleSeries(reason="g(u)/u vanishes on |u| = 1")
         wv = np.ones(n, dtype=complex)
         if weight is not None:
             wv, reason = _sample_circle(weight, u, "the weight")
             if reason:
                 return _CircleSeries(reason=reason)
-        steps = np.angle(np.roll(phi, -1) / phi)
-        resolved = np.max(np.abs(steps)) < _HALF_PI
-        if resolved:
-            winding = int(round(float(np.sum(steps)) / (2 * np.pi)))
-            if winding != 0:
-                return _CircleSeries(
-                    reason=f"g(u)/u winds {winding} times around 0 on |u| = 1")
-            theta = np.angle(phi[0]) + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-            # the branch with log Phi(0) = Log Phi(0), Phi(0) being the mean
-            theta -= 2 * np.pi * round((np.mean(theta) - np.angle(np.mean(phi)))
-                                       / (2 * np.pi))
-            # the principal phase plus whole turns: conjugate samples of phi
-            # get exactly opposite phases
-            theta = np.angle(phi) + 2 * np.pi * np.round((theta - np.angle(phi))
-                                                         / (2 * np.pi))
-            logphi = np.log(np.abs(phi)) + 1j * theta
+        logphi, reason = _circle_log(phi, "g(u)/u")
+        if reason:
+            return _CircleSeries(reason=reason)
+        if logphi is not None:
             ell, ell_err = _trim(_coefficients(logphi), tol)
             h, h_err = _trim(_coefficients(np.exp(beta * logphi) * wv), tol)
             if ell is not None and h is not None:
                 ell.flags.writeable = h.flags.writeable = False  # cached
                 return _CircleSeries(ell, h, ell_err, h_err)
         if n >= _SERIES_MAX:
-            if not resolved:
+            if logphi is None:
                 return _CircleSeries(
                     reason=f"phase of g(u)/u unresolved at {n} samples")
             return _CircleSeries(
                 reason=f"coefficient tail {max(ell_err, h_err):.1e} above "
                        f"tolerance {tol:.1e} at {n} samples")
+        n *= 2
+
+
+def _log_series(v: np.ndarray, v_error: float):
+    """(coefficients of log V, None) on |u| <= 1, or (None, the reason there are none).
+
+    V is sampled on the circle from its own coefficients by one inverse
+    FFT.  By Rouche's theorem the V that the coefficients approximate has
+    no zero in the disk when their sum stays farther than ``v_error`` from
+    0 on the circle and winds 0 times around it.
+    """
+    n = _SERIES_START
+    while n < 2 * len(v):
+        n *= 2
+    while True:
+        vals = n * np.fft.ifft(v, n)  # V at _roots_of_unity(n)
+        if np.min(np.abs(vals)) <= v_error:
+            return None, f"V comes within its error {v_error:.1e} of 0 on |u| = 1"
+        logv, reason = _circle_log(vals, "V")
+        if reason:
+            return None, reason
+        if logv is not None:
+            coef, err = _trim(_coefficients(logv), _ABS_TOLERANCE)
+            if coef is not None:
+                return coef, None
+        if n >= _SERIES_MAX:
+            if logv is None:
+                return None, f"phase of V unresolved at {n} samples"
+            return None, (f"log V coefficient tail {err:.1e} above tolerance "
+                          f"{_ABS_TOLERANCE:.1e} at {n} samples")
         n *= 2
 
 
@@ -547,88 +597,107 @@ def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_chunk(series: _CircleSeries, alpha: complex, q: int,
-                  zc: np.ndarray) -> RadialBracket:
-    """The quadrature's bracket data from the coefficients, on its initial ladder."""
-    sigmas = _initial_tau_edges()[1:] ** q
-    u = zc[:, None] * sigmas[None, :]
-    v_coef = alpha * series.h / (np.arange(len(series.h)) + alpha)
-    values = _horner(v_coef, u)
-    log_end, ok = _unwrap_prefix(values, 0j, zc, sigmas)
-    # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
-    return RadialBracket(
-        sigmas=sigmas, values=values, log_value=log_end,
-        logphi_edges=_horner(series.logphi, u),
-        error=np.full(len(zc), series.h_error), branch_ok=ok,
-    )
+class BracketFit:
+    """The bracket of one (g, weight, alpha, phi exponent), fitted once for
+    all the batches of endpoints that a subject or chain object evaluates.
 
+    The first batch fits it: the circle series of log Phi and H, the
+    coefficients of V and of log V, and, once a batch has an endpoint off
+    the origin, the cross-check; every later batch reuses them, so an
+    object integrates at most one cross-check sample.  ``reason`` says why
+    the coefficient path was refused (None while it is not), and
+    ``cross_check_gap`` is the largest |V| gap of the cross-check (None
+    until it runs).
+    """
 
-def _largest(zarr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The cross-check sample: entries of ``idx`` of largest |z|, lowest index on ties."""
-    order = np.argsort(-np.abs(zarr[idx]), kind="stable")
-    return idx[order[:_CROSS_CHECK_POINTS]]
+    def __init__(self, g: Expr, alpha, phi_exponent=None, weight: Expr | None = None):
+        self.g, self.alpha, self.phi_exponent, self.weight = g, alpha, phi_exponent, weight
+        self.series: _CircleSeries | None = None
+        self.v = self.logv = None
+        self.reason: str | None = None
+        self.cross_check_gap: float | None = None
 
+    def final(self, z) -> BracketFinal:
+        """Flat bracket values over a batch of endpoints |z| <= 1, from the
+        coefficients, or by quadrature if the gate (module docstring)
+        refused them.  Endpoints with |z| below 1e-100 take V = 1 exactly,
+        and a batch of only such endpoints integrates nothing.
+        """
+        zarr = _prepare(z)
+        alpha = _validate_alpha(self.alpha)
+        beta = complex(self.phi_exponent) if self.phi_exponent is not None else alpha - 1
+        nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
+        if self.series is None:
+            self.series = _circle_series(self.g, self.weight, beta, _ABS_TOLERANCE)
+            self.reason = self.series.reason
+            if self.reason is None:
+                h = self.series.h
+                self.v = alpha * h / (np.arange(len(h)) + alpha)
+                # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
+                self.logv, self.reason = _log_series(self.v, self.series.h_error)
+        if self.reason is None and self.cross_check_gap is None and len(nonzero):
+            self.cross_check_gap, self.reason = self._cross_check(alpha, beta)
+        nz = len(zarr)
+        out = BracketFinal(
+            value=np.ones(nz, dtype=complex),
+            log_value=np.zeros(nz, dtype=complex),
+            logphi_end=np.zeros(nz, dtype=complex),
+            error=np.zeros(nz, dtype=float),
+            branch_ok=np.ones(nz, dtype=bool),
+            path="coefficients" if self.reason is None else "quadrature",
+            fallback_reason=self.reason, cross_check_gap=self.cross_check_gap,
+        )
+        if self.reason is None:
+            (out.value[nonzero], out.log_value[nonzero],
+             out.logphi_end[nonzero]) = self._values(zarr[nonzero])
+            out.error[nonzero] = self.series.h_error
+            return out
+        for sel, br in iter_radial_brackets(self.g, alpha, zarr, beta, self.weight):
+            out.value[sel] = br.value
+            out.log_value[sel] = br.log_value
+            out.logphi_end[sel] = br.logphi_end
+            out.error[sel] = br.error
+            out.branch_ok[sel] = br.branch_ok
+        return out
 
-def _cross_check(series: _CircleSeries, g: Expr, weight: Expr | None,
-                 alpha: complex, beta: complex, q: int, zs: np.ndarray):
-    """(largest |V| gap, reason or None) of the sample against quadrature."""
-    try:
-        (_, quad), = iter_radial_brackets(g, alpha, zs, beta, weight)
-    except SchlichtError as exc:
-        return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
-    ser = _series_chunk(series, alpha, q, zs)
-    gap = np.abs(ser.value - quad.value)
-    bound = ser.error + quad.error + _ROUNDING * (1 + np.abs(quad.value))
-    same_branch = ((np.abs(ser.log_value - quad.log_value) < _HALF_PI)
-                   & (np.abs(ser.logphi_end - quad.logphi_end) < _HALF_PI))
-    worst = float(np.max(gap))
-    if np.all(gap <= bound) and np.all(same_branch):
-        return worst, None
-    return worst, f"cross-check gap {worst:.1e} outside the error bounds"
+    def _values(self, u: np.ndarray):
+        """V, log V and log Phi at points of the closed disk.
+
+        log V is the principal log of V plus the whole turns that the log V
+        series puts on it: the series fixes the branch, and V its value.
+        """
+        v = _horner(self.v, u)
+        turns = np.round((_horner(self.logv, u).imag - np.angle(v)) / (2 * np.pi))
+        return v, np.log(v) + 2j * np.pi * turns, _horner(self.series.logphi, u)
+
+    def _cross_check(self, alpha: complex, beta: complex):
+        """(largest |V| gap, reason or None) of the fit against quadrature.
+
+        The sample is ``_CROSS_CHECK_POINTS`` roots of unity: the error
+        bounds are claimed on the closed disk, and by the maximum modulus
+        principle the gap of the two analytic brackets is largest on its
+        boundary circle.
+        """
+        zs = _roots_of_unity(_CROSS_CHECK_POINTS)
+        try:
+            (_, quad), = iter_radial_brackets(self.g, alpha, zs, beta, self.weight)
+        except SchlichtError as exc:
+            return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
+        value, log_value, logphi = self._values(zs)
+        gap = np.abs(value - quad.value)
+        bound = self.series.h_error + quad.error + _ROUNDING * (1 + np.abs(quad.value))
+        same_branch = ((np.abs(log_value - quad.log_value) < _HALF_PI)
+                       & (np.abs(logphi - quad.logphi_end) < _HALF_PI))
+        worst = float(np.max(gap))
+        if np.all(gap <= bound) and np.all(same_branch):
+            return worst, None
+        return worst, f"cross-check gap {worst:.1e} outside the error bounds"
 
 
 def bracket_final(g: Expr, alpha, z, phi_exponent=None,
                   weight: Expr | None = None) -> BracketFinal:
-    """Flat bracket values over a batch of endpoints, from coefficients, or
-    by quadrature if the gate (module docstring) rejects them.  Endpoints
-    with |z| below 1e-100 take V = 1 exactly, and a batch of only such
-    endpoints integrates nothing.
-    """
-    zarr = _prepare(z)
-    alpha = _validate_alpha(alpha)
-    beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
-    q = _substitution_order(alpha)
-    nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
-    series = _circle_series(g, weight, beta, _ABS_TOLERANCE)
-    reason, gap = series.reason, None
-    if reason is None:
-        chunks = [(sel, _series_chunk(series, alpha, q, zarr[sel]))
-                  for sel in (nonzero[s:s + _CHUNK]
-                              for s in range(0, len(nonzero), _CHUNK))]
-        if not all(np.all(br.branch_ok) for _, br in chunks):
-            reason = "outer continuation of V unresolved on the ladder"
-        elif len(nonzero):
-            gap, reason = _cross_check(series, g, weight, alpha, beta, q,
-                                       zarr[_largest(zarr, nonzero)])
-    if reason is not None:
-        chunks = iter_radial_brackets(g, alpha, zarr, beta, weight)
-    nz = len(zarr)
-    out = BracketFinal(
-        value=np.ones(nz, dtype=complex),
-        log_value=np.zeros(nz, dtype=complex),
-        logphi_end=np.zeros(nz, dtype=complex),
-        error=np.zeros(nz, dtype=float),
-        branch_ok=np.ones(nz, dtype=bool),
-        path="coefficients" if reason is None else "quadrature",
-        fallback_reason=reason, cross_check_gap=gap,
-    )
-    for sel, br in chunks:
-        out.value[sel] = br.value
-        out.log_value[sel] = br.log_value
-        out.logphi_end[sel] = br.logphi_end
-        out.error[sel] = br.error
-        out.branch_ok[sel] = br.branch_ok
-    return out
+    """One batch of bracket values from a fit of its own (:class:`BracketFit`)."""
+    return BracketFit(g, alpha, phi_exponent, weight).final(z)
 
 
 def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
@@ -638,18 +707,23 @@ def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
     return vals, fin.error * scale
 
 
-def operator_values_with_derivative(f: Expr, g: Expr, alpha, z):
+def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
+                                    fit: BracketFit | None = None):
     """Operator values and closed-form G' from one bracket pass.
 
     Returns (values, derivatives, errors, branch_ok), vectorized over z.
+    ``fit``, the ``BracketFit(g, alpha, weight=differentiate(f))`` of a
+    caller that evaluates many batches, is reused; by default each call
+    fits its own.
     """
     alpha = _validate_alpha(alpha)
     zarr = _prepare(z)
-    fp = differentiate(f)
-    fin = bracket_final(g, alpha, zarr, phi_exponent=alpha - 1, weight=fp)
+    if fit is None:
+        fit = BracketFit(g, alpha, weight=differentiate(f))
+    fin = fit.final(zarr)
     vals, errs = _operator_from(zarr, alpha, fin)
-    derivs = _ev(fp, zarr) * np.exp((alpha - 1) * (fin.logphi_end
-                                                   - fin.log_value / alpha))
+    derivs = _ev(fit.weight, zarr) * np.exp((alpha - 1) * (fin.logphi_end
+                                                           - fin.log_value / alpha))
     return vals, derivs, errs, fin.branch_ok
 
 
@@ -695,8 +769,8 @@ def continued_gz_log(g: Expr, z) -> np.ndarray:
 
     Vectorized over ``z``; the value at z = 0 is exactly 0.  On |z| <= 1
     it is the log Phi series of the coefficient path when the gate admits
-    g and the series agrees with the anchor ladder at the sample of
-    largest |z|; otherwise every point takes the ladder.
+    g and the series agrees with the anchor ladder on the cross-check
+    sample of roots of unity; otherwise every point takes the ladder.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     out = np.zeros(zarr.shape, dtype=complex)
@@ -711,7 +785,7 @@ def continued_gz_log(g: Expr, z) -> np.ndarray:
     series = _circle_series(g, None, 0j, _ABS_TOLERANCE)
     if (len(nonzero) and series.reason is None
             and np.all(np.abs(zarr) <= 1 + 1e-9)):
-        zs = zarr[_largest(zarr, nonzero)]
+        zs = _roots_of_unity(_CROSS_CHECK_POINTS)
         sample = _horner(series.logphi, zs)
         try:
             gap = np.abs(sample - ladder_logs(zs))

@@ -33,8 +33,8 @@ from .criteria import (
 )
 from .dsl import parse
 from .errors import ParameterError
-from .expr import AnalyticTriple, Expr, Var, as_subject, const
-from .operators import operator_values_with_derivative
+from .expr import AnalyticTriple, Expr, Var, as_subject, const, differentiate
+from .operators import BracketFit, operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
 __all__ = ["ResolvedConfig", "load_config", "run_check", "report_json",
@@ -173,10 +173,13 @@ def _report_dict(rep: CriterionReport) -> dict:
 def _operator_subject(rc: ResolvedConfig):
     """The operator G, carrying its closed-form derivative as ``op.derivative``.
 
-    Both come from one bracket pass, and the last pass is kept, keyed by
-    the exact points array, so asking for G' at the points just evaluated
-    (or for G again) integrates nothing.
+    Every batch reuses the subject's one bracket fit, so the subject
+    integrates one cross-check sample in all.  G and G' come from one
+    bracket pass, and the last pass is kept, keyed by the exact points
+    array, so asking for G' at the points just evaluated (or for G again)
+    costs nothing.
     """
+    fit = BracketFit(rc.g, rc.params.alpha, weight=differentiate(rc.f))
     last: dict = {}
 
     def evaluate(zz):
@@ -184,7 +187,7 @@ def _operator_subject(rc: ResolvedConfig):
         points = last.get("points")
         if points is None or not np.array_equal(points, zz):
             vals, derivs, _, _ = operator_values_with_derivative(
-                rc.f, rc.g, rc.params.alpha, zz.ravel())
+                rc.f, rc.g, rc.params.alpha, zz.ravel(), fit)
             last.update(points=zz.copy(), values=vals.reshape(zz.shape),
                         derivatives=derivs.reshape(zz.shape))
             # a hit hands the same arrays to another caller

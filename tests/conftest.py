@@ -90,8 +90,8 @@ def ray_counter(monkeypatch):
 
     Every ray of radial quadrature, a fallback batch or a cross-check
     sample, passes through ``operators.iter_radial_brackets``, which
-    ``bracket_final`` looks up as a module global; the chains integrate
-    only through ``bracket_final``.
+    ``BracketFit`` looks up as a module global; subjects and chains
+    integrate only through a ``BracketFit``.
     """
     rays = []
     original = operators.iter_radial_brackets

@@ -87,7 +87,7 @@ def test_catalog_subjects_take_the_coefficient_path(ray_counter, g_src):
     assert np.all(fin.branch_ok) and np.max(fin.error) <= 1e-10
 
 
-def test_cross_check_takes_the_largest_points_lowest_index_first(monkeypatch):
+def test_cross_check_sample_is_the_roots_of_unity(monkeypatch):
     seen = []
     original = operators.iter_radial_brackets
 
@@ -96,12 +96,9 @@ def test_cross_check_takes_the_largest_points_lowest_index_first(monkeypatch):
         return original(g, alpha, z, *args, **kwargs)
 
     monkeypatch.setattr(operators, "iter_radial_brackets", recording)
-    ring = 0.9 * 1j ** np.arange(10)  # ten ties of modulus exactly 0.9
-    z = np.concatenate([0.5 * np.ones(20), ring, [0.0]])
-    z[3], z[7] = 0.95, -0.95j
-    bracket_final(parse("z*exp(0.1*z)"), 2.0, z, weight=parse("1 + z"))
-    expected = np.concatenate([[0.95, -0.95j], ring, 0.5 * np.ones(4)])
-    assert len(seen) == 1 and np.array_equal(seen[0], expected)
+    bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, weight=parse("1 + z"))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], operators._roots_of_unity(16))
 
 
 def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
@@ -113,10 +110,12 @@ def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
             yield sel, br
 
     monkeypatch.setattr(operators, "iter_radial_brackets", shifted)
-    fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, weight=parse("1 + z"))
-    assert fin.path == "quadrature"
-    assert fin.fallback_reason.startswith("cross-check gap 1.0e-08")
-    assert fin.cross_check_gap == pytest.approx(1e-8, rel=1e-6)
+    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
+    for batch in (POINTS[:100], POINTS[100:]):
+        fin = fit.final(batch)
+        assert fin.path == "quadrature"
+        assert fin.fallback_reason.startswith("cross-check gap 1.0e-08")
+        assert fin.cross_check_gap == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
@@ -130,10 +129,14 @@ def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(operators, "iter_radial_brackets", failing_once)
-    fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, weight=parse("1 + z"))
+    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
+    fin = fit.final(POINTS)
     assert fin.path == "quadrature" and len(calls) == 2
     assert fin.fallback_reason == ("cross-check quadrature raised ToleranceNotMet: "
                                    "outer branch continuation unresolved")
+    # the fit keeps its verdict: the next batch is integrated, not cross-checked
+    assert fit.final(POINTS[:5]).fallback_reason == fin.fallback_reason
+    assert len(calls) == 3
 
 
 def test_origin_only_batch_integrates_nothing(ray_counter):
@@ -218,14 +221,23 @@ def test_ladder_queries_at_anchors_read_the_stored_logs(g_src):
 
 
 def test_coefficient_path_refuses_an_unresolved_outer_continuation():
-    # V = 1 + 2u passes within 1e-3 of 0 on the ray to 0.9 e^(i(pi + 1e-3)):
-    # the coefficient ladder steps over that point by more than pi/2, while
+    # V = 1 + 2u vanishes at u = -1/2, so log V has no series on the disk;
+    # the ray to 0.9 e^(i(pi + 1e-3)) passes within 1e-3 of that zero, and
     # quadrature halves its panels until the continuation resolves
     z = np.array([0.9 * np.exp(1j * (np.pi + 1e-3))])
     fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z + 2*z^2")))
     assert fin.path == "quadrature"
-    assert fin.fallback_reason == "outer continuation of V unresolved on the ladder"
+    assert fin.fallback_reason == "V winds 1 times around 0 on |u| = 1"
     assert np.max(np.abs(fin.value - (1 + 2 * z))) <= 3e-16
+
+
+def test_coefficient_path_refuses_a_v_within_its_error_of_zero_on_the_circle():
+    # V = 1 + u vanishes at u = -1: no margin is left for Rouche's theorem
+    z = POINTS[:20]
+    fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z + z^2")))
+    assert fin.path == "quadrature"
+    assert fin.fallback_reason.startswith("V comes within its error")
+    assert np.max(np.abs(fin.value - (1 + z))) <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [0.3, 2.0])
@@ -255,14 +267,28 @@ def test_phase_beyond_pi_on_the_circle_keeps_the_branch_from_the_origin():
     assert np.max(np.abs(continued_gz_log(g, z) - 4j * z)) <= 1e-12
 
 
-def test_cross_check_rejects_another_branch_of_log_phi():
+def test_log_value_beyond_pi_keeps_the_branch_from_the_origin():
+    # f = z exp(4iz), g = z, alpha = 1: V = f(z)/z, so log V = 4iz, whose
+    # imaginary part reaches 4 on the disk; the principal log of V is off by
+    # a whole turn there
+    z = POINTS[:50]
+    assert np.max(np.abs(4 * z.real)) > np.pi
+    fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z*exp(4i*z)")))
+    assert fin.path == "coefficients"
+    assert np.max(np.abs(fin.log_value - 4j * z)) <= 1e-12
+
+
+def test_cross_check_rejects_another_branch_of_log_phi(ray_counter):
     # with beta = 1 a whole turn in log Phi leaves V unchanged, so only
     # the branch comparison can see it
     g, w = parse("z*exp(0.5*z)"), parse("1 + z")
-    series = operators._circle_series(g, w, 1 + 0j, 1e-10)
-    shifted = dataclasses.replace(
-        series, logphi=series.logphi + np.eye(1, len(series.logphi))[0] * 2j * np.pi)
     zs = POINTS[:16]
-    gap, reason = operators._cross_check(shifted, g, w, 2 + 0j, 1 + 0j, 1, zs)
-    assert gap <= 1e-12 and reason is not None
-    assert operators._cross_check(series, g, w, 2 + 0j, 1 + 0j, 1, zs)[1] is None
+    fit = operators.BracketFit(g, 2.0, 1.0, w)
+    fit.final(np.zeros(1))  # takes the coefficients, integrates nothing
+    assert fit.reason is None and ray_counter == []
+    fit.series = dataclasses.replace(
+        fit.series, logphi=fit.series.logphi + np.eye(1, len(fit.series.logphi))[0] * 2j * np.pi)
+    fin = fit.final(zs)
+    assert fin.path == "quadrature" and fin.cross_check_gap <= 1e-12
+    assert fin.fallback_reason.startswith("cross-check gap")
+    assert operators.BracketFit(g, 2.0, 1.0, w).final(zs).path == "coefficients"

@@ -3,13 +3,15 @@
 An operator subject is evaluated once on the grid (the injectivity scan,
 whose pass the derivative check reuses), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
-Each batch that takes the coefficient path integrates only its
-cross-check sample of 16 rays; a batch that falls back integrates one ray
-per point.  The Beltrami coefficient of a chain's extension comes from its
-driving term, so a dilatation scan integrates nothing and ``extend``
-evaluates one chain value per exported point, in two batches.  The injectivity scan forms candidate pairs
-in fixed-size chunks, so its memory stays small even when every image
-point falls in one cell.
+Each subject or chain object fits its bracket once: when the fit takes the
+coefficient path, the object integrates one cross-check sample of 16 rays
+in all, whatever its number of batches; when it falls back, every batch
+integrates one ray per point.  The Beltrami coefficient of a chain's
+extension comes from its driving term, so a dilatation scan integrates
+nothing and ``extend`` evaluates one chain value per exported point, in
+two batches.  The injectivity scan forms candidate pairs in fixed-size
+chunks, so its memory stays small even when every image point falls in
+one cell.
 """
 
 import json
@@ -33,8 +35,8 @@ SMALL = {"n_radial": 16, "n_angular": 32}
 
 
 @pytest.mark.parametrize("name, overrides, expected", [
-    pytest.param("trivial_t2", {"grid": SMALL}, 16 + 16 + 16, id="trivial_t2"),
-    pytest.param("t6_eps02", {}, 16 + 16 + 16, id="t6_eps02"),
+    pytest.param("trivial_t2", {"grid": SMALL}, 16, id="trivial_t2"),
+    pytest.param("t6_eps02", {}, 16, id="t6_eps02"),
     # f' = 1/(1-z)^2 is singular on the circle: every batch falls back
     pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, 512 + 512 + 20,
                  id="fallback"),
@@ -56,10 +58,23 @@ def test_max_dilatation_integrates_nothing(ray_counter):
 
 @pytest.mark.parametrize("name", ["trivial_t2", "t6_eps02"])
 def test_extend_ray_count(ray_counter, tmp_path, name):
-    # resolution 8: 4 x 8 interior and 4 x 8 exterior points, one
-    # cross-check sample per batch
+    # resolution 8: 4 x 8 interior and 4 x 8 exterior points, two batches
+    # of one chain, which integrates one cross-check sample
     assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
+    assert ray_counter == [16]
+
+
+@pytest.mark.parametrize("name", ["trivial_t2", "t6_eps02"])
+def test_a_subject_object_integrates_one_cross_check(ray_counter, name):
+    rc = reporting.load_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    op = reporting.subject_function(rc)
+    z = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
+    op(z)
+    assert ray_counter == [16]
+    op(0.5 * z)  # a second batch on the same object
+    assert ray_counter == [16]
+    reporting.subject_function(rc)(0.5 * z)  # a new object fits anew
     assert ray_counter == [16, 16]
 
 
