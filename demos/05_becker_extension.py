@@ -28,7 +28,7 @@ from schlicht.dsl import parse
 print("== identity chain extends to the identity ==")
 triple = AnalyticTriple.build(parse("z"), parse("z"), parse("1"))
 params = CriterionParams(alpha=1, c=-1, s=1, m=2.0)
-F_id = ExtensionField(chain_callable(triple, params), "identity")
+F_id = ExtensionField(chain_callable(triple, params))
 pts = np.array([0.5 + 0.2j, 2 - 1j, -4j])
 print("  F at", pts, "->", F_id(pts))
 mx, _ = max_dilatation(F_id, n_radial=16, n_angular=64)

@@ -39,7 +39,7 @@ from .errors import (
     PoleAtOne,
     ToleranceNotMet,
 )
-from .expr import AnalyticTriple, Expr, _ev, _scalar_out, differentiate
+from .expr import AnalyticTriple, Expr, _scalar_out, differentiate, evaluate
 from .operators import BracketFit
 
 __all__ = [
@@ -125,7 +125,7 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
         fit = BracketFit(triple.g, alpha, weight=triple.fp)
     fin = fit.final(u0)
     drift = ((params.a / params.c) * np.exp((alpha - 1) * fin.logphi_end)
-             * _ev(triple.fp, u0) * _ev(triple.h, u0) / fin.value)
+             * evaluate(triple.fp, u0) * evaluate(triple.h, u0) / fin.value)
     log_w = fin.log_value + _time_log(drift, np.expm1(params.m * tf))
     out = zf * np.exp(-params.s * tf + log_w / alpha)
     return _scalar_out(out.reshape(zb.shape), z, t)

@@ -24,6 +24,7 @@ from .reporting import (
     oracle_block,
     report_json,
     run_check,
+    subject_function,
 )
 
 def _load(path: str, args) -> "ResolvedConfig":
@@ -141,7 +142,7 @@ def cmd_ktable(args) -> int:
 
 def cmd_oracle(args) -> int:
     rc = _load(args.config, args)
-    block = oracle_block(rc)
+    block = oracle_block(rc, subject_function(rc))
     _emit(args, report_json({"version": __version__, "oracle": block}))
     ok = block["injective_on_grid"] and block["preimage_counts_ok"]
     return 0 if ok else 1

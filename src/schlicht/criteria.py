@@ -24,7 +24,6 @@ from .expr import (
     AnalyticTriple,
     Expr,
     Var,
-    _ev,
     _raise_at_first,
     add,
     as_subject,
@@ -32,6 +31,7 @@ from .expr import (
     differentiate,
     div,
     eval_expr,
+    evaluate,
     log_derivative_field,
 )
 from .operators import continued_gz_log
@@ -237,7 +237,7 @@ def check_alpha_condition(p: CriterionParams) -> bool:
 
 def _h_values(triple: AnalyticTriple, zz: np.ndarray, error=None) -> np.ndarray:
     """h on ``zz``; a zero raises ``error(z)``, by default DivisionByZero."""
-    hv = _ev(triple.h, zz)
+    hv = evaluate(triple.h, zz)
     _raise_at_first(hv == 0, zz, error or (lambda w: DivisionByZero(w, triple.h)))
     return hv
 
@@ -363,7 +363,7 @@ def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray,
     """z^(1-alpha) g^(alpha-1) f' as the branch-continued (g/z)^(alpha-1) f'."""
     fp = fp if fp is not None else differentiate(f)
     logphi = continued_gz_log(g, zz.ravel()).reshape(zz.shape)
-    return np.exp((alpha - 1) * logphi) * _ev(fp, zz)
+    return np.exp((alpha - 1) * logphi) * evaluate(fp, zz)
 
 
 def check_t6(f: Expr, g: Expr, alpha: float, k: float,

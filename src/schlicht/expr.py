@@ -3,8 +3,11 @@
 Nodes are immutable dataclasses, so structural equality and hashing come
 for free.  Evaluation accepts Python scalars or numpy arrays and always
 uses principal branches: Im(Log) in (-pi, pi] for log and for non-integer
-powers.  Differentiation is symbolic tree rewriting; the only
-simplification performed anywhere is folding of constant subtrees.
+powers.  Differentiation is symbolic tree rewriting.  Trees are built
+through the smart constructors, which fold constant subtrees and the
+identities x + 0, 0 + x, x - 0, 0*x, x*0, 1*x, x*1 and x^1, but not 0 - x
+(+0 would become -0) or x^0 (0^0 raises).  :func:`evaluate` is the one
+walk over a tree.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import BranchPointHit, DivisionByZero, NonFiniteValue, ParameterErr
 __all__ = [
     "Expr", "Var", "Const", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Log",
     "Z", "var", "const", "neg", "add", "sub", "mul", "div", "pow_", "exp_", "log_",
-    "eval_expr", "differentiate", "principal_power", "log_derivative_at",
+    "evaluate", "eval_expr", "differentiate", "principal_power", "log_derivative_at",
     "log_derivative_field", "AnalyticTriple", "as_subject",
 ]
 
@@ -85,6 +88,7 @@ class Log(Expr):
 
 
 Z = Var()
+_ZERO, _ONE = Const(0j), Const(1 + 0j)
 
 
 def var() -> Var:
@@ -110,6 +114,8 @@ def add(a: Expr, b: Expr) -> Expr:
         v = a.value + b.value
         if _finite(v):
             return Const(v)
+    if _ZERO in (a, b):
+        return b if a == _ZERO else a
     return Add(a, b)
 
 
@@ -118,6 +124,8 @@ def sub(a: Expr, b: Expr) -> Expr:
         v = a.value - b.value
         if _finite(v):
             return Const(v)
+    if b == _ZERO:
+        return a
     return Sub(a, b)
 
 
@@ -126,6 +134,10 @@ def mul(a: Expr, b: Expr) -> Expr:
         v = a.value * b.value
         if _finite(v):
             return Const(v)
+    if _ZERO in (a, b):
+        return _ZERO
+    if _ONE in (a, b):
+        return b if a == _ONE else a
     return Mul(a, b)
 
 
@@ -142,6 +154,8 @@ def pow_(base: Expr, expo: Expr) -> Expr:
         v = principal_power(base.value, expo.value)
         if _finite(v):
             return Const(v)
+    if expo == _ONE:
+        return base
     return Pow(base, expo)
 
 
@@ -211,37 +225,49 @@ def principal_power(w, exponent):
     return _scalar_out(out, w)
 
 
-def _ev(e: Expr, z: np.ndarray) -> np.ndarray:
+def _walk(e: Expr, z: np.ndarray):
     if isinstance(e, Var):
         return z
     if isinstance(e, Const):
-        return np.full(z.shape, e.value, dtype=complex)
+        return e.value
     if isinstance(e, Neg):
-        return -_ev(e.a, z)
+        return -_walk(e.a, z)
     if isinstance(e, Add):
-        return _ev(e.a, z) + _ev(e.b, z)
+        return _walk(e.a, z) + _walk(e.b, z)
     if isinstance(e, Sub):
-        return _ev(e.a, z) - _ev(e.b, z)
+        return _walk(e.a, z) - _walk(e.b, z)
     if isinstance(e, Mul):
-        return _ev(e.a, z) * _ev(e.b, z)
+        return _walk(e.a, z) * _walk(e.b, z)
     if isinstance(e, Div):
-        den = _ev(e.b, z)
+        den = _walk(e.b, z)
         _raise_at_first(den == 0, z, lambda w: DivisionByZero(w, e.b))
-        return _ev(e.a, z) / den
+        return _walk(e.a, z) / den
     if isinstance(e, Exp):
-        return np.exp(_ev(e.a, z))
+        return np.exp(_walk(e.a, z))
     if isinstance(e, Log):
-        v = _ev(e.a, z)
+        v = _walk(e.a, z)
         _raise_at_first(v == 0, z, BranchPointHit)
         return np.log(v)
     if isinstance(e, Pow):
-        base = _ev(e.base, z)
+        base = _walk(e.base, z)
         if isinstance(e.expo, Const):
             return principal_power(base, e.expo.value)
-        expo = _ev(e.expo, z)
+        expo = _walk(e.expo, z)
         _raise_at_first(base == 0, z, BranchPointHit)
         return np.exp(expo * np.log(base))
     raise TypeError(f"unknown expression node {e!r}")
+
+
+def evaluate(e: Expr, z: np.ndarray) -> np.ndarray:
+    """``e`` on the points ``z`` (an ndarray) under principal branches.
+
+    A zero divisor, and a zero under log or a non-integer power, raise at
+    the first such point; NaN and inf are returned as they are.  Constants
+    stay Python scalars inside the walk, and only a constant result is
+    broadcast to the shape of ``z``.
+    """
+    out = _walk(e, z)
+    return out if isinstance(out, np.ndarray) else np.full(np.shape(z), out, dtype=complex)
 
 
 def eval_expr(e: Expr, z):
@@ -250,8 +276,8 @@ def eval_expr(e: Expr, z):
     Raises NonFiniteValue if any component of the result is NaN or inf.
     """
     arr = np.asarray(z, dtype=complex)
-    out = _ev(e, arr)
-    _raise_at_first(~np.isfinite(out.real) | ~np.isfinite(out.imag), arr, NonFiniteValue)
+    out = evaluate(e, arr)
+    _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
     return _scalar_out(out, z)
 
 
@@ -310,12 +336,8 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, Pow):
         if isinstance(e.expo, Const):
             c = e.expo.value
-            if c == 0:
-                return Const(0j)
-            if c == 1:
+            if c == 1:  # the general rule would keep base^0, which raises at 0
                 return differentiate(e.base)
-            if c == 2:
-                return mul(mul(const(2), e.base), differentiate(e.base))
             inner = mul(const(c), pow_(e.base, const(c - 1)))
             return mul(inner, differentiate(e.base))
         # u^v = exp(v log u); derivative via the chain on the exponent form
@@ -334,11 +356,11 @@ def _zero_order(e: Expr, deriv: Expr) -> int:
     nonzero value counts as no zero at all.
     """
     origin = np.zeros(1, dtype=complex)
-    if _ev(e, origin)[0] != 0:
+    if evaluate(e, origin)[0] != 0:
         return 0
     d = deriv
     for order in range(1, _MAX_ZERO_ORDER + 1):
-        if _ev(d, origin)[0] != 0:
+        if evaluate(d, origin)[0] != 0:
             return order
         d = differentiate(d)
     raise DivisionByZero(0j, e)
@@ -354,8 +376,8 @@ def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     """
     d = deriv if deriv is not None else differentiate(e)
     arr = np.asarray(z, dtype=complex)
-    vals = _ev(e, arr)
-    dvals = _ev(d, arr)
+    vals = evaluate(e, arr)
+    dvals = evaluate(d, arr)
     at0 = arr == 0
     _raise_at_first((vals == 0) & ~at0, arr, lambda w: DivisionByZero(w, e))
     out = np.empty(arr.shape, dtype=complex)
@@ -363,7 +385,7 @@ def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     out[nz] = arr[nz] * dvals[nz] / vals[nz]
     if np.any(at0):
         out[at0] = _zero_order(e, d)
-    _raise_at_first(~np.isfinite(out.real) | ~np.isfinite(out.imag), arr, NonFiniteValue)
+    _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
     return _scalar_out(out, z)
 
 

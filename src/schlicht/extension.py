@@ -38,9 +38,8 @@ __all__ = [
 class ExtensionField:
     """Callable plane extension of a chain; vectorized over points."""
 
-    def __init__(self, chain, label: str = ""):
+    def __init__(self, chain):
         self.chain = chain
-        self.label = label
 
     def __call__(self, z):
         arr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()

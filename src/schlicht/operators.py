@@ -96,7 +96,7 @@ from .errors import (
     SchlichtError,
     ToleranceNotMet,
 )
-from .expr import Expr, Var, _ev, _raise_at_first, differentiate
+from .expr import Expr, Var, _raise_at_first, differentiate, evaluate
 
 __all__ = [
     "OperatorValue", "RadialBracket", "BracketFinal", "BracketFit",
@@ -253,9 +253,8 @@ def _phi_ladder(g: Expr, z: np.ndarray, ts: np.ndarray) -> _Ladder:
     g raises IntegrandSingular at that u."""
     def phi(t: np.ndarray) -> np.ndarray:
         u = z[:, None] * t[None, :]
-        gu = _ev(g, u)
-        _raise_at_first((gu == 0) | ~np.isfinite(gu.real) | ~np.isfinite(gu.imag),
-                        u, IntegrandSingular)
+        gu = evaluate(g, u)
+        _raise_at_first((gu == 0) | ~np.isfinite(gu), u, IntegrandSingular)
         return gu / u
 
     return _Ladder(phi, ts)
@@ -271,7 +270,7 @@ def _unwrap_prefix(vals: np.ndarray, start_log, rays: np.ndarray,
     ok); ok flags rows whose every principal step stayed below pi/2 in
     argument.
     """
-    bad = (vals == 0) | ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
+    bad = (vals == 0) | ~np.isfinite(vals)
     if np.any(bad):
         j = int(np.flatnonzero(np.any(bad, axis=0))[0])
         i = int(np.flatnonzero(bad[:, j])[0])
@@ -315,11 +314,11 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
         vals = phi_power(t)
         if weight is not None:
             u = zc[:, None] * t[None, :]
-            wt = _ev(weight, u)
+            wt = evaluate(weight, u)
             # bound to a name, the mask lives to the end of this call; freed
             # before the product below, glibc's heap reuse raised the peak
             # RSS of benchmark runs by 5-9 MB
-            bad = ~np.isfinite(wt.real) | ~np.isfinite(wt.imag)
+            bad = ~np.isfinite(wt)
             _raise_at_first(bad, u, IntegrandSingular)
             vals = vals * wt
         vals = vals.reshape(nz, k, nn)
@@ -467,7 +466,7 @@ def _trim(coef: np.ndarray, tol: float):
 def _sample_circle(e: Expr, u: np.ndarray, what: str):
     """Values of ``e`` on the sample circle, or the reason they are unusable."""
     try:
-        v = _ev(e, u)
+        v = evaluate(e, u)
     except SchlichtError as exc:
         return None, f"{what} cannot be evaluated on |u| = 1 ({type(exc).__name__})"
     if not np.all(np.isfinite(v)):
@@ -722,8 +721,8 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
         fit = BracketFit(g, alpha, weight=differentiate(f))
     fin = fit.final(zarr)
     vals, errs = _operator_from(zarr, alpha, fin)
-    derivs = _ev(fit.weight, zarr) * np.exp((alpha - 1) * (fin.logphi_end
-                                                           - fin.log_value / alpha))
+    derivs = evaluate(fit.weight, zarr) * np.exp((alpha - 1) * (fin.logphi_end
+                                                              - fin.log_value / alpha))
     return vals, derivs, errs, fin.branch_ok
 
 

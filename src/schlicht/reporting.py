@@ -244,14 +244,14 @@ def _logderiv_chain(rc: ResolvedConfig):
 class Criterion:
     """How one criterion id runs; every field maps a ResolvedConfig.
 
-    ``check`` gives the CriterionReport, ``subject`` the function the
-    oracle scans (f, or the operator G with its closed-form derivative),
-    and ``chain`` the Loewner chain, carrying ``driving_term``, that the
-    extension uses.  A satisfied check with ``qc_bound`` set reports the
-    dilatation bound K(s, k).
+    ``subject`` gives the function the oracle scans (f, or the operator G
+    with its closed-form derivative), ``check`` the CriterionReport, taking
+    the run's subject object too, and ``chain`` the Loewner chain, carrying
+    ``driving_term``, that the extension uses.  A satisfied check with
+    ``qc_bound`` set reports the dilatation bound K(s, k).
     """
 
-    check: Callable[[ResolvedConfig], CriterionReport]
+    check: Callable[[ResolvedConfig, object], CriterionReport]
     subject: Callable[[ResolvedConfig], object]
     chain: Callable[[ResolvedConfig], object]
     qc_bound: bool = False
@@ -261,23 +261,22 @@ class Criterion:
 # module-level names rather than holding the functions, so a wrapper
 # installed on those module attributes (a profiler, say) sees every call.
 CRITERIA = {
-    "T2": Criterion(lambda rc: check_main_t2(_triple(rc), rc.params, rc.grid),
+    "T2": Criterion(lambda rc, _: check_main_t2(_triple(rc), rc.params, rc.grid),
                     _operator_subject, _main_chain),
-    "T21": Criterion(lambda rc: check_simplified_t21(_triple(rc), rc.params, rc.grid),
+    "T21": Criterion(lambda rc, _: check_simplified_t21(_triple(rc), rc.params, rc.grid),
                      _operator_subject, _main_chain),
-    "becker": Criterion(lambda rc: check_becker(rc.f, rc.params.m, rc.grid),
+    "becker": Criterion(lambda rc, _: check_becker(rc.f, rc.params.m, rc.grid),
                         lambda rc: rc.f, _becker_chain),
-    "T3": Criterion(lambda rc: check_t3(_triple(rc), rc.params, rc.grid),
+    "T3": Criterion(lambda rc, _: check_t3(_triple(rc), rc.params, rc.grid),
                     _operator_subject, _main_chain),
-    "T5-qc": Criterion(lambda rc: check_qc_t5(_triple(rc), rc.params, rc.grid)[0],
+    "T5-qc": Criterion(lambda rc, _: check_qc_t5(_triple(rc), rc.params, rc.grid)[0],
                        _operator_subject, _main_chain, qc_bound=True),
     "T6": Criterion(
-        lambda rc: check_t6(rc.f, rc.g, _real_alpha(rc), rc.params.k, rc.grid),
+        lambda rc, _: check_t6(rc.f, rc.g, _real_alpha(rc), rc.params.k, rc.grid),
         _operator_subject,
         lambda rc: chain_t6_callable(rc.f, rc.g, _real_alpha(rc))),
     "logderiv-Uk": Criterion(
-        lambda rc: check_log_derivative_condition(subject_function(rc),
-                                                  rc.params.k, rc.grid),
+        lambda rc, op: check_log_derivative_condition(op, rc.params.k, rc.grid),
         _operator_subject, _logderiv_chain),
 }
 CRITERION_IDS = tuple(CRITERIA)
@@ -297,10 +296,10 @@ def build_chain(rc: ResolvedConfig):
     return CRITERIA[rc.check].chain(rc)
 
 
-def oracle_block(rc: ResolvedConfig) -> dict:
-    """Injectivity, winding-count and derivative evidence for the subject."""
+def oracle_block(rc: ResolvedConfig, subject) -> dict:
+    """Injectivity, winding-count and derivative evidence for ``subject``."""
     n_probes = 20
-    fn = as_subject(subject_function(rc))
+    fn = as_subject(subject)
     inj = injectivity_test(fn, rc.grid)
     # right after the scan, so an operator subject reuses the scan's pass
     deriv = derivative_nonvanishing(fn, rc.grid)
@@ -329,7 +328,9 @@ def run_check(rc: ResolvedConfig, with_oracle: bool = True,
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     criterion = CRITERIA[rc.check]
-    rep = criterion.check(rc)
+    # one subject object per run, so an operator subject is fitted once
+    subject = subject_function(rc)
+    rep = criterion.check(rc, subject)
     qc_bound = None
     if criterion.qc_bound and rep.satisfied:
         qb = qc_bound_k(rc.params.s, rc.params.k)
@@ -352,7 +353,7 @@ def run_check(rc: ResolvedConfig, with_oracle: bool = True,
     }
     if with_oracle:
         t0 = time.perf_counter()
-        report["oracle"] = oracle_block(rc)
+        report["oracle"] = oracle_block(rc, subject)
         timings["oracle_s"] = time.perf_counter() - t0
     if with_timings:
         report["timings"] = timings

@@ -53,13 +53,13 @@ def _gate(num, desc, ok):
 
 @lru_cache(maxsize=None)
 def trivial_extension() -> ExtensionField:
-    return ExtensionField(chain_callable(TRIPLE_TRIVIAL, P_TRIVIAL), "identity")
+    return ExtensionField(chain_callable(TRIPLE_TRIVIAL, P_TRIVIAL))
 
 
 @lru_cache(maxsize=None)
 def eps_extension(eps: float) -> ExtensionField:
     f = parse(f"z + {eps}*z^2")
-    return ExtensionField(chain_t6_callable(f, parse("z"), 1.0), f"eps={eps}")
+    return ExtensionField(chain_t6_callable(f, parse("z"), 1.0))
 
 
 def _operator_subject(f_src: str, g_src: str = "z", alpha: float = 1.0):

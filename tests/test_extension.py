@@ -22,12 +22,12 @@ P_TRIVIAL = CriterionParams(alpha=1, c=-1, s=1, m=2.0)
 
 
 def trivial_field() -> ExtensionField:
-    return ExtensionField(chain_callable(TRIPLE_TRIVIAL, P_TRIVIAL), "identity")
+    return ExtensionField(chain_callable(TRIPLE_TRIVIAL, P_TRIVIAL))
 
 
 def eps_field(eps: float) -> ExtensionField:
     f = parse(f"z + {eps}*z^2")
-    return ExtensionField(chain_t6_callable(f, parse("z"), 1.0), f"eps={eps}")
+    return ExtensionField(chain_t6_callable(f, parse("z"), 1.0))
 
 
 def test_identity_extension():

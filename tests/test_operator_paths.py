@@ -23,8 +23,6 @@ from schlicht.operators import (
     operator_values_with_derivative,
 )
 
-mpmath = pytest.importorskip("mpmath")
-
 RNG_POINTS = np.random.default_rng(61)
 POINTS = 0.999 * np.sqrt(RNG_POINTS.uniform(0, 1, 200)) * np.exp(
     2j * np.pi * RNG_POINTS.uniform(0, 1, 200))
@@ -148,21 +146,28 @@ def test_origin_only_batch_integrates_nothing(ray_counter):
 
 # --- mpmath references ------------------------------------------------------
 
-# f' and the continued log of g(u)/u, written for mpmath; each g(u)/u stays
-# in the right half-plane on the disk, so its principal log is the
-# continued one.
+@pytest.fixture
+def mpmath():
+    """The mpmath module; a test that takes it skips where mpmath is missing."""
+    return pytest.importorskip("mpmath")
+
+
+# f' and the continued log of g(u)/u, written for the mpmath module passed
+# first; each g(u)/u stays in the right half-plane on the disk, so its
+# principal log is the continued one.
 FAMILIES = {
-    ("z + 0.17*z^2", "z"): (lambda u: 1 + 0.34 * u, lambda u: 0 * u),
-    ("z + 0.17*z^3", "z*exp(0.1*z)"): (lambda u: 1 + 0.51 * u**2, lambda u: 0.1 * u),
+    ("z + 0.17*z^2", "z"): (lambda mp, u: 1 + 0.34 * u, lambda mp, u: 0 * u),
+    ("z + 0.17*z^3", "z*exp(0.1*z)"): (lambda mp, u: 1 + 0.51 * u**2,
+                                       lambda mp, u: 0.1 * u),
     ("z*exp(0.17*z)", "z + 0.1*z^2"): (
-        lambda u: (1 + 0.17 * u) * mpmath.exp(0.17 * u), lambda u: mpmath.log(1 + 0.1 * u)),
+        lambda mp, u: (1 + 0.17 * u) * mp.exp(0.17 * u), lambda mp, u: mp.log(1 + 0.1 * u)),
     ("z/(1 - 0.17*z)", "z/(1 - 0.3*z)"): (
-        lambda u: 1 / (1 - 0.17 * u) ** 2, lambda u: -mpmath.log(1 - 0.3 * u)),
+        lambda mp, u: 1 / (1 - 0.17 * u) ** 2, lambda mp, u: -mp.log(1 - 0.3 * u)),
 }
 REF_POINTS = (0.5 * np.exp(0.4j), 0.9 * np.exp(2.2j), 0.999 * np.exp(-1.9j))
 
 
-def _reference_operator(fp, logphi, alpha, z):
+def _reference_operator(mpmath, fp, logphi, alpha, z):
     """z * V^(1/alpha), V = alpha int_0^1 t^(alpha-1) Phi(zt)^(alpha-1) f'(zt) dt.
 
     With t = s^(1/alpha), alpha t^(alpha-1) dt = ds, so V is the integral
@@ -173,7 +178,7 @@ def _reference_operator(fp, logphi, alpha, z):
 
         def integrand(s):
             u = zz * s ** (1 / a)
-            return mpmath.exp((a - 1) * logphi(u)) * fp(u)
+            return mpmath.exp((a - 1) * logphi(mpmath, u)) * fp(mpmath, u)
 
         v = mpmath.quad(integrand, [0, 1])
         return complex(zz * mpmath.exp(mpmath.log(v) / a))
@@ -181,25 +186,26 @@ def _reference_operator(fp, logphi, alpha, z):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7 + 0.2j, 2.0])
 @pytest.mark.parametrize("family", list(FAMILIES), ids=["quad", "cubic", "exp", "moeb"])
-def test_coefficient_path_matches_mpmath(family, alpha):
+def test_coefficient_path_matches_mpmath(mpmath, family, alpha):
     f, g = map(parse, family)
     z = np.array(REF_POINTS)
     vals, _, _, ok = operator_values_with_derivative(f, g, alpha, z)
     assert np.all(ok)
     assert bracket_final(g, alpha, z, weight=differentiate(f)).path == "coefficients"
-    ref = np.array([_reference_operator(*FAMILIES[family], alpha, zz) for zz in z])
+    ref = np.array([_reference_operator(mpmath, *FAMILIES[family], alpha, zz) for zz in z])
     assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("family", list(FAMILIES), ids=["quad", "cubic", "exp", "moeb"])
-def test_continued_gz_log_matches_mpmath_on_the_circle(family):
+def test_continued_gz_log_matches_mpmath_on_the_circle(mpmath, family):
     # chain_t6_p evaluates it at z/|z| for every exterior point
     g = parse(family[1])
     z = np.exp(2j * np.pi * np.arange(16) / 16 + 0.1j)
-    ref = np.array([complex(FAMILIES[family][1](mpmath.mpc(zz))) for zz in z])
+    ref = np.array([complex(FAMILIES[family][1](mpmath, mpmath.mpc(zz))) for zz in z])
     assert np.max(np.abs(continued_gz_log(g, z) - ref)) <= 1e-12
     p = chain_t6_p(parse(family[0]), g, 2.0, z, 0.5)
-    wv = np.exp(ref) * np.array([complex(FAMILIES[family][0](mpmath.mpc(zz))) for zz in z])
+    wv = np.exp(ref) * np.array([complex(FAMILIES[family][0](mpmath, mpmath.mpc(zz)))
+                                 for zz in z])
     assert np.max(np.abs(p - (np.exp(-1.0) * wv + 1 - np.exp(-1.0)))) <= 1e-12
 
 

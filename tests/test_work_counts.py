@@ -44,7 +44,7 @@ SMALL = {"n_radial": 16, "n_angular": 32}
 def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     rc = reporting.load_config(raw, overrides)
-    block = reporting.oracle_block(rc)
+    block = reporting.oracle_block(rc, reporting.subject_function(rc))
     assert block["preimage_counts_ok"] and not block["derivative_flagged"]
     assert sum(ray_counter) == expected
 
@@ -76,6 +76,16 @@ def test_a_subject_object_integrates_one_cross_check(ray_counter, name):
     assert ray_counter == [16]
     reporting.subject_function(rc)(0.5 * z)  # a new object fits anew
     assert ray_counter == [16, 16]
+
+
+def test_logderiv_check_with_the_oracle_fits_its_subject_once(ray_counter):
+    # the criterion and the oracle share the run's one operator subject
+    rc = reporting.load_config({
+        "f": "z + 0.02*z^2", "check": "logderiv-Uk", "params": {"k": 0.5},
+        "grid": {"n_radial": 32, "n_angular": 64}, "seed": 2024})
+    report, _ = reporting.run_check(rc, with_timings=False)
+    assert "oracle" in report
+    assert ray_counter == [16]
 
 
 def test_grid_condition_evaluates_base_grid_once(monkeypatch):
