@@ -7,6 +7,7 @@ unsatisfied, 2 input error (bad config, malformed DSL, bad flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,25 +57,24 @@ def cmd_check(args) -> int:
     return code
 
 
+def _csv_rows(z: np.ndarray, f: np.ndarray, mu: np.ndarray) -> list[str]:
+    """One ``x,y,reF,imF,absMu`` row per point, each value as Python's float repr."""
+    table = np.column_stack([z.real, z.imag, f.real, f.imag, mu]).tolist()
+    return [",".join(map(repr, row)) for row in table]
+
+
 def _field_csv(chain, annulus_rmax: float, resolution: int) -> str:
     F = ExtensionField(chain)
-    lines = ["x,y,reF,imF,absMu"]
-
-    def fmt(zs, fs, mus):
-        for z, f, mu in zip(zs, fs, mus):
-            lines.append(f"{float(z.real)!r},{float(z.imag)!r},"
-                         f"{float(f.real)!r},{float(f.imag)!r},{float(mu)!r}")
-
     n_r = max(resolution // 2, 1)
     radii = (1 - 1e-3) * np.arange(1, n_r + 1) / n_r
     angles = 2 * np.pi * np.arange(resolution) / resolution
     interior = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    fi = F(interior)
-    fmt(interior, fi, np.zeros(len(interior)))
-
     ext_radii = np.geomspace(1 + 1e-3, annulus_rmax, n_r)
     exterior = (ext_radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    fmt(exterior, F(exterior), np.abs(beltrami_coefficient(F, exterior)))
+    lines = (["x,y,reF,imF,absMu"]
+             + _csv_rows(interior, F(interior), np.zeros(len(interior)))
+             + _csv_rows(exterior, F(exterior),
+                         np.abs(beltrami_coefficient(F, exterior))))
     return "\n".join(lines) + "\n"
 
 
@@ -168,7 +168,13 @@ def _checked(kind, ok, what: str):
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first :func:`main` call.
+
+    Each subcommand looks up its ``cmd_*`` function by name when it runs,
+    so a wrapper installed on ``cli.cmd_check`` later still sees the calls.
+    """
     ap = argparse.ArgumentParser(
         prog="schlicht",
         description="Numerical certification of univalence criteria for "
@@ -186,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-timings", action="store_true",
                    help="omit the timings block (byte-stable reports)")
     p.add_argument("--no-oracle", action="store_true")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=lambda a: cmd_check(a))
 
     p = sub.add_parser("extend", help="export the Becker extension field")
     p.add_argument("--config", required=True)
@@ -202,24 +208,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppm-resolution", type=_AT_LEAST_ONE, default=256)
     p.add_argument("--window", type=_checked(float, lambda v: v > 0, "> 0"),
                    default=2.0)
-    p.set_defaults(fn=cmd_extend)
+    p.set_defaults(fn=lambda a: cmd_extend(a))
 
     p = sub.add_parser("ktable", help="tabulate the dilatation bound K(s, k)")
     p.add_argument("--s", nargs="+", required=True,
                    help="complex values like 1, 2, 1+1i")
     p.add_argument("--k", nargs="+", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_ktable)
+    p.set_defaults(fn=lambda a: cmd_ktable(a))
 
     p = sub.add_parser("oracle", help="run only the univalence oracle")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--grid", default=None, metavar="NxM")
     p.add_argument("--rmax", type=float, default=None)
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(fn=lambda a: cmd_oracle(a))
 
     p = sub.add_parser("preset-list", help="list parameter presets")
-    p.set_defaults(fn=cmd_preset_list)
+    p.set_defaults(fn=lambda a: cmd_preset_list(a))
     return ap
 
 

@@ -380,9 +380,10 @@ def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     dvals = evaluate(d, arr)
     at0 = arr == 0
     _raise_at_first((vals == 0) & ~at0, arr, lambda w: DivisionByZero(w, e))
-    out = np.empty(arr.shape, dtype=complex)
-    nz = ~at0
-    out[nz] = arr[nz] * dvals[nz] / vals[nz]
+    # 0/0 at the origin is overwritten below; any other non-finite value
+    # fails the check at the end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(arr * dvals / vals)
     if np.any(at0):
         out[at0] = _zero_order(e, d)
     _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)

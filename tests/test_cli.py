@@ -1,7 +1,9 @@
+import argparse
 import importlib.util
 import json
 import os
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+import schlicht
+from schlicht import cli
 from schlicht.cli import main
 from schlicht.reporting import load_config
 
@@ -329,3 +333,77 @@ def test_preset_list_exact_text(capsys):
 
 def test_missing_config_exit_two(tmp_path):
     assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def _calls_of_every_kind(tmp_path):
+    """One check, extend, ktable and preset-list call, each exiting 0."""
+    cfg = _write(tmp_path, "cfg.json", TRIVIAL)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "rep.json"),
+                 "--no-timings", "--no-oracle"]) == 0
+    assert main(["extend", "--config", cfg, "--out", str(tmp_path / "f.csv"),
+                 "--resolution", "4"]) == 0
+    assert main(["ktable", "--s", "1", "--k", "0.2",
+                 "--out", str(tmp_path / "k.csv")]) == 0
+    assert main(["preset-list"]) == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "schlicht":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _calls_of_every_kind(tmp_path)
+    _calls_of_every_kind(tmp_path)
+    # none when an earlier call in this process already built it
+    assert len(built) <= 1
+
+
+def test_wrappers_installed_after_the_first_call_see_later_calls(tmp_path, monkeypatch):
+    _calls_of_every_kind(tmp_path)
+    seen = []
+
+    def wrap(name):
+        original = getattr(cli, name)
+
+        def wrapper(args):
+            seen.append(name)
+            return original(args)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    wrap("cmd_check")
+    wrap("cmd_extend")
+    _calls_of_every_kind(tmp_path)
+    assert seen == ["cmd_check", "cmd_extend"]
+
+
+def test_a_reused_parser_still_rejects_and_reports(tmp_path, capsys):
+    _calls_of_every_kind(tmp_path)
+    capsys.readouterr()
+    cfg = _write(tmp_path, "cfg.json", TRIVIAL)
+    out, ppm = tmp_path / "bad.csv", tmp_path / "bad.ppm"
+    assert main(["extend", "--config", cfg, "--out", str(out), "--ppm", str(ppm),
+                 "--resolution", "0"]) == 2
+    assert "--resolution" in capsys.readouterr().err
+    assert not out.exists() and not ppm.exists()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == schlicht.__version__ + "\n"
+    assert main(["preset-list"]) == 0
+    assert capsys.readouterr().out == PRESET_LIST
+
+
+def test_fresh_process_and_reused_parser_print_the_same_report(tmp_path, capsys):
+    argv = ["check", "--config", str(REPO / "demos" / "configs" / "trivial_t2.json"),
+            "--no-timings"]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    fresh = subprocess.run([sys.executable, "-m", "schlicht.cli", *argv], cwd=REPO,
+                           env=env, capture_output=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    _calls_of_every_kind(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == fresh.stdout

@@ -16,6 +16,7 @@ from schlicht.expr import (
     Sub,
     Var,
     Z,
+    _zero_order,
     const,
     differentiate,
     eval_expr,
@@ -228,6 +229,35 @@ def test_log_derivative_at_origin_is_zero_order(src, expected):
     assert log_derivative_at(parse(src), 0j) == expected
     vals = log_derivative_field(parse(src), np.array([0j, 0j]))
     assert np.all(vals == expected)
+
+
+def _masked_log_derivative(e: Expr, z: np.ndarray) -> np.ndarray:
+    """z e'/e computed only off the origin, gathered and scattered back."""
+    d = differentiate(e)
+    vals, dvals = evaluate(e, z), evaluate(d, z)
+    at0 = z == 0
+    out = np.empty(z.shape, dtype=complex)
+    nz = ~at0
+    out[nz] = z[nz] * dvals[nz] / vals[nz]
+    out[at0] = _zero_order(e, d)
+    return out
+
+
+@pytest.mark.parametrize("e", [
+    differentiate(parse("z + 0.1*z^2")),
+    differentiate(parse("z*exp(0.1*z)")),
+    differentiate(parse("z/(1 - 0.3*z)")),
+    differentiate(parse("koebe")),
+    parse("koebe"),
+    parse("1"),
+], ids=["quad'", "zexp'", "moeb'", "koebe'", "koebe", "one"])
+def test_log_derivative_field_matches_the_masked_formula_bit_for_bit(e):
+    grid = DiskGrid().points()
+    with_origin = np.concatenate([[0j], grid.ravel(), [0j, -0.5 + 0j]])
+    for z in (grid, with_origin):
+        out = log_derivative_field(e, z)
+        assert out.shape == z.shape
+        assert out.tobytes() == _masked_log_derivative(e, z).tobytes()
 
 
 def test_log_derivative_zero_denominator():
