@@ -37,12 +37,24 @@ this rules out zeros inside), both coefficient errors fit
 ``_ABS_TOLERANCE``, V has no zero on the circle, winds 0 times around 0
 and stays above its coefficient error there (so by Rouche's theorem V
 has no zero in the disk), the log V tail fits ``_ABS_TOLERANCE``, and
-one cross-check per fit passes: the ``_CROSS_CHECK_POINTS`` roots of
-unity, on the circle where the error bounds are claimed and where the
-maximum modulus principle puts the largest gap of the two analytic
-brackets, are integrated by quadrature, and V must agree within the sum
-of the two error bounds plus rounding, on the same branches of log V and
-log Phi.  Otherwise every batch of the fit is integrated by quadrature,
+one cross-check per fit passes.  Its sample is the ``_CROSS_CHECK_POINTS``
+roots of unity u, on the circle where the error bounds are claimed, and
+each ray is integrated by quadrature on its outer half only, from the
+series' own V and log V at u/2:
+
+    V(u) = 2^(-alpha) V(u/2) + alpha * int_(1/2)^1 s^(alpha-1) H(s u) ds.
+
+With D the error of the series, V must agree within h_err * (1 +
+2^(-Re alpha)) plus the quadrature error and rounding, since the gap is
+D(u) - 2^(-alpha) D(u/2) plus the quadrature's own; that difference is
+analytic, so the maximum modulus principle puts its largest value on the
+circle.  An error eps u^n in coefficient n shows attenuated to
+|1 - 2^(-alpha-n)| eps, at least (1 - 2^(-Re alpha - n)) eps.  log V
+continues from the series' log at u/2, and the series' constant term
+must be the principal log of V(0), where quadrature from the origin
+starts; log Phi continues from the origin.  Both must end on the
+branches of the series.
+Otherwise every batch of the fit is integrated by quadrature from the origin,
 and the reason is recorded: a singularity of g or w on the circle
 (Koebe, z/(1-z)), a zero of g/z or of V in the disk, a slow coefficient
 tail, or a failed or raising cross-check.  :func:`continued_gz_log`
@@ -56,8 +68,10 @@ pi/2 or more.  :class:`_Ladder` carries it for Phi = g(u)/u over anchors
 shared by the rays and bisects unresolved gaps.  The quadrature path
 (:func:`iter_radial_brackets`) thus continues Phi^beta on the ladder, and
 the outer 1/alpha power over the partial integrals at the panel edges,
-halving every panel until each step resolves.  The chains continue their
-brackets from ``log_value`` at the endpoint (``chains``).
+halving every panel until each step resolves; given a start (V, log V)
+at z/2 on each ray, it integrates only from z/2 on and continues log V
+from there.  The chains continue their brackets from ``log_value`` at the
+endpoint (``chains``).
 
 The derivative of the operator needs no further quadrature.  Since
 G(z)^alpha = z^alpha V(z) = alpha * int_0^z g^(alpha-1) f' du,
@@ -112,6 +126,7 @@ _CHUNK = 2048
 _SERIES_START = 64         # samples on |u| = 1 at first
 _SERIES_MAX = 1 << 14      # cap of the sample doubling
 _CROSS_CHECK_POINTS = 16   # roots of unity integrated by quadrature per fit
+_CROSS_CHECK_START = 0.5   # fraction of each cross-check ray where quadrature starts
 _ROUNDING = 100 * np.finfo(float).eps
 _NODES_PER_PANEL = 16      # Gauss-Legendre nodes; the error estimate uses twice as many
 _ABS_TOLERANCE = 1e-10     # absolute error budget of V
@@ -292,7 +307,13 @@ def _initial_tau_edges() -> np.ndarray:
 
 
 def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
-                   q: int, zc: np.ndarray) -> RadialBracket:
+                   q: int, zc: np.ndarray, start=None) -> RadialBracket:
+    """The rays to ``zc`` from the origin, or from ``start`` = (V(zc/2),
+    log V(zc/2)) on: then, with rho0 = ``_CROSS_CHECK_START`` = 1/2,
+    V(sigma z) = sigma^(-alpha) (rho0^alpha V(rho0 z) + alpha int_rho0^sigma
+    s^(alpha-1) H(s z) ds), with q = 1 and one initial panel [rho0, 1], and
+    log V continues from the given log.  Phi^beta comes from the ladder
+    anchored at the origin either way."""
     xlo, wlo = _leg(_NODES_PER_PANEL)
     xhi, whi = _leg(2 * _NODES_PER_PANEL)
     qa = q * alpha
@@ -325,7 +346,7 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
         tpow = np.exp((qa - 1) * np.log(tau_nodes))[None, :, :]
         return q * tpow * vals
 
-    edges = _initial_tau_edges()
+    edges = _initial_tau_edges() if start is None else np.array([_CROSS_CHECK_START, 1.0])
     panels = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
     accepted: list[tuple[float, float, int, np.ndarray, np.ndarray]] = []
 
@@ -374,8 +395,13 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
         err_panels = np.stack([p[4] for p in accepted], axis=1)
         sigmas = b_edges ** q
         prefix = np.cumsum(partial, axis=1)
-        v_pref = alpha * prefix * np.exp(-alpha * np.log(sigmas))[None, :]
-        log_end, ok = _unwrap_prefix(v_pref, 0j, zc, sigmas)
+        v_pref = alpha * prefix
+        start_log = 0j
+        if start is not None:
+            v0, start_log = start
+            v_pref = v_pref + _CROSS_CHECK_START ** alpha * v0[:, None]
+        v_pref = v_pref * np.exp(-alpha * np.log(sigmas))[None, :]
+        log_end, ok = _unwrap_prefix(v_pref, start_log, zc, sigmas)
         if np.all(ok):
             break
         # outer continuation needs denser prefix edges: halve every panel
@@ -416,20 +442,28 @@ def _prepare(z) -> np.ndarray:
 
 
 def iter_radial_brackets(g: Expr, alpha, z, phi_exponent=None,
-                         weight: Expr | None = None,
+                         weight: Expr | None = None, start=None,
                          ) -> Iterator[tuple[np.ndarray, RadialBracket]]:
     """Yield (flat indices, RadialBracket) per processing chunk.
 
-    Endpoints with |z| below 1e-100 are skipped; there V = 1 exactly.
+    Endpoints with |z| below 1e-100 are skipped; there V = 1 exactly.  Each
+    ray is integrated from the origin, or, given ``start`` = (V at z/2,
+    log V at z/2) with one value per endpoint, only from z/2 on
+    (:func:`_bracket_chunk`).
     """
     alpha = _validate_alpha(alpha)
     beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
     zarr = _prepare(z)
-    q = _substitution_order(alpha)
+    if start is not None:
+        v0, logv0 = (np.asarray(a, dtype=complex).ravel() for a in start)
+        if not len(v0) == len(logv0) == len(zarr):
+            raise ParameterError("a start needs one V and log V per endpoint")
+    q = _substitution_order(alpha) if start is None else 1
     idx_nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
-    for start in range(0, len(idx_nonzero), _CHUNK):
-        sel = idx_nonzero[start:start + _CHUNK]
-        yield sel, _bracket_chunk(g, weight, alpha, beta, q, zarr[sel])
+    for first in range(0, len(idx_nonzero), _CHUNK):
+        sel = idx_nonzero[first:first + _CHUNK]
+        yield sel, _bracket_chunk(g, weight, alpha, beta, q, zarr[sel],
+                                  None if start is None else (v0[sel], logv0[sel]))
 
 
 @dataclass(frozen=True)
@@ -602,11 +636,12 @@ class BracketFit:
 
     The first batch fits it: the circle series of log Phi and H, the
     coefficients of V and of log V, and, once a batch has an endpoint off
-    the origin, the cross-check; every later batch reuses them, so an
-    object integrates at most one cross-check sample.  ``reason`` says why
-    the coefficient path was refused (None while it is not), and
-    ``cross_check_gap`` is the largest |V| gap of the cross-check (None
-    until it runs).
+    the origin, the cross-check, which integrates 16 rays on their outer
+    half from the series at u/2 (:meth:`_cross_check`); every later batch
+    reuses them, so an object integrates at most one cross-check sample.
+    ``reason`` says why the coefficient path was refused (None while it is
+    not), and ``cross_check_gap`` is the largest |V| gap of the cross-check
+    (None until it runs).
     """
 
     def __init__(self, g: Expr, alpha, phi_exponent=None, weight: Expr | None = None):
@@ -672,21 +707,43 @@ class BracketFit:
     def _cross_check(self, alpha: complex, beta: complex):
         """(largest |V| gap, reason or None) of the fit against quadrature.
 
-        The sample is ``_CROSS_CHECK_POINTS`` roots of unity: the error
+        The sample is ``_CROSS_CHECK_POINTS`` roots of unity u: the error
         bounds are claimed on the closed disk, and by the maximum modulus
-        principle the gap of the two analytic brackets is largest on its
-        boundary circle.
+        principle the gap of two analytic functions is largest on its
+        boundary circle.  Each ray is integrated only on its outer half,
+        from the series' own V and log V at u/2 (``_CROSS_CHECK_START``):
+
+            V(u) = 2^(-alpha) V(u/2) + alpha int_(1/2)^1 s^(alpha-1) H(s u) ds,
+
+        so with D = series - true V the gap is D(u) - 2^(-alpha) D(u/2) plus
+        the quadrature error.  That is analytic, and within h_err (1 +
+        2^(-Re alpha)) + quadrature error + rounding.  An error eps u^n in
+        coefficient n shows as a gap of |1 - 2^(-alpha-n)| eps, at least
+        (1 - 2^(-Re alpha - n)) eps: 0.19 eps for n = 0 and 0.59 eps for
+        n = 1 at alpha = 0.3, the catalog's smallest Re(alpha).  The factor
+        falls toward 0.69 Re(alpha) for n = 0 as Re(alpha) -> 0, so at
+        Re(alpha) = 0.05 an error of the constant coefficient must exceed
+        about 58 h_err before the gap sees it.
+
+        log V continues from the series' log at u/2, which shares any whole
+        turn of the series' log V, so the series' log V(0) must also be the
+        principal log of V(0), where quadrature from the origin starts it;
+        log Phi comes from the ladder anchored at the origin.
         """
         zs = _roots_of_unity(_CROSS_CHECK_POINTS)
+        v0, logv0, _ = self._values(_CROSS_CHECK_START * zs)
         try:
-            (_, quad), = iter_radial_brackets(self.g, alpha, zs, beta, self.weight)
+            (_, quad), = iter_radial_brackets(self.g, alpha, zs, beta, self.weight,
+                                              start=(v0, logv0))
         except SchlichtError as exc:
             return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
         value, log_value, logphi = self._values(zs)
         gap = np.abs(value - quad.value)
-        bound = self.series.h_error + quad.error + _ROUNDING * (1 + np.abs(quad.value))
+        bound = (self.series.h_error * (1 + _CROSS_CHECK_START ** alpha.real)
+                 + quad.error + _ROUNDING * (1 + np.abs(quad.value)))
         same_branch = ((np.abs(log_value - quad.log_value) < _HALF_PI)
-                       & (np.abs(logphi - quad.logphi_end) < _HALF_PI))
+                       & (np.abs(logphi - quad.logphi_end) < _HALF_PI)
+                       & (abs(self.logv[0] - np.log(self.v[0])) < _HALF_PI))
         worst = float(np.max(gap))
         if np.all(gap <= bound) and np.all(same_branch):
             return worst, None

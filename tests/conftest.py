@@ -1,7 +1,10 @@
 """Shared generators for randomized property tests (all seeded, no hypothesis),
-and ``ray_counter``, the count of the rays radial quadrature integrates."""
+and ``ray_counter`` and ``chunk_counter``, the rays and panels that radial
+quadrature integrates."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,21 +88,36 @@ def admissible_params(rng, with_h0: bool = True):
 
 
 @pytest.fixture
-def ray_counter(monkeypatch):
-    """List of the ray counts of every quadrature chunk run while active.
+def _quadrature_log(monkeypatch):
+    """Every quadrature chunk run while active, as ray counts and as
+    (rays, panels, smallest panel edge sigma).
 
     Every ray of radial quadrature, a fallback batch or a cross-check
     sample, passes through ``operators.iter_radial_brackets``, which
     ``BracketFit`` looks up as a module global; subjects and chains
     integrate only through a ``BracketFit``.
     """
-    rays = []
+    log = SimpleNamespace(rays=[], chunks=[])
     original = operators.iter_radial_brackets
 
     def counted(*args, **kwargs):
         for sel, br in original(*args, **kwargs):
-            rays.append(len(sel))
+            log.rays.append(len(sel))
+            log.chunks.append((len(sel), len(br.sigmas), float(np.min(br.sigmas))))
             yield sel, br
 
     monkeypatch.setattr(operators, "iter_radial_brackets", counted)
-    return rays
+    return log
+
+
+@pytest.fixture
+def ray_counter(_quadrature_log):
+    """List of the ray counts of every quadrature chunk run while active."""
+    return _quadrature_log.rays
+
+
+@pytest.fixture
+def chunk_counter(_quadrature_log):
+    """List of (rays, panels, smallest sigma) of every quadrature chunk run
+    while active; sigma is a panel's right edge as a fraction of |z|."""
+    return _quadrature_log.chunks

@@ -14,7 +14,7 @@ import pytest
 from schlicht import operators
 from schlicht.chains import chain_t6_p
 from schlicht.dsl import parse
-from schlicht.errors import ToleranceNotMet
+from schlicht.errors import ParameterError, ToleranceNotMet
 from schlicht.expr import differentiate
 from schlicht.operators import (
     bracket_final,
@@ -135,6 +135,86 @@ def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
     # the fit keeps its verdict: the next batch is integrated, not cross-checked
     assert fit.final(POINTS[:5]).fallback_reason == fin.fallback_reason
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0])
+def test_cross_check_sees_an_error_of_the_constant_coefficient(alpha):
+    # the cross-check compares D(u) - 2^(-alpha) D(u/2) for the series
+    # error D, so a shift eps of V's constant coefficient shows as
+    # |1 - 2^(-alpha)| eps, far above the bound
+    fit = operators.BracketFit(parse("z"), alpha, weight=differentiate(parse("z + 0.11*z^2")))
+    fit.final(np.zeros(1))
+    assert fit.reason is None
+    fit.v[0] += 1e-8
+    fin = fit.final(operators._roots_of_unity(16))
+    assert fin.path == "quadrature"
+    assert fin.fallback_reason.startswith("cross-check gap")
+    assert fin.cross_check_gap == pytest.approx(abs(1 - 2 ** -alpha) * 1e-8, rel=1e-3)
+
+
+def test_cross_check_attenuation_at_a_small_alpha():
+    # at alpha = 0.05 the same shift shows as only 0.034 eps, still far above
+    # the bound of this polynomial H; the check runs by itself, since the
+    # fallback would integrate from the origin
+    alpha = 0.05
+    fit = operators.BracketFit(parse("z"), alpha, weight=differentiate(parse("z + 0.11*z^2")))
+    fit.final(np.zeros(1))
+    assert fit.reason is None
+    fit.v[0] += 1e-8
+    gap, reason = fit._cross_check(complex(alpha), complex(alpha - 1))
+    assert reason.startswith("cross-check gap")
+    assert gap == pytest.approx((1 - 2 ** -alpha) * 1e-8, rel=1e-3)
+
+
+SEGMENT_F = "z/(1 - 0.17*z)"
+
+
+def _segment(g, alpha, u):
+    """(from the origin, from u/2 on) brackets at ``u``; the segment starts
+    from the from-origin quadrature's V and log V at u/2."""
+    w = differentiate(parse(SEGMENT_F))
+    (_, half), = iter_radial_brackets(g, alpha, 0.5 * u, weight=w)
+    (_, full), = iter_radial_brackets(g, alpha, u, weight=w)
+    (_, seg), = iter_radial_brackets(g, alpha, u, weight=w,
+                                     start=(half.value, half.log_value))
+    return half, full, seg
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0, 0.7 + 0.2j])
+@pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)"])
+def test_segment_from_half_matches_quadrature_from_the_origin(g_src, alpha):
+    u = operators._roots_of_unity(16)
+    half, full, seg = _segment(parse(g_src), alpha, u)
+    assert np.all(seg.sigmas >= 0.5)
+    bound = (seg.error + full.error + 2 ** -complex(alpha).real * half.error
+             + operators._ROUNDING * (1 + np.abs(full.value)))
+    assert np.all(np.abs(seg.value - full.value) <= bound)
+    assert np.all(np.abs(seg.log_value - full.log_value) <= bound / np.abs(full.value))
+    assert np.all(seg.branch_ok)
+
+
+def test_segment_start_needs_one_value_per_endpoint():
+    with pytest.raises(ParameterError):
+        next(iter_radial_brackets(parse("z"), 2.0, [0.9], start=([1.0, 1.0], [0.0, 0.0])))
+
+
+def test_segment_from_half_matches_mpmath(mpmath):
+    alpha, u = 0.7 + 0.2j, operators._roots_of_unity(16)
+    _, _, seg = _segment(parse("z*exp(0.1*z)"), alpha, u)
+    with mpmath.workdps(30):
+        a = mpmath.mpc(alpha)
+
+        def v(zz):
+            # t = s^(1/alpha) turns alpha t^(alpha-1) dt into ds; with
+            # g = z exp(0.1z), Phi^(alpha-1) = exp((alpha-1) 0.1 u)
+            def integrand(s):
+                w = zz * s ** (1 / a)
+                return mpmath.exp((a - 1) * 0.1 * w) / (1 - 0.17 * w) ** 2
+            return complex(mpmath.quad(integrand, [0, 1]))
+
+        ref = np.array([v(mpmath.mpc(zz)) for zz in u])
+    assert np.max(np.abs(seg.value - ref)) <= 1e-12
+    assert np.max(np.abs(seg.log_value - np.log(ref))) <= 1e-12
 
 
 def test_origin_only_batch_integrates_nothing(ray_counter):
@@ -282,6 +362,21 @@ def test_log_value_beyond_pi_keeps_the_branch_from_the_origin():
     fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z*exp(4i*z)")))
     assert fin.path == "coefficients"
     assert np.max(np.abs(fin.log_value - 4j * z)) <= 1e-12
+
+
+def test_cross_check_rejects_another_branch_of_log_v(ray_counter):
+    # the segment starts log V from the series at u/2, so a whole turn on
+    # the series' log V(0) reaches u/2 and u alike; only the anchor of log V
+    # at the origin can see it
+    g, w = parse("z*exp(0.5*z)"), parse("1 + z")
+    fit = operators.BracketFit(g, 2.0, weight=w)
+    fit.final(np.zeros(1))
+    assert fit.reason is None and ray_counter == []
+    fit.logv[0] += 2j * np.pi
+    fin = fit.final(POINTS[:16])
+    assert fin.path == "quadrature" and fin.cross_check_gap <= 1e-12
+    assert fin.fallback_reason.startswith("cross-check gap")
+    assert operators.BracketFit(g, 2.0, weight=w).final(POINTS[:16]).path == "coefficients"
 
 
 def test_cross_check_rejects_another_branch_of_log_phi(ray_counter):

@@ -5,11 +5,11 @@ whose pass the derivative check reuses), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
 Each subject or chain object fits its bracket once: when the fit takes the
 coefficient path, the object integrates one cross-check sample of 16 rays
-in all, whatever its number of batches; when it falls back, every batch
-integrates one ray per point.  The Beltrami coefficient of a chain's
-extension comes from its driving term, so a dilatation scan integrates
-nothing and ``extend`` evaluates one chain value per exported point, in
-two batches.  The injectivity scan forms candidate pairs in fixed-size
+in all, each on its outer half only, whatever its number of batches; when
+it falls back, every batch integrates one ray per point from the origin.
+The Beltrami coefficient of a chain's extension comes from its driving
+term, so a dilatation scan integrates nothing and ``extend`` evaluates one
+chain value per exported point, in two batches.  The injectivity scan forms candidate pairs in fixed-size
 chunks, so its memory stays small even when every image point falls in
 one cell.
 """
@@ -47,6 +47,27 @@ def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
     block = reporting.oracle_block(rc, reporting.subject_function(rc))
     assert block["preimage_counts_ok"] and not block["derivative_flagged"]
     assert sum(ray_counter) == expected
+
+
+@pytest.mark.parametrize("name, overrides, rays, outer_half", [
+    pytest.param("trivial_t2", {"grid": SMALL}, [16], True, id="trivial_t2"),
+    pytest.param("t6_eps02", {}, [16], True, id="t6_eps02"),
+    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, [512, 20, 512], False,
+                 id="fallback"),
+])
+def test_cross_check_integrates_the_outer_half_of_its_rays(chunk_counter, name, overrides,
+                                                            rays, outer_half):
+    # the cross-check starts each ray at u/2 from the series, in one panel
+    # [1/2, 1]; fallback batches integrate every ray from the origin
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    rc = reporting.load_config(raw, overrides)
+    reporting.oracle_block(rc, reporting.subject_function(rc))
+    assert [c[0] for c in chunk_counter] == rays
+    if outer_half:
+        assert [c[1] for c in chunk_counter] == [1]
+        assert all(c[2] >= 0.5 for c in chunk_counter)
+    else:
+        assert all(c[2] <= 2.0 ** -10 for c in chunk_counter)
 
 
 def test_max_dilatation_integrates_nothing(ray_counter):
