@@ -131,6 +131,7 @@ _ROUNDING = 100 * np.finfo(float).eps
 _NODES_PER_PANEL = 16      # Gauss-Legendre nodes; the error estimate uses twice as many
 _ABS_TOLERANCE = 1e-10     # absolute error budget of V
 _MAX_DEPTH = 60            # bisections of one panel before ToleranceNotMet
+_TINY = np.finfo(float).tiny  # smallest normal float
 _LADDER_ROUNDS = 64        # anchor insertion rounds of one branch ladder
 
 
@@ -332,6 +333,11 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
         # tau_nodes is (panels, nodes); result is (nz, panels, nodes)
         k, nn = tau_nodes.shape
         t = (tau_nodes ** q).ravel()
+        if t.min() < _TINY:
+            # 1/t and log t lose meaning where t leaves the normal floats
+            raise ToleranceNotMet(
+                f"tau^q underflows at q = {q}, Re alpha = {alpha.real:g}: the "
+                f"cascade toward t = 0 bisects below tau = {tau_nodes.min():.3g}")
         vals = phi_power(t)
         if weight is not None:
             u = zc[:, None] * t[None, :]

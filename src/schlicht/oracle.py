@@ -11,10 +11,14 @@ with the seam between the last angle and the first) and over all near
 pairs: points whose image cells floor(w / cell), cell = max(2*tol, 1e-12),
 differ by at most one on each axis.  The verdict is exact: on the disk
 |z1 - z2| < 2, so a pair with |dw| < tol*|dz| has |dw| < cell and is a near
-pair.  Near pairs are formed ``_PAIR_BUDGET`` at a time, so memory does not
-grow with the grid, even when every image point falls in one cell, and
-none are formed after a chunk reaches the floor ratio 0 (a constant
-subject stops after its first chunk).
+pair.  Only points with another point within 4 cells, plus a rounding
+allowance of 8 eps max|w|, along each of two fixed directions can be in a
+near pair; two 1-D sorts drop the others before any cell key is built,
+and one sort of the survivors' keys pairs them.  Near pairs are formed
+``_PAIR_BUDGET`` at a time, so memory does not grow with the grid, even
+when every image point falls in one cell, and none are formed after a
+chunk reaches the floor ratio 0 (a constant subject stops after its first
+chunk).
 
 Subjects are expressions or vectorized callables, taken through
 ``expr.as_subject``, which also gives the derivative check its f': symbolic
@@ -22,7 +26,8 @@ for an expression, the callable's own ``derivative`` when it has one (the
 operator subject's closed form G', see ``operators``), and finite
 differences only for a plain callable.  ``preimage_count`` takes one target
 or a sequence of targets; a sequence shares the evaluations of each winding
-circle.
+circle, and every target's first attempt on the first circle is taken
+in one array pass.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ __all__ = [
 ]
 
 _PAIR_BUDGET = 1 << 16  # candidate pairs formed at once
+_WINDING_BUDGET = 1 << 16  # target-node values of one winding pass
+# unit directions along which _near_candidates drops points far from all others
+_FILTER_DIRECTIONS = (np.exp(-1j), np.exp(-2.2j))
 
 
 @dataclass(frozen=True)
@@ -57,19 +65,58 @@ class InjectivityReport:
     tol: float
 
 
+def _near_candidates(w: np.ndarray, cell: float) -> np.ndarray:
+    """Indices, in increasing order, of the points that may be in a near pair.
+
+    A near pair's keys differ by at most one on each axis.  A computed key
+    is floor(fl(x / cell)), and fl(x / cell) lies within u |x| / cell of
+    x / cell, u = eps / 2, so the images of a near pair differ by less than
+    2 cell + eps M on each axis, M = max |w|.  Their projections Re(w d) on
+    a unit direction d then differ by less than sqrt(2) (2 cell + eps M).
+    Each computed projection is within eps M of its exact value, and the
+    computed difference of two is rounded once more, so the computed gap of
+    a near pair is at most (2 sqrt(2) cell + (2 + sqrt(2)) eps M)(1 + u),
+    below reach = 4 cell + 8 eps M.
+
+    For each of ``_FILTER_DIRECTIONS``, one sort of the projections of the
+    points still kept keeps those with a sorted neighbour within reach.
+    Both points of a near pair have one, since whatever lies between them
+    is nearer (the fixed-radius sort-and-sweep of Bentley, Stanat &
+    Williams, Inf. Process. Lett. 6, 1977).  No pair is formed inside that
+    window, so an image shaped like a thin strip costs two sorts, not a
+    quadratic sweep.
+    """
+    keep, wk = np.arange(len(w)), w
+    reach = 4 * cell + 8 * np.finfo(float).eps * float(np.abs(w).max(initial=0))
+    for d in _FILTER_DIRECTIONS:
+        proj = wk.real * d.real - wk.imag * d.imag
+        order = np.argsort(proj)
+        close = np.diff(proj[order]) <= reach
+        near = np.zeros(len(wk), dtype=bool)  # in sorted order
+        near[1:] = close
+        near[:-1] |= close
+        sel = np.sort(order[near])
+        keep, wk = keep[sel], wk[sel]
+    return keep
+
+
 def _near_pairs(w: np.ndarray, tol: float):
     """Yield index arrays (i, j) of every pair whose image cells touch.
 
-    Keys floor(w / cell) are sorted once.  A point pairs with the later
-    points of its own cell and all of cell (kx, ky+1), which follow it in
-    the sorted order, and with cells (kx+1, ky-1 .. ky+1), which are
+    Only the points that :func:`_near_candidates` keeps, those with another
+    point within 4 cells plus a rounding allowance along two directions,
+    get keys floor(w / cell); those are sorted once.  A point pairs with the
+    later points of its own cell and all of cell (kx, ky+1), which follow it
+    in the sorted order, and with cells (kx+1, ky-1 .. ky+1), which are
     contiguous there too; so each pair is formed exactly once.
     """
     cell = max(2 * tol, 1e-12)
-    kx = np.floor(w.real / cell)
-    ky = np.floor(w.imag / cell)
+    idx = _near_candidates(w, cell)
+    kx = np.floor(w.real[idx] / cell)
+    ky = np.floor(w.imag[idx] / cell)
     order = np.lexsort((ky, kx))
     keys = (kx + 1j * ky)[order]  # complex values sort as lexsort does
+    order = idx[order]
     n = len(keys)
     hi_same = np.searchsorted(keys, keys + 1j, side="right")
     lo_next = np.searchsorted(keys, keys + (1 - 1j), side="left")
@@ -131,7 +178,8 @@ def _neighbor_ratio(w2d: np.ndarray, z2d: np.ndarray) -> float:
     """Minimum |dw|/|dz| over radial and angular neighbours, seam included."""
     steps = [(w2d[1:, :] - w2d[:-1, :], z2d[1:, :] - z2d[:-1, :])]
     if z2d.shape[1] > 1:
-        steps.append((w2d - np.roll(w2d, 1, axis=1), z2d - np.roll(z2d, 1, axis=1)))
+        steps.append((w2d[:, 1:] - w2d[:, :-1], z2d[:, 1:] - z2d[:, :-1]))
+        steps.append((w2d[:, :1] - w2d[:, -1:], z2d[:, :1] - z2d[:, -1:]))
     return min(float((np.abs(dw) / np.abs(dz)).min(initial=np.inf))
                for dw, dz in steps)
 
@@ -183,10 +231,42 @@ def preimage_count(f, w0, r: float = 0.9, n_nodes: int = 512,
             circles[attempt, nodes] = np.asarray(fn(rr * np.exp(1j * th)))
         return circles[attempt, nodes]
 
-    if np.ndim(w0) == 0:
-        return _winding(circle, complex(w0), r, n_nodes, max_refinements)
-    return [_winding(circle, complex(w), r, n_nodes, max_refinements)
-            for w in w0]
+    targets = np.atleast_1d(np.asarray(w0, dtype=complex)).ravel()
+    firsts: list[int | None] = []
+    step = max(1, _WINDING_BUDGET // n_nodes)
+    for t0 in range(0, len(targets), step):
+        totals, states = _attempt(circle(0, n_nodes), targets[t0:t0 + step])
+        firsts.extend(int(round(t)) if s == _RESOLVED else None
+                      for t, s in zip(totals, states))
+    counts = [_winding(circle, complex(w), r, n_nodes, max_refinements)
+              if k is None else k for w, k in zip(targets, firsts)]
+    return counts[0] if np.ndim(w0) == 0 else counts
+
+
+_RESOLVED, _ON_CURVE, _COARSE, _NON_INTEGRAL = range(4)
+
+
+def _attempt(vals: np.ndarray, targets: np.ndarray):
+    """Winding of one circle's values about each target, in one array pass.
+
+    Returns (total, state) per target: total is the sum of the principal
+    phase steps over 2 pi, and state says whether that total is the count
+    (``_RESOLVED``) or why not: the curve passes within 1e-9 (1 + |w0|) of
+    the target (``_ON_CURVE``), some step is not below pi/2 (``_COARSE``),
+    or the total is not within 0.1 of an integer (``_NON_INTEGRAL``), in
+    that order of precedence.  Each row sums as a 1-D array, so a target
+    gets the same total alone or among others.
+    """
+    d = vals[None, :] - targets[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows on the curve
+        steps = np.angle(np.concatenate([d[:, 1:], d[:, :1]], axis=1) / d)
+    total = np.sum(steps, axis=1) / (2 * np.pi)
+    state = np.full(len(targets), _RESOLVED)
+    # negated comparisons, so that a NaN step or total is never resolved
+    state[~(np.abs(total - np.round(total)) <= 0.1)] = _NON_INTEGRAL
+    state[~(np.max(np.abs(steps), axis=1) < np.pi / 2)] = _COARSE
+    state[np.min(np.abs(d), axis=1) <= 1e-9 * (1 + np.abs(targets))] = _ON_CURVE
+    return total, state
 
 
 def _winding(circle, w0: complex, r: float, n_nodes: int,
@@ -195,18 +275,15 @@ def _winding(circle, w0: complex, r: float, n_nodes: int,
         rr = r + 1e-4 * attempt
         nodes = n_nodes
         for _ in range(max_refinements + 1):
-            vals = circle(attempt, nodes) - w0
-            if np.min(np.abs(vals)) <= 1e-9 * (1 + abs(w0)):
-                break  # on the curve; perturb r
-            closed = np.concatenate([vals, vals[:1]])
-            steps = np.angle(closed[1:] / closed[:-1])
-            if np.max(np.abs(steps)) < np.pi / 2:
-                total = float(np.sum(steps)) / (2 * np.pi)
-                winding = int(round(total))
-                if abs(total - winding) > 0.1:
-                    raise UnresolvedWinding(
-                        f"non-integral winding {total:.3f} at r={rr}")
-                return winding
+            (total,), (state,) = _attempt(circle(attempt, nodes),
+                                          np.array([w0]))
+            if state == _ON_CURVE:
+                break  # perturb r
+            if state == _RESOLVED:
+                return int(round(total))
+            if state == _NON_INTEGRAL:
+                raise UnresolvedWinding(
+                    f"non-integral winding {total:.3f} at r={rr}")
             nodes *= 2
         else:
             raise UnresolvedWinding(

@@ -198,6 +198,22 @@ def test_segment_start_needs_one_value_per_endpoint():
         next(iter_radial_brackets(parse("z"), 2.0, [0.9], start=([1.0, 1.0], [0.0, 0.0])))
 
 
+@pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)", "z + 0.1*z^2"])
+def test_small_alpha_underflow_raises_tolerance_not_met(g_src):
+    # at alpha = 0.05 the substitution order is q = 16, and the cascade
+    # toward t = 0 bisects until tau^16 underflows
+    weight, u = parse("1 + 0.22*z"), operators._roots_of_unity(16)
+    with pytest.raises(ToleranceNotMet, match=r"q = 16.*Re alpha = 0\.05"):
+        list(iter_radial_brackets(parse(g_src), 0.05, u, weight=weight))
+
+
+@pytest.mark.parametrize("alpha, panels", [(0.07, 47), (0.1, 21)])
+def test_small_alpha_above_the_underflow_still_integrates(alpha, panels):
+    (_, br), = iter_radial_brackets(parse("z"), alpha, operators._roots_of_unity(16),
+                                    weight=parse("1 + 0.22*z"))
+    assert len(br.sigmas) == panels and np.all(br.branch_ok)
+
+
 def test_segment_from_half_matches_mpmath(mpmath):
     alpha, u = 0.7 + 0.2j, operators._roots_of_unity(16)
     _, _, seg = _segment(parse("z*exp(0.1*z)"), alpha, u)

@@ -129,6 +129,70 @@ def test_near_pairs_agree_with_brute_force(monkeypatch, tol):
         assert found == expected
 
 
+def _formed_pairs(w, tol):
+    formed = [(int(a), int(b)) for i, j in oracle._near_pairs(w, tol)
+              for a, b in zip(np.minimum(i, j), np.maximum(i, j))]
+    assert len(formed) == len(set(formed))  # each pair formed once
+    return set(formed)
+
+
+def _touching_cells(w, tol):
+    """Every pair i < j whose cells floor(w / cell) touch, by brute force."""
+    cell = max(2 * tol, 1e-12)
+    kx, ky = np.floor(w.real / cell), np.floor(w.imag / cell)
+    touch = ((np.abs(kx[:, None] - kx[None, :]) <= 1)
+             & (np.abs(ky[:, None] - ky[None, :]) <= 1))
+    i, j = np.nonzero(np.triu(touch, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("turn", ["along", "across", "corner"])
+@pytest.mark.parametrize("direction", range(len(oracle._FILTER_DIRECTIONS)))
+def test_filter_keeps_pairs_straddling_cell_edges(monkeypatch, direction, turn):
+    # pairs straddle a cell corner along or across a filter direction, or
+    # along the cell diagonal nearest to it, where touching cells project
+    # farthest apart; offsets reach 3 cells, so some pairs touch and
+    # others do not
+    monkeypatch.setattr(oracle, "_PAIR_BUDGET", 97)
+    tol = 1e-6
+    cell = 2 * tol
+    d = oracle._FILTER_DIRECTIONS[direction]
+    d = {"along": d, "across": 1j * d,
+         "corner": (np.sign(d.real) + 1j * np.sign(d.imag)) / np.sqrt(2)}[turn]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        z, w = _planted_cloud(rng, tol)
+        # lone points far apart, which the filter drops
+        w[120:] = cell * (rng.uniform(-1e4, 1e4, 120) + 1j * rng.uniform(-1e4, 1e4, 120))
+        for a in range(0, 60, 2):
+            edge = cell * (rng.integers(-100, 100) + 1j * rng.integers(-100, 100))
+            half = 0.5 * cell * rng.uniform(0.5, 3.0) * d
+            w[a], w[a + 1] = edge - half, edge + half
+        expected = _touching_cells(w, tol)
+        assert sum(b == a + 1 and a < 60 for a, b in expected) >= 10
+        assert _formed_pairs(w, tol) == expected
+        found = {(a, b) for a, b in expected
+                 if abs(w[a] - w[b]) < tol * abs(z[a] - z[b])}
+        assert found == _brute_force_pairs(z, w, tol)
+        assert len(oracle._near_candidates(w, cell)) <= 130
+
+
+@pytest.mark.parametrize("direction", range(len(oracle._FILTER_DIRECTIONS)))
+def test_filter_on_a_line_perpendicular_to_a_direction(direction):
+    # every projection on that direction is about equal, so it drops nothing
+    tol = 1e-6
+    rng = np.random.default_rng(7 + direction)
+    n = 300
+    z = 0.999 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    t = np.cumsum(rng.uniform(0, 5, n)) * 2 * tol
+    w = 0.37 + 1j * oracle._FILTER_DIRECTIONS[direction] * t[rng.permutation(n)]
+    expected = _touching_cells(w, tol)
+    assert len(expected) >= 50
+    assert _formed_pairs(w, tol) == expected
+    assert {(a, b) for a, b in expected
+            if abs(w[a] - w[b]) < tol * abs(z[a] - z[b])} == _brute_force_pairs(z, w, tol)
+
+
 def test_constant_subject_stops_after_first_chunk(monkeypatch):
     chunks = []
     original = oracle._near_pairs
@@ -186,6 +250,45 @@ def test_min_separation_ratio_is_the_all_pairs_minimum(subject):
     rep = injectivity_test(fn, grid)
     assert rep.injective_on_grid
     assert rep.min_separation_ratio == _all_pairs_minimum(fn, grid)
+
+
+@pytest.mark.parametrize("src, is_all_pairs", [
+    ("koebe", False), ("z/(1 - z)", True), ("z*exp(0.17*z)", True)])
+def test_min_separation_ratio_over_large_images(src, is_all_pairs):
+    # Koebe's |w| near 1e6 at r = 0.999 gives the near-pair filter its
+    # largest rounding allowance
+    grid = DiskGrid(n_radial=32, n_angular=64)
+    fn = as_subject(parse(src))
+    rep = injectivity_test(fn, grid)
+    z2d = grid.points()
+    w2d = np.asarray(fn(z2d))
+    z, w = z2d.ravel(), w2d.ravel()
+    near = _touching_cells(w, rep.tol)
+    assert _formed_pairs(w, rep.tol) == near
+    i, j = np.array(sorted(near), dtype=int).reshape(-1, 2).T
+    near_min = np.min(np.abs(w[i] - w[j]) / np.abs(z[i] - z[j]), initial=np.inf)
+    assert rep.min_separation_ratio == min(near_min, oracle._neighbor_ratio(w2d, z2d))
+    if is_all_pairs:
+        assert rep.min_separation_ratio == _all_pairs_minimum(fn, grid)
+    else:
+        # the lowest ratio spans Koebe's slit: images 2.5e-5 apart, which
+        # is many cells, so neither a near pair nor a grid neighbour
+        assert _all_pairs_minimum(fn, grid) < rep.min_separation_ratio
+
+
+def test_filter_keys_a_small_share_of_a_large_image(monkeypatch):
+    kept = []
+    original = oracle._near_candidates
+
+    def counted(w, cell):
+        idx = original(w, cell)
+        kept.append((len(idx), len(w)))
+        return idx
+
+    monkeypatch.setattr(oracle, "_near_candidates", counted)
+    injectivity_test(parse("z*exp(0.17*z)"), DiskGrid(n_radial=128, n_angular=256))
+    (n_kept, n), = kept
+    assert n == 32_768 and n_kept <= 0.15 * n
 
 
 def test_preimage_counts():
@@ -282,3 +385,66 @@ def test_preimage_count_sequence_raises_like_the_loop():
     with pytest.raises(UnresolvedWinding):
         preimage_count(fn, [5.0, 0.3 + 0.1j], r=0.9, n_nodes=512,
                        max_refinements=3)
+
+
+def _per_target_loop(fn, targets, r=0.9, n_nodes=512, max_refinements=5):
+    """Counts of ``_winding`` run target by target over shared circles."""
+    circles = {}
+
+    def circle(attempt, nodes):
+        if (attempt, nodes) not in circles:
+            th = 2 * np.pi * np.arange(nodes) / nodes
+            circles[attempt, nodes] = np.asarray(fn((r + 1e-4 * attempt) * np.exp(1j * th)))
+        return circles[attempt, nodes]
+
+    return [oracle._winding(circle, complex(w), r, n_nodes, max_refinements)
+            for w in targets]
+
+
+def test_batched_first_windings_match_the_per_target_loop(monkeypatch):
+    f = lambda z: np.asarray(z) + 0.1 * np.asarray(z) ** 2
+    resolved = 0.3 + 0.1j
+    on_curve = 0.981  # f(0.9): a radius nudge
+    # 1e-11 outside the curve, so within the on-curve band, where the
+    # steps stay below pi/2: only the band test sends it to a nudge
+    grazing = 0.981 + 1e-11
+    # inside the curve, halfway between two of 512 nodes: steps above pi/2
+    doubling = 0.999 * f(0.9 * np.exp(1j * np.pi / 512))
+    # 1e-6 from the curve, halfway between two of 16384 nodes
+    unresolved = (1 - 1e-6) * f(0.9 * np.exp(1j * np.pi / 16384))
+
+    def counting():
+        calls = []
+
+        def fn(z):
+            calls.append((len(z), round(float(np.abs(z[0])), 6)))
+            return f(z)
+        return fn, calls
+
+    looped = []
+    original = oracle._winding
+
+    def spied(circle, w0, *args):
+        looped.append(w0)
+        return original(circle, w0, *args)
+
+    targets = [resolved, on_curve, doubling, grazing, resolved, 5.0]
+    ref_fn, ref_calls = counting()
+    expected = _per_target_loop(ref_fn, targets)
+    monkeypatch.setattr(oracle, "_winding", spied)
+    # 2 targets of 512 nodes per pass: the sequences span 3 and 2 passes
+    monkeypatch.setattr(oracle, "_WINDING_BUDGET", 1024)
+    fn, calls = counting()
+    assert preimage_count(fn, targets) == expected == [1, 1, 1, 1, 1, 0]
+    assert calls == ref_calls == [(512, 0.9), (512, 0.9001), (1024, 0.9)]
+    assert looped == [on_curve, doubling, grazing]  # the rest in one array pass
+
+    targets = [resolved, on_curve, doubling, unresolved]
+    fn, calls = counting()
+    ref_fn, ref_calls = counting()
+    with pytest.raises(UnresolvedWinding):
+        preimage_count(fn, targets)
+    with pytest.raises(UnresolvedWinding):
+        _per_target_loop(ref_fn, targets)
+    assert calls == ref_calls
+    assert calls[-1] == (16384, 0.9)
