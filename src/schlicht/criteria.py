@@ -152,7 +152,9 @@ def disk_maximize(objective, grid: DiskGrid) -> tuple[float, complex]:
     ``objective(radii, angles)`` must return the field on the outer product
     of its arguments.  The cell around the running argmax is re-sampled on
     an 8 x 8 sub-grid ``refinement_levels`` times, never extending past
-    r_max.  Ties break to the lowest enumeration index (radius-major).
+    r_max.  Values within ``_TIE_ULPS`` ulp of the maximum tie with it, and
+    ties break to the lowest enumeration index (radius-major), so a moved
+    last bit cannot move the witness between conjugate maxima.
     Only the single grid argmax is refined: a second peak of nearly the
     same height elsewhere is never refined, so its true height can exceed
     the returned maximum.
@@ -161,13 +163,29 @@ def disk_maximize(objective, grid: DiskGrid) -> tuple[float, complex]:
     return _refine_maximum(objective, grid, vals)
 
 
+# Fields of real-coefficient subjects are symmetric about the real axis;
+# their conjugate maxima differ by up to 5 ulp on the catalog's grids.
+_TIE_ULPS = 8
+
+
+def _first_max(vals: np.ndarray) -> int:
+    """Flat index of the first value within ``_TIE_ULPS`` ulp of the maximum.
+
+    A NaN or infinite maximum is taken at its first occurrence.
+    """
+    flat = vals.ravel()
+    top = flat.max()
+    if not np.isfinite(top):
+        return int(np.argmax(flat))
+    return int(np.argmax(flat >= top - _TIE_ULPS * np.spacing(abs(top))))
+
+
 def _refine_maximum(objective, grid: DiskGrid,
                     vals: np.ndarray) -> tuple[float, complex]:
     """:func:`disk_maximize` from the field's values on the base grid."""
     radii = grid.radii()
     angles = grid.angles()
-    flat = int(np.argmax(vals))
-    i, j = divmod(flat, len(angles))
+    i, j = divmod(_first_max(vals), len(angles))
     best = float(vals[i, j])
     best_r, best_th = float(radii[i]), float(angles[j])
     dr = grid.r_max / grid.n_radial
@@ -178,8 +196,7 @@ def _refine_maximum(objective, grid: DiskGrid,
         sub_r = np.linspace(r_lo, r_hi, 8)
         sub_th = np.linspace(best_th - dth, best_th + dth, 8)
         sub = np.asarray(objective(sub_r, sub_th), dtype=float)
-        flat = int(np.argmax(sub))
-        i, j = divmod(flat, 8)
+        i, j = divmod(_first_max(sub), 8)
         if float(sub[i, j]) > best:
             best = float(sub[i, j])
             best_r, best_th = float(sub_r[i]), float(sub_th[j])

@@ -351,3 +351,30 @@ def test_log_derivative_condition_operator_subject_uses_closed_form():
     assert rep_op.satisfied == rep_expr.satisfied
     assert rep_op.margin == pytest.approx(rep_expr.margin, abs=1e-12)
     assert rep_op.witness == pytest.approx(rep_expr.witness, abs=1e-12)
+
+
+def test_disk_maximize_ties_within_a_few_ulp_go_to_the_lowest_grid_index():
+    # the later point is one ulp higher; the earlier one wins the tie
+    grid = DiskGrid(n_radial=4, n_angular=8, r_max=0.9, refinement_levels=0)
+
+    def objective(radii, angles):
+        vals = np.zeros((len(radii), len(angles)))
+        vals[2, 1] = 1.0
+        vals[2, 7] = np.nextafter(1.0, 2.0)
+        return vals
+
+    best, witness = disk_maximize(objective, grid)
+    assert best == 1.0
+    assert witness == pytest.approx(grid.points()[2, 1], abs=1e-15)
+
+
+def test_witness_among_conjugate_maxima_is_the_lowest_grid_index():
+    # f and g have real coefficients, so the T6 field is symmetric about
+    # the real axis; its base-grid maxima at angle indices 45 and 83
+    # = 128 - 45 differ only in their last bits
+    rc = load_config({"f": "z*exp(0.08*z)", "g": "z*exp(0.1*z)", "check": "T6",
+                      "params": {"alpha": [2, 0], "k": 0.6}})
+    rep = check_t6(rc.f, rc.g, 2.0, 0.6, rc.grid)
+    theta = np.angle(rep.witness) % (2 * np.pi)
+    assert rep.witness.imag > 0
+    assert abs(theta - 2 * np.pi * 45 / 128) <= 2 * np.pi / 128
