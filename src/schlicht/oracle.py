@@ -108,21 +108,29 @@ def _near_pairs(w: np.ndarray, tol: float):
     get keys floor(w / cell); those are sorted once.  A point pairs with the
     later points of its own cell and all of cell (kx, ky+1), which follow it
     in the sorted order, and with cells (kx+1, ky-1 .. ky+1), which are
-    contiguous there too; so each pair is formed exactly once.
+    contiguous there too; so each pair is formed exactly once.  A key
+    component past 2^53 has no float neighbour one away (k + 1 rounds to k
+    or to k + 2), so no cell one away from it can hold a point and its
+    neighbour cells on that side are left out: the pairs formed are those
+    whose float keys differ by at most one on each axis.
     """
     cell = max(2 * tol, 1e-12)
     idx = _near_candidates(w, cell)
     kx = np.floor(w.real[idx] / cell)
     ky = np.floor(w.imag[idx] / cell)
     order = np.lexsort((ky, kx))
-    keys = (kx + 1j * ky)[order]  # complex values sort as lexsort does
+    kx, ky = kx[order], ky[order]
+    keys = kx + 1j * ky  # complex values sort as lexsort does
     order = idx[order]
     n = len(keys)
-    hi_same = np.searchsorted(keys, keys + 1j, side="right")
-    lo_next = np.searchsorted(keys, keys + (1 - 1j), side="left")
+    # 1 where the neighbouring key on that side exists as a float, else 0
+    up, down = (ky + 1) - ky == 1, ky - (ky - 1) == 1
+    hi_same = np.searchsorted(keys, keys + 1j * up, side="right")
+    lo_next = np.searchsorted(keys, keys + (1 - 1j * down), side="left")
+    hi_next = np.searchsorted(keys, keys + (1 + 1j * up), side="right")
     n_same = hi_same - np.arange(1, n + 1)
-    starts = np.concatenate([[0], np.cumsum(
-        n_same + np.searchsorted(keys, keys + (1 + 1j), side="right") - lo_next)])
+    n_next = np.where((kx + 1) - kx == 1, hi_next - lo_next, 0)
+    starts = np.concatenate([[0], np.cumsum(n_same + n_next)])
     for t0 in range(0, int(starts[-1]), _PAIR_BUDGET):
         t = np.arange(t0, min(t0 + _PAIR_BUDGET, int(starts[-1])))
         p = np.searchsorted(starts, t, side="right") - 1

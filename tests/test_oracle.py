@@ -448,3 +448,20 @@ def test_batched_first_windings_match_the_per_target_loop(monkeypatch):
         _per_target_loop(ref_fn, targets)
     assert calls == ref_calls
     assert calls[-1] == (16384, 0.9)
+
+
+def test_near_pairs_stay_exact_past_two_to_the_53_cells():
+    # |w| of 1e3-1e4 with tol 1e-14 puts |w| / cell near and past 2^53,
+    # where a float key + 1 rounds back onto the key or onto key + 2; 100
+    # planted pairs a few ulps apart
+    rng = np.random.default_rng(53)
+    tol = 1e-14
+    w0 = rng.uniform(1e3, 1e4, 100) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
+    ulps = rng.integers(1, 4, 100) * np.spacing(np.abs(w0.real))
+    w = np.concatenate([w0, w0 + ulps * np.exp(2j * np.pi * rng.uniform(0, 1, 100))])
+    assert np.max(np.abs(w)) / 1e-12 > 2.0 ** 53  # cell = max(2 tol, 1e-12)
+    formed = [(int(a), int(b)) for i, j in oracle._near_pairs(w, tol)
+              for a, b in zip(np.minimum(i, j), np.maximum(i, j))]
+    assert len(formed) == len(set(formed))  # each pair formed once
+    assert all(a != b for a, b in formed)
+    assert set(formed) == _touching_cells(w, tol)
