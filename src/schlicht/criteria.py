@@ -31,8 +31,8 @@ from .expr import (
     differentiate,
     div,
     eval_expr,
-    evaluate,
-    log_derivative_field,
+    jet,
+    log_derivative_values,
 )
 from .operators import continued_gz_log
 
@@ -206,6 +206,13 @@ def _refine_maximum(objective, grid: DiskGrid,
 
 
 def _grid_condition(name: str, strict: bool, rhs: float, field_fn, grid: DiskGrid):
+    """The condition LHS <= rhs (< when ``strict``) for the field ``field_fn``.
+
+    A field that comes out as a scalar is constant in z.  It gets no grid
+    pass and no refinement: every grid point ties, so the witness is the
+    first one and each trend row is the constant, as refining a constant
+    array would give.
+    """
     def obj(radii, angles):
         """``field_fn`` over complex points, on the (radii, angles) grid."""
         zz = np.asarray(radii)[:, None] * np.exp(1j * np.asarray(angles))[None, :]
@@ -213,8 +220,12 @@ def _grid_condition(name: str, strict: bool, rhs: float, field_fn, grid: DiskGri
 
     radii = grid.radii()
     base = np.asarray(obj(radii, grid.angles()), dtype=float)
-    # refinement starts at the base argmax and only moves up
-    lhs_max, witness = _refine_maximum(obj, grid, base)
+    if base.ndim == 0:
+        lhs_max, witness = float(base), complex(radii[0])
+        base = np.broadcast_to(base, (grid.n_radial, 1))
+    else:
+        # refinement starts at the base argmax and only moves up
+        lhs_max, witness = _refine_maximum(obj, grid, base)
     margin = rhs - lhs_max
     trend = tuple(
         (float(radii[i]), float(np.max(base[i])))
@@ -252,9 +263,10 @@ def check_alpha_condition(p: CriterionParams) -> bool:
     return _eq1_report(p).margin > 0
 
 
-def _h_values(triple: AnalyticTriple, zz: np.ndarray, error=None) -> np.ndarray:
-    """h on ``zz``; a zero raises ``error(z)``, by default DivisionByZero."""
-    hv = evaluate(triple.h, zz)
+def _h_values(triple: AnalyticTriple, zz: np.ndarray, error=None):
+    """h on ``zz``, a scalar when h is constant; a zero raises ``error(z)``,
+    by default DivisionByZero."""
+    hv, = jet(triple.h, zz, 0)
     _raise_at_first(hv == 0, zz, error or (lambda w: DivisionByZero(w, triple.h)))
     return hv
 
@@ -278,10 +290,14 @@ def check_h_condition(triple: AnalyticTriple, p: CriterionParams,
 
 
 def bracket_field(triple: AnalyticTriple, alpha: complex, zz: np.ndarray) -> np.ndarray:
-    """(alpha-1) z g'/g + 1 + z f''/f' + z h'/h with removable limits at 0."""
-    t1 = (alpha - 1) * log_derivative_field(triple.g, zz, triple.gp)
-    t2 = log_derivative_field(triple.fp, zz, triple.fpp)
-    t3 = log_derivative_field(triple.h, zz, triple.hp)
+    """(alpha-1) z g'/g + 1 + z f''/f' + z h'/h with removable limits at 0.
+
+    Each log derivative comes from one jet walk of f, g or h.
+    """
+    _, fp, fpp = jet(triple.f, zz, 2)
+    t1 = (alpha - 1) * log_derivative_values(zz, *jet(triple.g, zz, 1), triple.g)
+    t2 = log_derivative_values(zz, fp, fpp, triple.fp)
+    t3 = log_derivative_values(zz, *jet(triple.h, zz, 1), triple.h)
     return t1 + 1 + t2 + t3
 
 
@@ -328,23 +344,27 @@ def check_simplified_t21(triple: AnalyticTriple, p: CriterionParams,
         rhs, lambda zz: np.abs(bracket_field(triple, p.alpha, zz) - rhs))
 
 
-def becker_lhs(f: Expr, m: float, zz: np.ndarray,
-               fp: Expr | None = None, fpp: Expr | None = None) -> np.ndarray:
-    fp = fp if fp is not None else differentiate(f)
-    fpp = fpp if fpp is not None else differentiate(fp)
+def becker_lhs(f: Expr, m: float, zz: np.ndarray, jets=None) -> np.ndarray:
+    """|(m-2)/2 - (1-|z|^m) z f''/f'| on ``zz``.
+
+    ``jets(zz)`` gives (f, f', f'') there; by default one walk of f's tree.
+    """
+    _, fp, fpp = jet(f, zz, 2) if jets is None else jets(zz)
     lam = np.abs(zz) ** m
-    return np.abs((m - 2) / 2 - (1 - lam) * log_derivative_field(fp, zz, fpp))
+    return np.abs((m - 2) / 2 - (1 - lam) * log_derivative_values(
+        zz, fp, fpp, lambda: differentiate(f)))
 
 
-def check_becker(f: Expr, m: float, grid: DiskGrid) -> CriterionReport:
-    """|(m-2)/2 - (1-|z|^m) z f''/f'| <= m/2 for m > 1."""
+def check_becker(f: Expr, m: float, grid: DiskGrid, jets=None) -> CriterionReport:
+    """|(m-2)/2 - (1-|z|^m) z f''/f'| <= m/2 for m > 1.
+
+    ``jets``, as in :func:`becker_lhs`, lets a run's subject keep the
+    base-grid pass of f and f' for the oracle.
+    """
     if not m > 1:
         raise ParameterError(f"m={m} must exceed 1")
-    fp = differentiate(f)
-    fpp = differentiate(fp)
     main, trend = _grid_condition(
-        "main", False, m / 2,
-        lambda zz: becker_lhs(f, m, zz, fp, fpp), grid)
+        "main", False, m / 2, lambda zz: becker_lhs(f, m, zz, jets), grid)
     return _assemble("becker", [main], grid, trend)
 
 
@@ -375,12 +395,13 @@ def check_qc_t5(triple: AnalyticTriple, p: CriterionParams,
     return rep, bound
 
 
-def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray,
-             fp: Expr | None = None) -> np.ndarray:
-    """z^(1-alpha) g^(alpha-1) f' as the branch-continued (g/z)^(alpha-1) f'."""
-    fp = fp if fp is not None else differentiate(f)
+def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray) -> np.ndarray:
+    """z^(1-alpha) g^(alpha-1) f' as the branch-continued (g/z)^(alpha-1) f'.
+
+    f' comes from a jet walk of f.
+    """
     logphi = continued_gz_log(g, zz.ravel()).reshape(zz.shape)
-    return np.exp((alpha - 1) * logphi) * evaluate(fp, zz)
+    return np.exp((alpha - 1) * logphi) * jet(f, zz, 1)[1]
 
 
 def check_t6(f: Expr, g: Expr, alpha: float, k: float,
@@ -391,10 +412,9 @@ def check_t6(f: Expr, g: Expr, alpha: float, k: float,
         raise ParameterError("alpha must be a positive real number here")
     if not (0 <= k < 1):
         raise ParameterError(f"k={k} must lie in [0, 1)")
-    fp = differentiate(f)
     main, trend = _grid_condition(
         "uk-distance", False, k,
-        lambda zz: _uk_distance_field(t6_field(f, g, alpha, zz, fp)), grid)
+        lambda zz: _uk_distance_field(t6_field(f, g, alpha, zz)), grid)
     return _assemble("T6", [main], grid, trend)
 
 

@@ -13,7 +13,7 @@ walk over a tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .errors import BranchPointHit, DivisionByZero, NonFiniteValue, ParameterErr
 __all__ = [
     "Expr", "Var", "Const", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Log",
     "Z", "var", "const", "neg", "add", "sub", "mul", "div", "pow_", "exp_", "log_",
-    "evaluate", "eval_expr", "differentiate", "principal_power", "log_derivative_at",
-    "log_derivative_field", "AnalyticTriple", "as_subject",
+    "evaluate", "jet", "eval_expr", "differentiate", "principal_power",
+    "log_derivative_at", "log_derivative_field", "log_derivative_values",
+    "AnalyticTriple", "as_subject",
 ]
 
 
@@ -225,48 +226,191 @@ def principal_power(w, exponent):
     return _scalar_out(out, w)
 
 
-def _walk(e: Expr, z: np.ndarray):
+def _is_zero(x) -> bool:
+    """Whether ``x`` is an exact scalar 0, the derivative of a constant."""
+    return not isinstance(x, np.ndarray) and x == 0
+
+
+def _sum(*terms):
+    """Sum of derivative terms; an exact scalar 0 term is left out."""
+    out = 0j
+    for x in terms:
+        if not _is_zero(x):
+            out = x if _is_zero(out) else out + x
+    return out
+
+
+def _minus(x, y):
+    """x - y for derivative terms, leaving out an exact scalar 0."""
+    if _is_zero(y):
+        return x
+    return -y if _is_zero(x) else x - y
+
+
+def _prod(*factors):
+    """Product of derivative terms: scalar factors are folded first and
+    applied once, a scalar 0 gives 0 and a scalar 1 is left out."""
+    scale, out = 1 + 0j, None
+    for x in factors:
+        if isinstance(x, np.ndarray):
+            out = x if out is None else out * x
+        elif x == 0:
+            return 0j
+        elif x != 1:
+            scale = scale * x
+    if out is None:
+        return complex(scale)
+    return out if scale == 1 else out * scale
+
+
+def _quot(x, y):
+    """x / y for a derivative term x over a value y that has no zero."""
+    return 0j if _is_zero(x) else x / y
+
+
+def _power_jet(a: list, c: complex, order: int) -> list:
+    """[u^c, (u^c)', (u^c)''][:order + 1] from a = [u, u', u''] and a constant c."""
+    u = a[0]
+    out = [principal_power(u, c)]
+    if not order:
+        return out
+    if c == 0 or all(_is_zero(x) for x in a[1:]):
+        return out + [0j] * order
+    if c.imag == 0 and float(c.real).is_integer() and 1 <= c.real <= _MAX_INT_POW:
+        n = int(c.real)
+        # u^(n-1) and u^(n-2) by multiplication; u^0 and u^1 need none
+        p1 = 1 + 0j if n == 1 else u if n == 2 else principal_power(u, n - 1)
+
+        def lower():
+            return 1 + 0j if n == 2 else u if n == 3 else principal_power(u, n - 2)
+    elif np.any(u == 0) or (c.imag == 0 and float(c.real).is_integer()):
+        # the powers raise where the derivative trees' powers raise
+        p1 = principal_power(u, c - 1)
+
+        def lower():
+            return principal_power(u, c - 2)
+    else:
+        p1 = out[0] / u  # one division in place of an exp and a log
+
+        def lower():
+            return p1 / u
+    out.append(_prod(c, p1, a[1]))
+    if order > 1:
+        curve = _prod(c * (c - 1), a[1], a[1])
+        out.append(_sum(0j if _is_zero(curve) else _prod(curve, lower()),
+                        _prod(c, p1, a[2])))
+    return out
+
+
+def _jet(e: Expr, z: np.ndarray, order: int) -> list:
+    """[e, e', e''][:order + 1] on ``z``: the one walk over a tree.
+
+    The values are the principal-branch evaluation of :func:`evaluate`; the
+    derivatives ride along in truncated Taylor arithmetic (Griewank &
+    Walther, *Evaluating Derivatives*, ch. 13), so each exp, log and power
+    of the tree is taken once for all orders.
+
+    A child's value enters its parent's arithmetic by ``pop``, so that a
+    value nothing else holds is a temporary that numpy may reuse as the
+    output.  Complex products round differently with their operands
+    swapped, and numpy swaps them when it reuses the right operand, so
+    this keeps the values' bits those of a plain recursive evaluation.
+    """
     if isinstance(e, Var):
-        return z
+        return [z, 1 + 0j, 0j][:order + 1]
     if isinstance(e, Const):
-        return e.value
+        return [e.value, 0j, 0j][:order + 1]
     if isinstance(e, Neg):
-        return -_walk(e.a, z)
-    if isinstance(e, Add):
-        return _walk(e.a, z) + _walk(e.b, z)
-    if isinstance(e, Sub):
-        return _walk(e.a, z) - _walk(e.b, z)
+        a = _jet(e.a, z, order)
+        return [-a.pop(0)] + [_minus(0j, x) for x in a]
+    if isinstance(e, (Add, Sub)):
+        a, b = _jet(e.a, z, order), _jet(e.b, z, order)
+        if isinstance(e, Add):
+            return [a.pop(0) + b.pop(0)] + [_sum(x, y) for x, y in zip(a, b)]
+        return [a.pop(0) - b.pop(0)] + [_minus(x, y) for x, y in zip(a, b)]
     if isinstance(e, Mul):
-        return _walk(e.a, z) * _walk(e.b, z)
+        a, b = _jet(e.a, z, order), _jet(e.b, z, order)
+        d = []
+        if order:
+            d.append(_sum(_prod(a[1], b[0]), _prod(a[0], b[1])))
+        if order > 1:
+            d.append(_sum(_prod(a[2], b[0]), _prod(2, a[1], b[1]), _prod(a[0], b[2])))
+        return [a.pop(0) * b.pop(0)] + d
     if isinstance(e, Div):
-        den = _walk(e.b, z)
+        b = _jet(e.b, z, order)
+        den = b[0]
         _raise_at_first(den == 0, z, lambda w: DivisionByZero(w, e.b))
-        return _walk(e.a, z) / den
+        a = _jet(e.a, z, order)
+        out = [a.pop(0) / den]  # a now holds the derivatives
+        if order:
+            out.append(_quot(_minus(a[0], _prod(out[0], b[1])), den))
+        if order > 1:
+            out.append(_quot(_minus(_minus(a[1], _prod(2, out[1], b[1])),
+                                    _prod(out[0], b[2])), den))
+        return out
     if isinstance(e, Exp):
-        return np.exp(_walk(e.a, z))
+        a = _jet(e.a, z, order)
+        out = [np.exp(a.pop(0))]
+        if order:
+            out.append(_prod(out[0], a[0]))
+        if order > 1:
+            out.append(_prod(out[0], _sum(a[1], _prod(a[0], a[0]))))
+        return out
     if isinstance(e, Log):
-        v = _walk(e.a, z)
-        _raise_at_first(v == 0, z, BranchPointHit)
-        return np.log(v)
+        a = _jet(e.a, z, order)
+        _raise_at_first(a[0] == 0, z, BranchPointHit)
+        out = [np.log(a[0])]
+        if order:
+            out.append(_quot(a[1], a[0]))
+        if order > 1:
+            out.append(_quot(_minus(a[2], _prod(out[1], a[1])), a[0]))
+        return out
     if isinstance(e, Pow):
-        base = _walk(e.base, z)
+        base = _jet(e.base, z, order)
         if isinstance(e.expo, Const):
-            return principal_power(base, e.expo.value)
-        expo = _walk(e.expo, z)
-        _raise_at_first(base == 0, z, BranchPointHit)
-        return np.exp(expo * np.log(base))
+            return _power_jet(base, e.expo.value, order)
+        expo = _jet(e.expo, z, order)
+        _raise_at_first(base[0] == 0, z, BranchPointHit)
+        if not order:
+            return [np.exp(expo[0] * np.log(base[0]))]
+        log_base = np.log(base[0])
+        out = [np.exp(expo[0] * log_base)]
+        # d/dz (v log u) = v' log u + v u'/u
+        ratio = _quot(base[1], base[0])
+        s1 = _sum(_prod(expo[1], log_base), _prod(expo[0], ratio))
+        out.append(_prod(out[0], s1))
+        if order > 1:
+            s2 = _sum(_prod(expo[2], log_base), _prod(2, expo[1], ratio),
+                      _prod(expo[0], _minus(_quot(base[2], base[0]), _prod(ratio, ratio))))
+            out.append(_prod(out[0], _sum(s2, _prod(s1, s1))))
+        return out
     raise TypeError(f"unknown expression node {e!r}")
+
+
+def jet(e: Expr, z: np.ndarray, order: int = 2) -> tuple:
+    """(e, e', e'')[:order + 1] on the points ``z`` from one walk of e's tree.
+
+    Values, and the errors raised at a zero divisor or a zero under log or
+    a non-integer power, are those of :func:`evaluate`.  Derivatives agree
+    with :func:`differentiate`'s trees to rounding.  Entries that are
+    constant in z stay Python scalars (a derivative that vanishes
+    identically is 0j), so callers can tell a constant field from the
+    types alone.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"jet order {order} is not 0, 1 or 2")
+    return tuple(_jet(e, z, order))
 
 
 def evaluate(e: Expr, z: np.ndarray) -> np.ndarray:
     """``e`` on the points ``z`` (an ndarray) under principal branches.
 
-    A zero divisor, and a zero under log or a non-integer power, raise at
-    the first such point; NaN and inf are returned as they are.  Constants
-    stay Python scalars inside the walk, and only a constant result is
-    broadcast to the shape of ``z``.
+    This is the order-0 :func:`jet`.  A zero divisor, and a zero under log
+    or a non-integer power, raise at the first such point; NaN and inf are
+    returned as they are.  Constants stay Python scalars inside the walk,
+    and only a constant result is broadcast to the shape of ``z``.
     """
-    out = _walk(e, z)
+    out = _jet(e, z, 0)[0]
     return out if isinstance(out, np.ndarray) else np.full(np.shape(z), out, dtype=complex)
 
 
@@ -349,21 +493,51 @@ def differentiate(e: Expr) -> Expr:
 _MAX_ZERO_ORDER = 16
 
 
-def _zero_order(e: Expr, deriv: Expr) -> int:
+def _zero_order(e: Expr, deriv: Expr | None = None) -> int:
     """Order of the zero of ``e`` at the origin; 0 when e(0) != 0.
 
     Counts the leading derivatives that vanish exactly at 0, so a tiny
-    nonzero value counts as no zero at all.
+    nonzero value counts as no zero at all.  ``deriv``, e's derivative
+    tree, is built here when not given and e(0) == 0.
     """
     origin = np.zeros(1, dtype=complex)
     if evaluate(e, origin)[0] != 0:
         return 0
-    d = deriv
+    d = deriv if deriv is not None else differentiate(e)
     for order in range(1, _MAX_ZERO_ORDER + 1):
         if evaluate(d, origin)[0] != 0:
             return order
         d = differentiate(d)
     raise DivisionByZero(0j, e)
+
+
+def log_derivative_values(z: np.ndarray, vals, dvals, e, deriv: Expr | None = None):
+    """z e'/e from e and e' already evaluated on the array ``z``, say by :func:`jet`.
+
+    The origin takes the order of the zero of e there, and a zero of e
+    elsewhere or a non-finite result raises, as in
+    :func:`log_derivative_field`.  ``e`` is the expression or a callable
+    that builds it; it is needed only at the origin and for an error.  A
+    nonzero scalar e with the scalar e' = 0 is a constant, whose log
+    derivative is the scalar 0j.
+    """
+    if _is_zero(dvals) and not isinstance(vals, np.ndarray) and vals != 0 \
+            and _finite(complex(vals)):
+        return 0j
+
+    def tree() -> Expr:
+        return e() if callable(e) else e
+
+    at0 = z == 0
+    _raise_at_first((vals == 0) & ~at0, z, lambda w: DivisionByZero(w, tree()))
+    # 0/0 at the origin is overwritten below; any other non-finite value
+    # fails the check at the end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(z * dvals / vals)
+    if np.any(at0):
+        out[at0] = _zero_order(tree(), deriv)
+    _raise_at_first(~np.isfinite(out), z, NonFiniteValue)
+    return out
 
 
 def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
@@ -372,21 +546,12 @@ def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
     At the origin the value is the order n of the zero of e there: n = 0
     when e(0) != 0 (exactly), and the limit n of z e'/e otherwise, found
     from the first derivative that does not vanish at 0 (1 for a
-    normalized member of the class A).  Vectorized over ``z``.
+    normalized member of the class A).  Vectorized over ``z``; e' is the
+    tree ``deriv``, by default ``differentiate(e)``.
     """
     d = deriv if deriv is not None else differentiate(e)
     arr = np.asarray(z, dtype=complex)
-    vals = evaluate(e, arr)
-    dvals = evaluate(d, arr)
-    at0 = arr == 0
-    _raise_at_first((vals == 0) & ~at0, arr, lambda w: DivisionByZero(w, e))
-    # 0/0 at the origin is overwritten below; any other non-finite value
-    # fails the check at the end
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(arr * dvals / vals)
-    if np.any(at0):
-        out[at0] = _zero_order(e, d)
-    _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
+    out = log_derivative_values(arr, evaluate(e, arr), evaluate(d, arr), e, d)
     return _scalar_out(out, z)
 
 
@@ -404,8 +569,11 @@ class AnalyticTriple:
 
     f and g are normalized (value 0 and derivative 1 at the origin); h is
     any analytic function whose value h0 at the origin avoids (-inf, 0].
-    First and second derivatives needed by the inequality fields are cached
-    as expression trees.
+    The inequality fields take f', f'', g' and h' from jets of f, g and h
+    (:func:`jet`); the one derivative tree kept is f', the weight of the
+    operator's bracket.  The constructor still accepts ``hp``, the tree of
+    h' that triples used to carry, and ignores it, so code that replaces h
+    and h' together keeps working.
     """
 
     f: Expr
@@ -413,15 +581,19 @@ class AnalyticTriple:
     h: Expr
     h0: complex
     fp: Expr
-    fpp: Expr
-    gp: Expr
-    hp: Expr
+    hp: InitVar[Expr | None] = None
+
+    @property
+    def fpp(self) -> Expr:
+        """The tree of f'', built on each access; no field reads it."""
+        return differentiate(self.fp)
 
     @staticmethod
     def build(f: Expr, g: Expr, h: Expr) -> "AnalyticTriple":
-        for name, e in (("f", f), ("g", g)):
+        fp = differentiate(f)
+        for name, e, d in (("f", f, fp), ("g", g, differentiate(g))):
             v0 = eval_expr(e, 0j)
-            d0 = eval_expr(differentiate(e), 0j)
+            d0 = eval_expr(d, 0j)
             if abs(v0) > _NORM_TOL or abs(d0 - 1) > _NORM_TOL:
                 raise ParameterError(
                     f"{name} is not normalized: {name}(0)={v0!r}, {name}'(0)={d0!r}"
@@ -429,9 +601,4 @@ class AnalyticTriple:
         h0 = eval_expr(h, 0j)
         if h0.imag == 0 and h0.real <= 0:
             raise ParameterError(f"h(0)={h0!r} lies on (-inf, 0]")
-        fp = differentiate(f)
-        return AnalyticTriple(
-            f=f, g=g, h=h, h0=h0,
-            fp=fp, fpp=differentiate(fp),
-            gp=differentiate(g), hp=differentiate(h),
-        )
+        return AnalyticTriple(f=f, g=g, h=h, h0=h0, fp=fp)

@@ -29,7 +29,9 @@ covers the aliasing of the kept ones, bounds the error at |u| <= 1.
 The coefficients of log V come the same way (:func:`_circle_log`), from
 V sampled on the circle by one inverse FFT of its own coefficients.  A
 point costs Horner for V and log Phi at the endpoint; its log V is the
-principal log of V plus the whole turns that the log V series puts on it.
+principal log of V plus the whole turns that the log V series puts on
+it, taken as log|V| + i (arg V + 2 pi turns): one real log, and the
+principal arg V that the turn count reads anyway.
 
 The fit gate.  Coefficients are used only if g and w are finite on
 |u| = 1, Phi has no zero there and winding number 0 (with analytic g
@@ -705,10 +707,14 @@ class BracketFit:
 
         log V is the principal log of V plus the whole turns that the log V
         series puts on it: the series fixes the branch, and V its value.
+        It is taken as log|V| + i (arg V + 2 pi turns), one real log, with
+        the principal arg V that the turn count needs anyway.
         """
         v = _horner(self.v, u)
-        turns = np.round((_horner(self.logv, u).imag - np.angle(v)) / (2 * np.pi))
-        return v, np.log(v) + 2j * np.pi * turns, _horner(self.series.logphi, u)
+        arg = np.angle(v)
+        turns = np.round((_horner(self.logv, u).imag - arg) / (2 * np.pi))
+        logv = np.log(np.abs(v)) + 1j * (arg + 2 * np.pi * turns)
+        return v, logv, _horner(self.series.logphi, u)
 
     def _cross_check(self, alpha: complex, beta: complex):
         """(largest |V| gap, reason or None) of the fit against quadrature.

@@ -32,8 +32,18 @@ from .criteria import (
     check_t6,
 )
 from .dsl import parse
-from .errors import ParameterError
-from .expr import AnalyticTriple, Expr, Var, as_subject, const, differentiate
+from .errors import NonFiniteValue, ParameterError
+from .expr import (
+    AnalyticTriple,
+    Expr,
+    Var,
+    _raise_at_first,
+    _scalar_out,
+    as_subject,
+    const,
+    differentiate,
+    jet,
+)
 from .operators import BracketFit, operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
@@ -202,6 +212,51 @@ def _operator_subject(rc: ResolvedConfig):
     return op
 
 
+def _expr_subject(rc: ResolvedConfig):
+    """f itself, carrying ``subject.derivative`` and ``subject.jet``.
+
+    ``subject.jet(zz)`` gives (f, f', f'') on ``zz`` from one walk of f's
+    tree.  The pass on an array of the run's grid shape is kept: its points
+    (made read-only, not copied), f and f'.  So when the criterion has
+    walked the grid, the oracle's injectivity scan and derivative check on
+    the grid take f and f' from that pass.  Other points cost one walk of
+    order 0 for f and of order 1 for f'.  As with ``eval_expr``, a
+    non-finite value raises NonFiniteValue at its first point.
+    """
+    f = rc.f
+    shape = (rc.grid.n_radial, rc.grid.n_angular)
+    kept: dict = {}
+
+    def jets(zz):
+        out = jet(f, zz, 2)
+        if np.shape(zz) == shape:
+            kept.update(points=zz, values=out[:2])
+            # a hit hands the same arrays to another caller
+            for arr in (zz, *out[:2]):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+        return out
+
+    def at(z, order: int):
+        arr = np.asarray(z, dtype=complex)
+        points = kept.get("points")
+        if points is not None and points.shape == arr.shape and np.array_equal(points, arr):
+            out = kept["values"][order]
+        else:
+            out = jet(f, arr, order)[order]
+        if not isinstance(out, np.ndarray):
+            out = np.full(arr.shape, out, dtype=complex)
+        _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
+        return _scalar_out(out, z)
+
+    def subject(z):
+        return at(z, 0)
+
+    subject.derivative = lambda z: at(z, 1)
+    subject.jet = jets
+    return subject
+
+
 def _triple(rc: ResolvedConfig) -> AnalyticTriple:
     return AnalyticTriple.build(rc.f, rc.g, rc.h)
 
@@ -244,10 +299,11 @@ def _logderiv_chain(rc: ResolvedConfig):
 class Criterion:
     """How one criterion id runs; every field maps a ResolvedConfig.
 
-    ``subject`` gives the function the oracle scans (f, or the operator G
-    with its closed-form derivative), ``check`` the CriterionReport, taking
-    the run's subject object too, and ``chain`` the Loewner chain, carrying
-    ``driving_term``, that the extension uses.  A satisfied check with
+    ``subject`` gives the function the oracle scans (f with its jets, or
+    the operator G with its closed-form derivative), ``check`` the
+    CriterionReport, taking the run's subject object too, so that the
+    criterion and the oracle share its passes, and ``chain`` the Loewner
+    chain, carrying ``driving_term``, that the extension uses.  A satisfied check with
     ``qc_bound`` set reports the dilatation bound K(s, k).
     """
 
@@ -265,8 +321,9 @@ CRITERIA = {
                     _operator_subject, _main_chain),
     "T21": Criterion(lambda rc, _: check_simplified_t21(_triple(rc), rc.params, rc.grid),
                      _operator_subject, _main_chain),
-    "becker": Criterion(lambda rc, _: check_becker(rc.f, rc.params.m, rc.grid),
-                        lambda rc: rc.f, _becker_chain),
+    "becker": Criterion(
+        lambda rc, subject: check_becker(rc.f, rc.params.m, rc.grid, subject.jet),
+        _expr_subject, _becker_chain),
     "T3": Criterion(lambda rc, _: check_t3(_triple(rc), rc.params, rc.grid),
                     _operator_subject, _main_chain),
     "T5-qc": Criterion(lambda rc, _: check_qc_t5(_triple(rc), rc.params, rc.grid)[0],
