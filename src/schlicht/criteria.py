@@ -9,6 +9,13 @@ Strict inequalities require a margin above 1e-12; non-strict ones allow a
 margin down to -1e-12.  All extremal behaviour of these fields lives near
 the boundary, so reports also carry the LHS maxima at the three largest
 base radii as a boundary trend.
+
+The fields take f', f'', g' and h' from one jet walk each of f, g and h
+(``expr.jet``), in which anything constant in z stays a Python scalar.
+A field that comes out as a scalar is constant, as eq-h and qc-h are for
+a constant h: its condition is reported without a grid pass or
+refinement, with the first grid point as the witness and the constant as
+every trend value, which is what refining the constant array would give.
 """
 
 from __future__ import annotations

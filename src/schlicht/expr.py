@@ -3,11 +3,19 @@
 Nodes are immutable dataclasses, so structural equality and hashing come
 for free.  Evaluation accepts Python scalars or numpy arrays and always
 uses principal branches: Im(Log) in (-pi, pi] for log and for non-integer
-powers.  Differentiation is symbolic tree rewriting.  Trees are built
-through the smart constructors, which fold constant subtrees and the
-identities x + 0, 0 + x, x - 0, 0*x, x*0, 1*x, x*1 and x^1, but not 0 - x
-(+0 would become -0) or x^0 (0^0 raises).  :func:`evaluate` is the one
-walk over a tree.
+powers.  Trees are built through the smart constructors, which fold
+constant subtrees and the identities x + 0, 0 + x, x - 0, 0*x, x*0, 1*x,
+x*1 and x^1, but not 0 - x (+0 would become -0) or x^0 (0^0 raises).
+
+One walk serves every evaluation.  :func:`jet` walks a tree once in
+truncated Taylor arithmetic and returns (e, e', e''): each exp, log and
+power is taken once, where the separately grown trees of e' and e'' would
+repeat it (the quotient rule copies whole subtrees, so Koebe's e'' tree
+has 99 nodes, 22 of them distinct).  :func:`evaluate` is its order-0
+case.  The criterion fields take their log derivatives from jets
+(:func:`log_derivative_values`).  :func:`differentiate` still builds the
+symbolic derivative, for printing, for f' as the operator's weight, for
+the order of a zero at the origin, and as the tests' reference.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ chunk).
 Subjects are expressions or vectorized callables, taken through
 ``expr.as_subject``, which also gives the derivative check its f': symbolic
 for an expression, the callable's own ``derivative`` when it has one (the
-operator subject's closed form G', see ``operators``), and finite
+operator subject's closed form G', see ``operators``, or f' from the jet
+pass that a becker run's subject keeps, see ``reporting``), and finite
 differences only for a plain callable.  ``preimage_count`` takes one target
 or a sequence of targets; a sequence shares the evaluations of each winding
 circle, and every target's first attempt on the first circle is taken
