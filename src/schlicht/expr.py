@@ -184,7 +184,7 @@ def log_(a: Expr) -> Expr:
 
 def _raise_at_first(mask, points, error) -> None:
     """Raise ``error(z)`` at the first point z, in flat order, where ``mask`` holds."""
-    if np.any(mask):
+    if np.asarray(mask).any():  # the method skips np.any's dispatch
         idx = int(np.flatnonzero(np.ravel(mask))[0])
         raise error(complex(np.ravel(points)[idx]))
 
@@ -277,28 +277,33 @@ def _quot(x, y):
 
 
 def _power_jet(a: list, c: complex, order: int) -> list:
-    """[u^c, (u^c)', (u^c)''][:order + 1] from a = [u, u', u''] and a constant c."""
+    """[u^c, (u^c)', (u^c)''][:order + 1] from a = [u, u', u''] and a constant c.
+
+    The derivatives need u^(c-1) and u^(c-2).  A small positive integer c
+    gets them by multiplication (u^0 and u^1 need none), and another c with
+    no zero of u from u^c by one division each.  Otherwise they are
+    principal powers, which raise where the derivative trees' powers raise.
+    """
     u = a[0]
     out = [principal_power(u, c)]
     if not order:
         return out
     if c == 0 or all(_is_zero(x) for x in a[1:]):
         return out + [0j] * order
-    if c.imag == 0 and float(c.real).is_integer() and 1 <= c.real <= _MAX_INT_POW:
+    integer = c.imag == 0 and float(c.real).is_integer()
+    if integer and 1 <= c.real <= _MAX_INT_POW:
         n = int(c.real)
-        # u^(n-1) and u^(n-2) by multiplication; u^0 and u^1 need none
         p1 = 1 + 0j if n == 1 else u if n == 2 else principal_power(u, n - 1)
 
         def lower():
             return 1 + 0j if n == 2 else u if n == 3 else principal_power(u, n - 2)
-    elif np.any(u == 0) or (c.imag == 0 and float(c.real).is_integer()):
-        # the powers raise where the derivative trees' powers raise
+    elif integer or np.asarray(u == 0).any():
         p1 = principal_power(u, c - 1)
 
         def lower():
             return principal_power(u, c - 2)
     else:
-        p1 = out[0] / u  # one division in place of an exp and a log
+        p1 = out[0] / u
 
         def lower():
             return p1 / u
@@ -529,22 +534,25 @@ def log_derivative_values(z: np.ndarray, vals, dvals, e, deriv: Expr | None = No
     nonzero scalar e with the scalar e' = 0 is a constant, whose log
     derivative is the scalar 0j.
     """
-    if _is_zero(dvals) and not isinstance(vals, np.ndarray) and vals != 0 \
-            and _finite(complex(vals)):
+    if (_is_zero(dvals) and not isinstance(vals, np.ndarray) and vals != 0
+            and _finite(complex(vals))):
         return 0j
 
     def tree() -> Expr:
         return e() if callable(e) else e
 
     at0 = z == 0
-    _raise_at_first((vals == 0) & ~at0, z, lambda w: DivisionByZero(w, tree()))
+    zero = vals == 0
+    if np.asarray(zero).any():
+        _raise_at_first(zero & ~at0, z, lambda w: DivisionByZero(w, tree()))
     # 0/0 at the origin is overwritten below; any other non-finite value
     # fails the check at the end
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(z * dvals / vals)
-    if np.any(at0):
+        out = np.asarray(_prod(z, dvals) / vals)
+    if at0.any():
         out[at0] = _zero_order(tree(), deriv)
-    _raise_at_first(~np.isfinite(out), z, NonFiniteValue)
+    if not np.isfinite(out).all():
+        _raise_at_first(~np.isfinite(out), z, NonFiniteValue)
     return out
 
 

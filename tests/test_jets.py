@@ -19,9 +19,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import random_expr, random_point
 from schlicht import criteria, expr, reporting
 from schlicht.criteria import DiskGrid, check_h_condition
 from schlicht.dsl import parse
+from schlicht.errors import SchlichtError
 from schlicht.expr import AnalyticTriple, differentiate, evaluate, jet
 
 GRID = DiskGrid()
@@ -61,6 +63,28 @@ def test_jet_matches_the_symbolic_trees(src):
     assert np.broadcast_to(jet(e, z, 2)[0], z.shape).tobytes() == evaluate(e, z).tobytes()
     for _, _, rel in gaps:
         assert rel.max() <= 1e-12
+
+
+def test_jet_matches_the_trees_on_random_expressions():
+    # every node kind, Pow with a non-constant exponent included; the
+    # trees raise exactly where the jets do
+    rng = np.random.default_rng(2026)
+    z = np.array([random_point(rng) for _ in range(64)])
+    for _ in range(500):
+        e = random_expr(rng)
+        d1 = differentiate(e)
+        try:
+            trees = [evaluate(t, z) for t in (e, d1, differentiate(d1))]
+        except SchlichtError as exc:
+            with pytest.raises(type(exc)):
+                jet(e, z, 2)
+            continue
+        for k, (j, t) in enumerate(zip(jet(e, z, 2), trees)):
+            j = np.broadcast_to(j, z.shape)
+            if k == 0:
+                assert j.tobytes() == t.tobytes()
+            else:
+                assert np.max(np.abs(j - t)) <= 1e-13 * np.max(np.abs(t), initial=1e-300)
 
 
 def test_jet_orders_and_constants():
