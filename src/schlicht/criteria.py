@@ -303,7 +303,7 @@ def bracket_field(triple: AnalyticTriple, alpha: complex, zz: np.ndarray) -> np.
     """
     _, fp, fpp = jet(triple.f, zz, 2)
     t1 = (alpha - 1) * log_derivative_values(zz, *jet(triple.g, zz, 1), triple.g)
-    t2 = log_derivative_values(zz, fp, fpp, triple.fp)
+    t2 = log_derivative_values(zz, fp, fpp, lambda: triple.fp)
     t3 = log_derivative_values(zz, *jet(triple.h, zz, 1), triple.h)
     return t1 + 1 + t2 + t3
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,15 +237,17 @@ def principal_power(w, exponent):
 
 def _is_zero(x) -> bool:
     """Whether ``x`` is an exact scalar 0, the derivative of a constant."""
-    return not isinstance(x, np.ndarray) and x == 0
+    return type(x) is not np.ndarray and x == 0
 
 
 def _sum(*terms):
     """Sum of derivative terms; an exact scalar 0 term is left out."""
     out = 0j
     for x in terms:
-        if not _is_zero(x):
-            out = x if _is_zero(out) else out + x
+        if type(x) is np.ndarray:
+            out = x if type(out) is not np.ndarray and out == 0 else out + x
+        elif x != 0:
+            out = out + x
     return out
 
 
@@ -260,7 +263,7 @@ def _prod(*factors):
     applied once, a scalar 0 gives 0 and a scalar 1 is left out."""
     scale, out = 1 + 0j, None
     for x in factors:
-        if isinstance(x, np.ndarray):
+        if type(x) is np.ndarray:
             out = x if out is None else out * x
         elif x == 0:
             return 0j
@@ -586,18 +589,23 @@ class AnalyticTriple:
     f and g are normalized (value 0 and derivative 1 at the origin); h is
     any analytic function whose value h0 at the origin avoids (-inf, 0].
     The inequality fields take f', f'', g' and h' from jets of f, g and h
-    (:func:`jet`); the one derivative tree kept is f', the weight of the
-    operator's bracket.  The constructor still accepts ``hp``, the tree of
-    h' that triples used to carry, and ignores it, so code that replaces h
-    and h' together keeps working.
+    (:func:`jet`), and so does :meth:`build`'s normalization check.  The
+    tree of f', the weight of the operator's bracket, is built on first
+    use.  The constructor still accepts ``hp``, the tree of h' that
+    triples used to carry, and ignores it, so code that replaces h and h'
+    together keeps working.
     """
 
     f: Expr
     g: Expr
     h: Expr
     h0: complex
-    fp: Expr
     hp: InitVar[Expr | None] = None
+
+    @cached_property
+    def fp(self) -> Expr:
+        """The tree of f'."""
+        return differentiate(self.f)
 
     @property
     def fpp(self) -> Expr:
@@ -606,15 +614,22 @@ class AnalyticTriple:
 
     @staticmethod
     def build(f: Expr, g: Expr, h: Expr) -> "AnalyticTriple":
-        fp = differentiate(f)
-        for name, e, d in (("f", f, fp), ("g", g, differentiate(g))):
-            v0 = eval_expr(e, 0j)
-            d0 = eval_expr(d, 0j)
+        for name, e in (("f", f), ("g", g)):
+            v0, d0 = _at_origin(e, 1)
             if abs(v0) > _NORM_TOL or abs(d0 - 1) > _NORM_TOL:
                 raise ParameterError(
                     f"{name} is not normalized: {name}(0)={v0!r}, {name}'(0)={d0!r}"
                 )
-        h0 = eval_expr(h, 0j)
+        h0, = _at_origin(h, 0)
         if h0.imag == 0 and h0.real <= 0:
             raise ParameterError(f"h(0)={h0!r} lies on (-inf, 0]")
-        return AnalyticTriple(f=f, g=g, h=h, h0=h0, fp=fp)
+        return AnalyticTriple(f=f, g=g, h=h, h0=h0)
+
+
+def _at_origin(e: Expr, order: int) -> list[complex]:
+    """[e(0), e'(0), ...][:order + 1] from one jet walk; like :func:`eval_expr`,
+    a non-finite entry raises NonFiniteValue."""
+    out = [complex(np.ravel(v)[0]) for v in jet(e, np.zeros(1, dtype=complex), order)]
+    if not all(_finite(v) for v in out):
+        raise NonFiniteValue(0j)
+    return out

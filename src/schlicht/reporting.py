@@ -246,7 +246,8 @@ def _expr_subject(rc: ResolvedConfig):
             out = jet(f, arr, order)[order]
         if not isinstance(out, np.ndarray):
             out = np.full(arr.shape, out, dtype=complex)
-        _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
+        if not np.isfinite(out).all():
+            _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
         return _scalar_out(out, z)
 
     def subject(z):
@@ -303,8 +304,9 @@ class Criterion:
     the operator G with its closed-form derivative), ``check`` the
     CriterionReport, taking the run's subject object too, so that the
     criterion and the oracle share its passes, and ``chain`` the Loewner
-    chain, carrying ``driving_term``, that the extension uses.  A satisfied check with
-    ``qc_bound`` set reports the dilatation bound K(s, k).
+    chain, carrying ``driving_term``, that the extension uses.  A
+    satisfied check with ``qc_bound`` set reports the dilatation bound
+    K(s, k).
     """
 
     check: Callable[[ResolvedConfig, object], CriterionReport]
