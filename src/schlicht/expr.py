@@ -244,10 +244,8 @@ def _sum(*terms):
     """Sum of derivative terms; an exact scalar 0 term is left out."""
     out = 0j
     for x in terms:
-        if type(x) is np.ndarray:
-            out = x if type(out) is not np.ndarray and out == 0 else out + x
-        elif x != 0:
-            out = out + x
+        if not _is_zero(x):
+            out = x if _is_zero(out) else out + x
     return out
 
 
