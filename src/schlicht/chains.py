@@ -40,7 +40,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expr import AnalyticTriple, Expr, _scalar_out, differentiate, evaluate
-from .operators import BracketFit
+from .operators import BracketFit, GzLogFit
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -303,17 +303,18 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
     return _scalar_out((zf * np.exp(log_u / alpha)).reshape(zb.shape), z, t)
 
 
-def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
+def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t, gz_fit: GzLogFit | None = None):
     """Driving term p(z,t) = e^{-alpha t}(z^{1-alpha} g^{alpha-1} f') + 1 - e^{-alpha t}.
 
     This is p = z L'(z,t) / dL/dt, the quotient the Becker extension turns
-    into mu = (z/conj z)(1-p)/(1+p); no quadrature is involved.
+    into mu = (z/conj z)(1-p)/(1+p); no quadrature is involved.  ``gz_fit``,
+    the ``GzLogFit(g)`` of a caller that evaluates many batches, is reused.
     """
     alpha = float(alpha)
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                  np.asarray(t, dtype=float))
     decay = np.exp(-alpha * tb)
-    return _scalar_out(decay * t6_field(f, g, alpha, zb) + (1 - decay), z, t)
+    return _scalar_out(decay * t6_field(f, g, alpha, zb, gz_fit) + (1 - decay), z, t)
 
 
 def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t) -> ChainPoint:
@@ -354,15 +355,16 @@ def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
 
     It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
-    values share one bracket fit.
+    values share one bracket fit, and its driving terms one log Phi fit.
     """
     fit = BracketFit(g, alpha, weight=differentiate(f))
+    gz_fit = GzLogFit(g)
 
     def chain(z, t):
         return chain_t6(f, g, alpha, z, t, fit)
 
     def driving_term(z, t):
-        return chain_t6_p(f, g, alpha, z, t)
+        return chain_t6_p(f, g, alpha, z, t, gz_fit)
 
     chain.driving_term = driving_term
     return chain

@@ -21,6 +21,7 @@ every trend value, which is what refining the constant array would give.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -41,7 +42,7 @@ from .expr import (
     jet,
     log_derivative_values,
 )
-from .operators import continued_gz_log
+from .operators import GzLogFit, continued_gz_log
 
 __all__ = [
     "CriterionParams", "DiskGrid", "ConditionReport", "CriterionReport",
@@ -97,10 +98,17 @@ class DiskGrid:
     refinement_levels: int = 3
 
     def __post_init__(self):
-        if not (0 < self.r_max <= 1 - 1e-6):
-            raise ParameterError("r_max must lie in (0, 1 - 1e-6]")
-        if self.n_radial < 1 or self.n_angular < 1:
-            raise ParameterError("grid dimensions must be positive")
+        """Reject a value of the wrong type or range, naming its config key.
+
+        A bool is no number here, though Python counts it as an int.
+        """
+        for name, least in (("n_radial", 1), ("n_angular", 1), ("refinement_levels", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ParameterError(f"grid.{name} must be an integer >= {least}, got {v!r}")
+        r = self.r_max
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 < r <= 1 - 1e-6:
+            raise ParameterError(f"grid.r_max must lie in (0, 1 - 1e-6], got {r!r}")
 
     def radii(self) -> np.ndarray:
         return self.r_max * np.arange(1, self.n_radial + 1) / self.n_radial
@@ -402,12 +410,14 @@ def check_qc_t5(triple: AnalyticTriple, p: CriterionParams,
     return rep, bound
 
 
-def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray) -> np.ndarray:
+def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray,
+             gz_fit: GzLogFit | None = None) -> np.ndarray:
     """z^(1-alpha) g^(alpha-1) f' as the branch-continued (g/z)^(alpha-1) f'.
 
-    f' comes from a jet walk of f.
+    f' comes from a jet walk of f.  ``gz_fit``, the ``GzLogFit(g)`` of a
+    caller that evaluates many batches, is reused (:func:`continued_gz_log`).
     """
-    logphi = continued_gz_log(g, zz.ravel()).reshape(zz.shape)
+    logphi = continued_gz_log(g, zz.ravel(), gz_fit).reshape(zz.shape)
     return np.exp((alpha - 1) * logphi) * jet(f, zz, 1)[1]
 
 
@@ -419,9 +429,10 @@ def check_t6(f: Expr, g: Expr, alpha: float, k: float,
         raise ParameterError("alpha must be a positive real number here")
     if not (0 <= k < 1):
         raise ParameterError(f"k={k} must lie in [0, 1)")
+    gz_fit = GzLogFit(g)
     main, trend = _grid_condition(
         "uk-distance", False, k,
-        lambda zz: _uk_distance_field(t6_field(f, g, alpha, zz)), grid)
+        lambda zz: _uk_distance_field(t6_field(f, g, alpha, zz, gz_fit)), grid)
     return _assemble("T6", [main], grid, trend)
 
 

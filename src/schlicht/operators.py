@@ -61,7 +61,8 @@ and the reason is recorded: a singularity of g or w on the circle
 (Koebe, z/(1-z)), a zero of g/z or of V in the disk, a slow coefficient
 tail, or a failed or raising cross-check.  :func:`continued_gz_log`
 evaluates the log Phi series the same way, cross-checked against the
-anchor ladder on the same roots of unity.
+anchor ladder on the same roots of unity once per :class:`GzLogFit`: one
+per T6 check or chain, for all its batches.
 
 Every branch that quadrature and the ladder take is continued by one
 rule from the value 1 at the origin: :func:`_continued_log` takes one
@@ -99,7 +100,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -119,7 +120,7 @@ __all__ = [
     "iter_radial_brackets", "bracket_final",
     "operator_values", "operator_values_with_derivative", "operator_g_alpha",
     "operator_pascu", "operator_moldoveanu_pascu", "operator_mocanu",
-    "continued_gz_log",
+    "GzLogFit", "continued_gz_log",
 ]
 
 _HALF_PI = math.pi / 2
@@ -832,37 +833,62 @@ def operator_mocanu(g: Expr, alpha, z) -> OperatorValue:
     return _weightless(g, alpha, z, phi_exponent=complex(alpha))
 
 
-def continued_gz_log(g: Expr, z) -> np.ndarray:
+def _ladder_logs(g: Expr, z: np.ndarray) -> np.ndarray:
+    """log Phi at each point of ``z``, continued by the anchor ladder of its ray."""
+    ts = np.unique(np.concatenate([_initial_tau_edges()[1:], [1.0]]))
+    return _phi_ladder(g, z, ts).log_at(np.array([1.0]))[:, 0]
+
+
+class GzLogFit:
+    """The log Phi series of one g, cross-checked once for all the batches
+    that a T6 check or chain passes to :func:`continued_gz_log`.
+
+    ``logphi`` is the coefficient array of the series when the gate of the
+    coefficient path admits g and the series agrees with the anchor ladder
+    on the ``_CROSS_CHECK_POINTS`` roots of unity, within its own error
+    plus rounding; otherwise it is None and every point takes the ladder.
+    It is computed on first use.
+    """
+
+    def __init__(self, g: Expr):
+        self.g = g
+
+    @cached_property
+    def logphi(self) -> np.ndarray | None:
+        series = _circle_series(self.g, None, 0j, _ABS_TOLERANCE)
+        if series.reason is not None:
+            return None
+        zs = _roots_of_unity(_CROSS_CHECK_POINTS)
+        sample = _horner(series.logphi, zs)
+        try:
+            gap = np.abs(sample - _ladder_logs(self.g, zs))
+        except SchlichtError:
+            return None
+        if np.all(gap <= series.logphi_error + _ROUNDING * (1 + np.abs(sample))):
+            return series.logphi
+        return None
+
+
+def continued_gz_log(g: Expr, z, fit: GzLogFit | None = None) -> np.ndarray:
     """Continued log of g(z)/z along each radial segment, 0 at the origin.
 
     Vectorized over ``z``; the value at z = 0 is exactly 0.  On |z| <= 1
-    it is the log Phi series of the coefficient path when the gate admits
-    g and the series agrees with the anchor ladder on the cross-check
-    sample of roots of unity; otherwise every point takes the ladder.
+    it is the log Phi series of the coefficient path when ``fit`` admits
+    it (:class:`GzLogFit`); otherwise every point takes the anchor ladder.
+    ``fit``, the ``GzLogFit(g)`` of a caller that evaluates many batches,
+    is reused; by default each call cross-checks the series anew.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     out = np.zeros(zarr.shape, dtype=complex)
     if isinstance(g, Var):
         return out
     nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
-    ts = np.unique(np.concatenate([_initial_tau_edges()[1:], [1.0]]))
-
-    def ladder_logs(zs: np.ndarray) -> np.ndarray:
-        return _phi_ladder(g, zs, ts).log_at(np.array([1.0]))[:, 0]
-
-    series = _circle_series(g, None, 0j, _ABS_TOLERANCE)
-    if (len(nonzero) and series.reason is None
-            and np.all(np.abs(zarr) <= 1 + 1e-9)):
-        zs = _roots_of_unity(_CROSS_CHECK_POINTS)
-        sample = _horner(series.logphi, zs)
-        try:
-            gap = np.abs(sample - ladder_logs(zs))
-        except SchlichtError:
-            gap = np.inf
-        if np.all(gap <= series.logphi_error + _ROUNDING * (1 + np.abs(sample))):
-            out[nonzero] = _horner(series.logphi, zarr[nonzero])
+    if len(nonzero) and np.all(np.abs(zarr) <= 1 + 1e-9):
+        logphi = (fit or GzLogFit(g)).logphi
+        if logphi is not None:
+            out[nonzero] = _horner(logphi, zarr[nonzero])
             return out
     for start in range(0, len(nonzero), 8192):
         sel = nonzero[start:start + 8192]
-        out[sel] = ladder_logs(zarr[sel])
+        out[sel] = _ladder_logs(g, zarr[sel])
     return out

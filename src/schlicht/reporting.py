@@ -121,12 +121,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
     )
 
     gr = merged.get("grid") or {}
-    grid = DiskGrid(
-        n_radial=int(gr.get("n_radial", 64)),
-        n_angular=int(gr.get("n_angular", 128)),
-        r_max=float(gr.get("r_max", 0.999)),
-        refinement_levels=int(gr.get("refinement_levels", 3)),
-    )
+    grid = DiskGrid(**{k: gr[k] for k in _CONFIG_KEYS["grid"] if k in gr})
 
     preset = merged.get("preset")
     check = merged.get("check")

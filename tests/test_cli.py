@@ -289,6 +289,33 @@ def test_config_that_is_not_an_object_exit_two(tmp_path, capsys, payload, messag
     assert message in captured.err
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"refinement_levels": -2}, "grid.refinement_levels must be an integer >= 0, got -2"),
+    ({"refinement_levels": 1.5}, "grid.refinement_levels must be an integer >= 0, got 1.5"),
+    ({"n_radial": 2.7}, "grid.n_radial must be an integer >= 1, got 2.7"),
+    ({"n_radial": 0}, "grid.n_radial must be an integer >= 1, got 0"),
+    ({"n_angular": True}, "grid.n_angular must be an integer >= 1, got True"),
+    ({"n_angular": "64"}, "grid.n_angular must be an integer >= 1, got '64'"),
+    ({"r_max": 1.5}, "grid.r_max must lie in (0, 1 - 1e-6], got 1.5"),
+    ({"r_max": "0.9"}, "grid.r_max must lie in (0, 1 - 1e-6], got '0.9'"),
+], ids=["levels-negative", "levels-fractional", "radial-fractional", "radial-zero",
+        "angular-bool", "angular-string", "rmax-above-one", "rmax-string"])
+def test_invalid_grid_value_exit_two(tmp_path, capsys, grid, message):
+    cfg = _write(tmp_path, "cfg.json", {"f": "z", "check": "T2", "grid": grid})
+    out = tmp_path / "rep.json"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_invalid_grid_flag_exit_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", TRIVIAL)
+    assert main(["check", "--config", cfg, "--grid", "0x48"]) == 2
+    assert "grid.n_radial must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
 def test_every_shipped_config_loads(monkeypatch):
     # the demo configs and the benchmark's item configs hold only known keys
     spec = importlib.util.spec_from_file_location(
@@ -407,3 +434,79 @@ def test_fresh_process_and_reused_parser_print_the_same_report(tmp_path, capsys)
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == fresh.stdout
+
+
+def _has_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Checks a config in one process: twice to warm up, then five times
+# counting minor page faults.  Prints the faults per check.
+_FAULTS_PER_CHECK = """
+import resource, sys
+from schlicht import cli
+assert cli._keep_freed_heap.cache_info().currsize == 0, "set at import"
+argv = ["check", "--config", sys.argv[1], "--out", sys.argv[2], "--no-timings",
+        *sys.argv[3:]]
+for _ in range(2):
+    assert cli.main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    assert cli.main(argv) == 0
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli._keep_freed_heap.cache_info().misses == 1, "set more than once"
+print((after - before) / 5)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _has_glibc()),
+                    reason="the heap policy applies only under glibc")
+@pytest.mark.parametrize("name, flags", [
+    # about 577 faults per check when glibc trims the heap top after every pass
+    ("t5_qc", []),
+    # 2 MiB temporaries: about 10,300 when trimmed, 4,900 with the pad alone
+    ("t6_eps02", ["--grid", "256x512"]),
+])
+def test_repeated_checks_keep_their_heap(tmp_path, name, flags):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CHECK,
+         str(REPO / "demos" / "configs" / f"{name}.json"), str(tmp_path / "rep.json"),
+         *flags],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 50
+
+
+def test_heap_policy_is_skipped_without_glibc_or_mallopt(monkeypatch):
+    keep = cli._keep_freed_heap.__wrapped__  # unmemoized
+    opened = []
+
+    def no_mallopt(name):
+        opened.append(name)
+        return argparse.Namespace()
+
+    def unknown_name(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+    for confstr in (unknown_name, lambda name: None):
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+        assert keep() is False
+    monkeypatch.delattr(cli.os, "confstr")
+    assert keep() is False
+    assert opened == []  # no C library was opened
+
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.99", raising=False)
+    assert keep() is False
+    assert opened == [None]
+
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: argparse.Namespace(
+        mallopt=lambda param, value: calls.append((param, value)) or 1))
+    assert keep() is True
+    # M_TOP_PAD 16 MiB, M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB
+    assert calls == [(-2, 16 << 20), (-3, 32 << 20), (-1, 64 << 20)]

@@ -338,6 +338,22 @@ def test_params_validation():
         DiskGrid(r_max=1.0)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"refinement_levels": -1}, "grid.refinement_levels"),
+    ({"n_radial": 2.7}, "grid.n_radial"),
+    ({"n_angular": np.float64(8)}, "grid.n_angular"),
+    ({"r_max": float("nan")}, "grid.r_max"),
+])
+def test_disk_grid_names_the_rejected_value(kwargs, key):
+    with pytest.raises(ParameterError, match=key):
+        DiskGrid(**kwargs)
+
+
+def test_disk_grid_accepts_numpy_integers():
+    grid = DiskGrid(n_radial=np.int64(4), n_angular=np.int32(8), refinement_levels=np.int64(0))
+    assert grid.points().shape == (4, 8)
+
+
 def test_log_derivative_condition_operator_subject_uses_closed_form():
     # alpha = 1, g = z: G' = f' exactly, so z G'/G matches the Expr route
     # far below the finite-difference gap of the plain-callable route

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schlicht import criteria, reporting
+from schlicht import criteria, operators, reporting
 from schlicht.chains import chain_t6_callable
 from schlicht.cli import main
 from schlicht.dsl import parse
@@ -107,6 +107,41 @@ def test_logderiv_check_with_the_oracle_fits_its_subject_once(ray_counter):
     report, _ = reporting.run_check(rc, with_timings=False)
     assert "oracle" in report
     assert ray_counter == [16]
+
+
+@pytest.fixture
+def ladder_counter(monkeypatch):
+    """Points of every anchor ladder of Phi = g(u)/u built while the test runs."""
+    points = []
+    original = operators._phi_ladder
+
+    def counted(g, z, ts):
+        points.append(len(z))
+        return original(g, z, ts)
+
+    monkeypatch.setattr(operators, "_phi_ladder", counted)
+    return points
+
+
+def test_a_t6_check_cross_checks_its_log_phi_series_once(ladder_counter):
+    # the base grid and three refinements share one check of the series
+    rep = criteria.check_t6(parse("z + 0.1*z^2"), parse("z*exp(0.1*z)"), 2.0, 0.5,
+                            criteria.DiskGrid())
+    assert rep.satisfied
+    assert ladder_counter == [16]
+
+
+def test_a_t6_chain_cross_checks_its_log_phi_series_once(ladder_counter):
+    chain = chain_t6_callable(parse("z + 0.1*z^2"), parse("z*exp(0.1*z)"), 2.0)
+    z = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
+    first = chain.driving_term(z, 0.3)
+    chain.driving_term(0.5 * z, 1.0)  # a second batch of the same chain
+    assert ladder_counter == [16]
+    # a new chain checks anew, and gets the same values
+    assert np.array_equal(
+        chain_t6_callable(parse("z + 0.1*z^2"), parse("z*exp(0.1*z)"), 2.0)
+        .driving_term(z, 0.3), first)
+    assert ladder_counter == [16, 16]
 
 
 def test_grid_condition_evaluates_base_grid_once(monkeypatch):
