@@ -49,7 +49,7 @@ from .dsl import ParseDiagnostic, parse, print_expr, validate_normalized
 from .expr import (
     AnalyticTriple,
     Expr,
-    differentiate,
+    differentiate,  # symbolic derivative trees: printing, and the operator's weight
     eval_expr,
     log_derivative_at,
     principal_power,

@@ -297,6 +297,7 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
     if fit is None:
+        # the weight stays the tree of f': the bracket fits' series cache is keyed by it
         fit = BracketFit(g, alpha, weight=differentiate(f))
     fin = fit.final(zf)
     log_u = fin.log_value + _time_log(-1.0 / fin.value, np.expm1(alpha * tf))
@@ -357,6 +358,7 @@ def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
     values share one bracket fit, and its driving terms one log Phi fit.
     """
+    # the weight stays the tree of f': the bracket fits' series cache is keyed by it
     fit = BracketFit(g, alpha, weight=differentiate(f))
     gz_fit = GzLogFit(g)
 

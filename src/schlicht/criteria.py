@@ -36,7 +36,6 @@ from .expr import (
     add,
     as_subject,
     const,
-    differentiate,
     div,
     eval_expr,
     jet,
@@ -309,9 +308,9 @@ def bracket_field(triple: AnalyticTriple, alpha: complex, zz: np.ndarray) -> np.
 
     Each log derivative comes from one jet walk of f, g or h.
     """
-    _, fp, fpp = jet(triple.f, zz, 2)
+    _, fp, fpp = jet(triple.f, zz, 2, value=False)
     t1 = (alpha - 1) * log_derivative_values(zz, *jet(triple.g, zz, 1), triple.g)
-    t2 = log_derivative_values(zz, fp, fpp, lambda: triple.fp)
+    t2 = log_derivative_values(zz, fp, fpp, triple.f, 1)
     t3 = log_derivative_values(zz, *jet(triple.h, zz, 1), triple.h)
     return t1 + 1 + t2 + t3
 
@@ -364,10 +363,9 @@ def becker_lhs(f: Expr, m: float, zz: np.ndarray, jets=None) -> np.ndarray:
 
     ``jets(zz)`` gives (f, f', f'') there; by default one walk of f's tree.
     """
-    _, fp, fpp = jet(f, zz, 2) if jets is None else jets(zz)
+    _, fp, fpp = jet(f, zz, 2, value=False) if jets is None else jets(zz)
     lam = np.abs(zz) ** m
-    return np.abs((m - 2) / 2 - (1 - lam) * log_derivative_values(
-        zz, fp, fpp, lambda: differentiate(f)))
+    return np.abs((m - 2) / 2 - (1 - lam) * log_derivative_values(zz, fp, fpp, f, 1))
 
 
 def check_becker(f: Expr, m: float, grid: DiskGrid, jets=None) -> CriterionReport:
@@ -418,7 +416,7 @@ def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray,
     caller that evaluates many batches, is reused (:func:`continued_gz_log`).
     """
     logphi = continued_gz_log(g, zz.ravel(), gz_fit).reshape(zz.shape)
-    return np.exp((alpha - 1) * logphi) * jet(f, zz, 1)[1]
+    return np.exp((alpha - 1) * logphi) * jet(f, zz, 1, value=False)[1]
 
 
 def check_t6(f: Expr, g: Expr, alpha: float, k: float,

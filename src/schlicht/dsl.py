@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import DslSyntaxError
-from .expr import Const, Expr, eval_expr, differentiate
+from .expr import Const, Expr, _normalization_problems
 
 __all__ = ["ParseDiagnostic", "parse", "print_expr", "validate_normalized"]
 
@@ -283,11 +283,5 @@ def print_expr(e: Expr) -> str:
 
 def validate_normalized(e: Expr, tol: float = 1e-12) -> tuple[bool, tuple[str, ...]]:
     """Check membership in the normalized class: f(0)=0 and f'(0)=1."""
-    problems = []
-    v0 = eval_expr(e, 0j)
-    if abs(v0) > tol:
-        problems.append(f"f(0) = {v0!r}, expected 0")
-    d0 = eval_expr(differentiate(e), 0j)
-    if abs(d0 - 1) > tol:
-        problems.append(f"f'(0) = {d0!r}, expected 1")
+    problems = _normalization_problems(e, "f", tol)
     return (not problems, tuple(problems))

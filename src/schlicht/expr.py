@@ -8,21 +8,21 @@ constant subtrees and the identities x + 0, 0 + x, x - 0, 0*x, x*0, 1*x,
 x*1 and x^1, but not 0 - x (+0 would become -0) or x^0 (0^0 raises).
 
 One walk serves every evaluation.  :func:`jet` walks a tree once in
-truncated Taylor arithmetic and returns (e, e', e''): each exp, log and
-power is taken once, where the separately grown trees of e' and e'' would
-repeat it (the quotient rule copies whole subtrees, so Koebe's e'' tree
-has 99 nodes, 22 of them distinct).  :func:`evaluate` is its order-0
-case.  The criterion fields take their log derivatives from jets
-(:func:`log_derivative_values`).  :func:`differentiate` still builds the
-symbolic derivative, for printing, for f' as the operator's weight, for
-the order of a zero at the origin, and as the tests' reference.
+truncated Taylor arithmetic, one rule per node kind for every order up to
+64, and returns (e, e', ..., e^(n)); :func:`evaluate` is its order-0 case.
+The criterion fields, the normalization checks, the order of a zero at
+the origin and the oracle's f' all read jets.  :func:`differentiate`
+still builds the symbolic derivative: for printing, as the tests'
+reference, and for f' as the operator's weight, whose tree keys the
+bracket fits' caches and is shared by a chain and its operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -197,7 +197,8 @@ def _scalar_out(out, *inputs):
     return out
 
 
-_MAX_INT_POW = 64
+_MAX_INT_POW = _MAX_JET_ORDER = 64
+_ORDERS = range(_MAX_JET_ORDER + 1)
 
 
 def principal_power(w, exponent):
@@ -244,8 +245,8 @@ def _sum(*terms):
     """Sum of derivative terms; an exact scalar 0 term is left out."""
     out = 0j
     for x in terms:
-        if not _is_zero(x):
-            out = x if _is_zero(out) else out + x
+        if type(x) is np.ndarray or x != 0:
+            out = x if type(out) is not np.ndarray and out == 0 else out + x
     return out
 
 
@@ -277,164 +278,186 @@ def _quot(x, y):
     return 0j if _is_zero(x) else x / y
 
 
-def _power_jet(a: list, c: complex, order: int) -> list:
-    """[u^c, (u^c)', (u^c)''][:order + 1] from a = [u, u', u''] and a constant c.
+def _conv(a: list, b: list, k: int):
+    """Coefficient k of the product of the series ``a`` and ``b``: the sum of
+    a_j b_(k-j) from the highest j down."""
+    lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+    return _sum(*map(_prod, reversed(a[lo:hi + 1]), b[k - hi:k - lo + 1]))
 
-    The derivatives need u^(c-1) and u^(c-2).  A small positive integer c
-    gets them by multiplication (u^0 and u^1 need none), and another c with
-    no zero of u from u^c by one division each.  Otherwise they are
-    principal powers, which raise where the derivative trees' powers raise.
-    """
-    u = a[0]
-    out = [principal_power(u, c)]
-    if not order:
-        return out
-    if c == 0 or all(_is_zero(x) for x in a[1:]):
-        return out + [0j] * order
-    integer = c.imag == 0 and float(c.real).is_integer()
-    if integer and 1 <= c.real <= _MAX_INT_POW:
-        n = int(c.real)
-        p1 = 1 + 0j if n == 1 else u if n == 2 else principal_power(u, n - 1)
 
-        def lower():
-            return 1 + 0j if n == 2 else u if n == 3 else principal_power(u, n - 2)
-    elif integer or np.asarray(u == 0).any():
-        p1 = principal_power(u, c - 1)
-
-        def lower():
-            return principal_power(u, c - 2)
-    else:
-        p1 = out[0] / u
-
-        def lower():
-            return p1 / u
-    out.append(_prod(c, p1, a[1]))
-    if order > 1:
-        curve = _prod(c * (c - 1), a[1], a[1])
-        out.append(_sum(0j if _is_zero(curve) else _prod(curve, lower()),
-                        _prod(c, p1, a[2])))
+def _exp_series(a: list, order: int) -> list:
+    """exp of the series ``a``: e_k = sum_(j>=1) (j/k) a_j e_(k-j)."""
+    out = [np.exp(a[0])]
+    for k in range(1, order + 1 if len(a) > 1 else 1):
+        out.append(_sum(*[_prod(out[k - j], a[j], j / k) for j in range(1, min(k, len(a) - 1) + 1)]))
     return out
 
 
-def _jet(e: Expr, z: np.ndarray, order: int) -> list:
-    """[e, e', e''][:order + 1] on ``z``: the one walk over a tree.
+def _log_series(a: list, z, order: int) -> list:
+    """Principal log of the series ``a``, raising at a zero of a_0:
+    l_k = (a_k - sum_(1<=j<k) (j/k) l_j a_(k-j)) / a_0."""
+    _raise_at_first(a[0] == 0, z, BranchPointHit)
+    out = [np.log(a[0])]
+    for k in range(1, order + 1 if len(a) > 1 else 1):
+        acc = a[k] if k < len(a) else 0j
+        for j in range(max(1, k - len(a) + 1), k):
+            acc = _minus(acc, _prod(out[j], a[k - j], j / k))
+        out.append(_quot(acc, a[0]))
+    return out
 
-    The values are the principal-branch evaluation of :func:`evaluate`; the
-    derivatives ride along in truncated Taylor arithmetic (Griewank &
-    Walther, *Evaluating Derivatives*, ch. 13), so each exp, log and power
-    of the tree is taken once for all orders.
 
-    A child's value enters its parent's arithmetic by ``pop``, so that a
-    value nothing else holds is a temporary that numpy may reuse as the
-    output.  Complex products round differently with their operands
-    swapped, and numpy swaps them when it reuses the right operand, so
-    this keeps the values' bits those of a plain recursive evaluation.
+def _power_series(a: list, c: complex, z, order: int, value: bool = True) -> list:
+    """u^c for a constant c from the series ``a`` of u.
+
+    An integer 1 <= c <= 64 expands (u_0 + t)^c by the binomial theorem on
+    the tail t, with no division, and leaves u^c out without ``value``.
+    Any other c takes the recurrence u p' = c u' p, p_k = sum_(j>=1)
+    (j c - (k - j))/k a_j p_(k-j)/u_0; at a zero of u, coefficient k is 0
+    when Re c > k and raises BranchPointHit otherwise, as u^(c-k) does.
+    """
+    u, tail = a[0], a[1:]
+    if c == 0 or not tail or all(_is_zero(x) for x in tail):
+        return [principal_power(u, c)]
+    binomial = c.imag == 0 and float(c.real).is_integer() and 1 <= c.real <= _MAX_INT_POW
+    out = [principal_power(u, c) if value or not binomial else None]
+    if binomial:
+        n, t = int(c.real), [0j] + tail
+        out += [0j] * min(order, n * len(tail))
+        t_i = t  # t^i, whose series runs from z^i to z^(i len(tail))
+        for i in range(1, min(n, len(out) - 1) + 1):
+            if i > 1:
+                t_i = [0j] * i + [_conv(t_i, t, k) for k in range(i, min(len(out), i * len(tail) + 1))]
+            u_i = principal_power(u, n - i) if n - i > 1 else u if n > i else 1 + 0j
+            scale = math.comb(n, i)
+            for k in range(i, len(t_i)):
+                out[k] = _sum(out[k], _prod(u_i, t_i[k], scale))
+        return out
+    den, zero = u, np.asarray(u == 0)
+    if zero.any():
+        if c.real <= order:
+            _raise_at_first(zero, z, BranchPointHit)
+        den = np.where(zero, 1, u)  # p_0 = 0 there, so every p_k comes out 0
+    over_u = []  # p_m / u_0
+    for k in range(1, order + 1):
+        over_u.append(_quot(out[k - 1], den))
+        out.append(_sum(*[_prod(over_u[k - j], a[j], (j * c - (k - j)) / k)
+                          for j in range(1, min(k, len(a) - 1) + 1)]))
+    return out
+
+
+def _jet(e: Expr, z: np.ndarray, order: int, value: bool = True) -> list:
+    """Taylor coefficients [c_0, ..., c_n], n <= order, of e about each point of ``z``.
+
+    c_k = e^(k)/k!, and c_0 is the value of :func:`evaluate`.  One rule per
+    node kind carries every order in truncated Taylor arithmetic (Griewank
+    & Walther, *Evaluating Derivatives*, ch. 13).  Coefficients constant in
+    z stay Python scalars, and a series stops where the rest is exactly 0.
+    A child's value enters its parent's arithmetic by ``pop``, so that
+    numpy may reuse a temporary as the output; it swaps a product's
+    operands when it reuses the right one, and this keeps the values' bits
+    those of a plain recursive evaluation.  ``value``: see :func:`jet`.
     """
     if isinstance(e, Var):
-        return [z, 1 + 0j, 0j][:order + 1]
+        return [z, 1 + 0j][:order + 1]
     if isinstance(e, Const):
-        return [e.value, 0j, 0j][:order + 1]
+        return [e.value]
     if isinstance(e, Neg):
-        a = _jet(e.a, z, order)
-        return [-a.pop(0)] + [_minus(0j, x) for x in a]
+        a = _jet(e.a, z, order, value)
+        d = [_minus(0j, x) for x in a[1:]]
+        return [-a.pop(0) if value else None] + d
     if isinstance(e, (Add, Sub)):
-        a, b = _jet(e.a, z, order), _jet(e.b, z, order)
+        a, b = _jet(e.a, z, order, value), _jet(e.b, z, order, value)
         if isinstance(e, Add):
-            return [a.pop(0) + b.pop(0)] + [_sum(x, y) for x, y in zip(a, b)]
-        return [a.pop(0) - b.pop(0)] + [_minus(x, y) for x, y in zip(a, b)]
+            d = [_sum(x, y) for x, y in zip_longest(a[1:], b[1:], fillvalue=0j)]
+            return [a.pop(0) + b.pop(0) if value else None] + d
+        d = [_minus(x, y) for x, y in zip_longest(a[1:], b[1:], fillvalue=0j)]
+        return [a.pop(0) - b.pop(0) if value else None] + d
     if isinstance(e, Mul):
-        a, b = _jet(e.a, z, order), _jet(e.b, z, order)
-        d = []
-        if order:
-            d.append(_sum(_prod(a[1], b[0]), _prod(a[0], b[1])))
-        if order > 1:
-            d.append(_sum(_prod(a[2], b[0]), _prod(2, a[1], b[1]), _prod(a[0], b[2])))
-        return [a.pop(0) * b.pop(0)] + d
+        # a factor's value enters the derivatives unless the other factor is constant
+        a = _jet(e.a, z, order, value or not isinstance(e.b, Const))
+        b = _jet(e.b, z, order, value or not isinstance(e.a, Const))
+        if len(a) == 1 or len(b) == 1:  # a constant factor scales the other series
+            d = [_prod(a[0], x) for x in b[1:]] if len(a) == 1 else [_prod(x, b[0]) for x in a[1:]]
+        else:
+            d = [_conv(a, b, k) for k in range(1, min(order, len(a) + len(b) - 2) + 1)]
+        return [a.pop(0) * b.pop(0) if value else None] + d
     if isinstance(e, Div):
+        # q_k = (a_k - sum_(j>=1) q_(k-j) b_j) / b_0
         b = _jet(e.b, z, order)
         den = b[0]
         _raise_at_first(den == 0, z, lambda w: DivisionByZero(w, e.b))
         a = _jet(e.a, z, order)
-        out = [a.pop(0) / den]  # a now holds the derivatives
-        if order:
-            out.append(_quot(_minus(a[0], _prod(out[0], b[1])), den))
-        if order > 1:
-            out.append(_quot(_minus(_minus(a[1], _prod(2, out[1], b[1])),
-                                    _prod(out[0], b[2])), den))
-        return out
+        q = [a.pop(0) / den]  # a[k - 1] now holds a_k
+        for k in range(1, order + 1 if len(b) > 1 else len(a) + 1):
+            acc = a[k - 1] if k <= len(a) else 0j
+            for j in range(1, min(k, len(b) - 1) + 1):
+                acc = _minus(acc, _prod(q[k - j], b[j]))
+            q.append(_quot(acc, den))
+        return q
     if isinstance(e, Exp):
-        a = _jet(e.a, z, order)
-        out = [np.exp(a.pop(0))]
-        if order:
-            out.append(_prod(out[0], a[0]))
-        if order > 1:
-            out.append(_prod(out[0], _sum(a[1], _prod(a[0], a[0]))))
-        return out
+        return _exp_series(_jet(e.a, z, order), order)
     if isinstance(e, Log):
-        a = _jet(e.a, z, order)
-        _raise_at_first(a[0] == 0, z, BranchPointHit)
-        out = [np.log(a[0])]
-        if order:
-            out.append(_quot(a[1], a[0]))
-        if order > 1:
-            out.append(_quot(_minus(a[2], _prod(out[1], a[1])), a[0]))
-        return out
+        return _log_series(_jet(e.a, z, order), z, order)
     if isinstance(e, Pow):
         base = _jet(e.base, z, order)
         if isinstance(e.expo, Const):
-            return _power_jet(base, e.expo.value, order)
-        expo = _jet(e.expo, z, order)
-        _raise_at_first(base[0] == 0, z, BranchPointHit)
-        if not order:
-            return [np.exp(expo[0] * np.log(base[0]))]
-        log_base = np.log(base[0])
-        out = [np.exp(expo[0] * log_base)]
-        # d/dz (v log u) = v' log u + v u'/u
-        ratio = _quot(base[1], base[0])
-        s1 = _sum(_prod(expo[1], log_base), _prod(expo[0], ratio))
-        out.append(_prod(out[0], s1))
-        if order > 1:
-            s2 = _sum(_prod(expo[2], log_base), _prod(2, expo[1], ratio),
-                      _prod(expo[0], _minus(_quot(base[2], base[0]), _prod(ratio, ratio))))
-            out.append(_prod(out[0], _sum(s2, _prod(s1, s1))))
-        return out
+            return _power_series(base, e.expo.value, z, order, value)
+        # u^v = exp(v log u)
+        expo, log_base = _jet(e.expo, z, order), _log_series(base, z, order)
+        n = min(order, len(expo) + len(log_base) - 2)
+        d = [_conv(expo, log_base, k) for k in range(1, n + 1)]
+        return _exp_series([expo[0] * log_base.pop(0)] + d, order)
     raise TypeError(f"unknown expression node {e!r}")
 
 
-def jet(e: Expr, z: np.ndarray, order: int = 2) -> tuple:
-    """(e, e', e'')[:order + 1] on the points ``z`` from one walk of e's tree.
+def jet(e: Expr, z: np.ndarray, order: int = 2, value: bool = True) -> tuple:
+    """(e, e', ..., e^(order)) on the points ``z`` from one walk of e's tree.
 
-    Values, and the errors raised at a zero divisor or a zero under log or
-    a non-integer power, are those of :func:`evaluate`.  Derivatives agree
-    with :func:`differentiate`'s trees to rounding.  Entries that are
-    constant in z stay Python scalars (a derivative that vanishes
-    identically is 0j), so callers can tell a constant field from the
-    types alone.
+    ``order`` runs from 0 to 64.  Values, and the errors raised at a zero
+    divisor or a zero under log or a non-integer power, are those of
+    :func:`evaluate`.  Derivatives agree with :func:`differentiate`'s trees
+    to rounding.  Entries that are constant in z stay Python scalars (a
+    derivative that vanishes identically is 0j), so callers can tell a
+    constant field from the types alone.
+
+    With ``value`` false the first entry is None: the walk leaves out e's
+    value and that of every sum, product and integer power that only it
+    needs, none of which can raise (for z + 0.1 z^2, every array value).
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"jet order {order} is not 0, 1 or 2")
-    return tuple(_jet(e, z, order))
+    if order not in _ORDERS:
+        raise ValueError(f"jet order {order!r} is not an integer from 0 to {_MAX_JET_ORDER}")
+    out = _jet(e, z, order, value)
+    if not value:
+        out[0] = None
+    if order > 1:  # c_k to the k-th derivative
+        out[2:] = [_prod(c, math.factorial(k)) for k, c in enumerate(out[2:], 2)]
+    if len(out) <= order:
+        out += [0j] * (order + 1 - len(out))
+    return tuple(out)
 
 
 def evaluate(e: Expr, z: np.ndarray) -> np.ndarray:
     """``e`` on the points ``z`` (an ndarray) under principal branches.
 
-    This is the order-0 :func:`jet`.  A zero divisor, and a zero under log
-    or a non-integer power, raise at the first such point; NaN and inf are
-    returned as they are.  Constants stay Python scalars inside the walk,
-    and only a constant result is broadcast to the shape of ``z``.
+    This is the order-0 :func:`jet`, with a constant result broadcast to
+    the shape of ``z``.  A zero divisor, and a zero under log or a
+    non-integer power, raise at the first such point; NaN and inf are
+    returned as they are.
     """
     out = _jet(e, z, 0)[0]
     return out if isinstance(out, np.ndarray) else np.full(np.shape(z), out, dtype=complex)
 
 
-def eval_expr(e: Expr, z):
-    """Evaluate ``e`` at ``z`` (scalar or ndarray) under principal branches.
+def eval_expr(e: Expr, z, order: int = 0):
+    """The ``order``-th derivative of ``e`` at ``z`` (scalar or ndarray), by :func:`jet`.
 
-    Raises NonFiniteValue if any component of the result is NaN or inf.
+    Order 0 is ``e`` under principal branches.  Raises NonFiniteValue if
+    any component of the result is NaN or inf.
     """
     arr = np.asarray(z, dtype=complex)
-    out = evaluate(e, arr)
+    out = jet(e, arr, order, value=not order)[order]
+    if not isinstance(out, np.ndarray):
+        out = np.full(arr.shape, out, dtype=complex)
     _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
     return _scalar_out(out, z)
 
@@ -442,17 +465,15 @@ def eval_expr(e: Expr, z):
 def as_subject(f):
     """A vectorized callable for an expression or a callable, carrying ``.derivative``.
 
-    The derivative is symbolic for an expression.  A callable that has its
+    An expression's derivative comes from its jet.  A callable that has its
     own ``derivative`` (the operator subject's closed-form G') is returned
     as it is; any other callable gets Richardson central differences.
     """
     if isinstance(f, Expr):
-        df = differentiate(f)
-
         def subject(z):
             return eval_expr(f, z)
 
-        subject.derivative = lambda z: eval_expr(df, z)
+        subject.derivative = lambda z: eval_expr(f, z, 1)
         return subject
     if hasattr(f, "derivative"):
         return f
@@ -504,80 +525,67 @@ def differentiate(e: Expr) -> Expr:
     raise TypeError(f"unknown expression node {e!r}")
 
 
-_MAX_ZERO_ORDER = 16
+def _zero_order(e: Expr, depth: int = 0) -> int:
+    """Order (up to 16) of the zero at the origin of e^(depth), the derivative of that depth.
 
-
-def _zero_order(e: Expr, deriv: Expr | None = None) -> int:
-    """Order of the zero of ``e`` at the origin; 0 when e(0) != 0.
-
-    Counts the leading derivatives that vanish exactly at 0, so a tiny
-    nonzero value counts as no zero at all.  ``deriv``, e's derivative
-    tree, is built here when not given and e(0) == 0.
+    That is the number of leading Taylor coefficients c_depth, c_depth+1,
+    ... of e at 0 that vanish exactly.  The jet grows one order at a time
+    up to the first nonzero one: z + z^2.5 has no third derivative at 0.
     """
-    origin = np.zeros(1, dtype=complex)
-    if evaluate(e, origin)[0] != 0:
-        return 0
-    d = deriv if deriv is not None else differentiate(e)
-    for order in range(1, _MAX_ZERO_ORDER + 1):
-        if evaluate(d, origin)[0] != 0:
-            return order
-        d = differentiate(d)
+    for n in range(depth, depth + 17):
+        if _at_origin(e, n)[n] != 0:
+            return n - depth
     raise DivisionByZero(0j, e)
 
 
-def log_derivative_values(z: np.ndarray, vals, dvals, e, deriv: Expr | None = None):
-    """z e'/e from e and e' already evaluated on the array ``z``, say by :func:`jet`.
+def log_derivative_values(z: np.ndarray, vals, dvals, e: Expr, depth: int = 0):
+    """z w'/w for w = e^(depth) from w and w' already evaluated on ``z``, say by :func:`jet`.
 
-    The origin takes the order of the zero of e there, and a zero of e
-    elsewhere or a non-finite result raises, as in
-    :func:`log_derivative_field`.  ``e`` is the expression or a callable
-    that builds it; it is needed only at the origin and for an error.  A
-    nonzero scalar e with the scalar e' = 0 is a constant, whose log
-    derivative is the scalar 0j.
+    The origin takes the order of the zero of w there, read from e's jet
+    at 0; a zero of w elsewhere raises DivisionByZero naming e, and a
+    non-finite result raises NonFiniteValue.  A nonzero scalar w with the
+    scalar w' = 0 is a constant, whose log derivative is the scalar 0j.
     """
     if (_is_zero(dvals) and not isinstance(vals, np.ndarray) and vals != 0
             and _finite(complex(vals))):
         return 0j
-
-    def tree() -> Expr:
-        return e() if callable(e) else e
-
     at0 = z == 0
     zero = vals == 0
     if np.asarray(zero).any():
-        _raise_at_first(zero & ~at0, z, lambda w: DivisionByZero(w, tree()))
+        _raise_at_first(zero & ~at0, z, lambda w: DivisionByZero(w, e))
     # 0/0 at the origin is overwritten below; any other non-finite value
     # fails the check at the end
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(_prod(z, dvals) / vals)
     if at0.any():
-        out[at0] = _zero_order(tree(), deriv)
+        out[at0] = _zero_order(e, depth)
     if not np.isfinite(out).all():
         _raise_at_first(~np.isfinite(out), z, NonFiniteValue)
     return out
 
 
-def log_derivative_field(e: Expr, z, deriv: Expr | None = None):
+def log_derivative_field(e: Expr, z):
     """z * e'(z) / e(z) with the removable singularity resolved at z = 0.
 
-    At the origin the value is the order n of the zero of e there: n = 0
-    when e(0) != 0 (exactly), and the limit n of z e'/e otherwise, found
-    from the first derivative that does not vanish at 0 (1 for a
-    normalized member of the class A).  Vectorized over ``z``; e' is the
-    tree ``deriv``, by default ``differentiate(e)``.
+    At the origin the value is the order n of the zero of e there, the
+    index of e's first Taylor coefficient at 0 that does not vanish (1 for
+    a normalized member of the class A).  Vectorized over ``z``; e and e'
+    come from one jet walk.
     """
-    d = deriv if deriv is not None else differentiate(e)
     arr = np.asarray(z, dtype=complex)
-    out = log_derivative_values(arr, evaluate(e, arr), evaluate(d, arr), e, d)
-    return _scalar_out(out, z)
+    vals, dvals = (np.broadcast_to(v, arr.shape) for v in jet(e, arr, 1))
+    return _scalar_out(log_derivative_values(arr, vals, dvals, e), z)
 
 
-def log_derivative_at(e: Expr, z, deriv: Expr | None = None) -> complex:
+def log_derivative_at(e: Expr, z) -> complex:
     """Scalar convenience wrapper around :func:`log_derivative_field`."""
-    return complex(log_derivative_field(e, complex(z), deriv))
+    return complex(log_derivative_field(e, complex(z)))
 
 
-_NORM_TOL = 1e-12
+def _normalization_problems(e: Expr, name: str = "f", tol: float = 1e-12) -> list[str]:
+    """Where ``e`` leaves the normalized class, e(0) = 0 and e'(0) = 1, by more than ``tol``."""
+    checks = zip((f"{name}(0)", f"{name}'(0)"), _at_origin(e, 1), (0, 1))
+    return [f"{what} = {v!r}, expected {want}" for what, v, want in checks if abs(v - want) > tol]
 
 
 @dataclass(frozen=True)
@@ -587,37 +595,27 @@ class AnalyticTriple:
     f and g are normalized (value 0 and derivative 1 at the origin); h is
     any analytic function whose value h0 at the origin avoids (-inf, 0].
     The inequality fields take f', f'', g' and h' from jets of f, g and h
-    (:func:`jet`), and so does :meth:`build`'s normalization check.  The
-    tree of f', the weight of the operator's bracket, is built on first
-    use.  The constructor still accepts ``hp``, the tree of h' that
-    triples used to carry, and ignores it, so code that replaces h and h'
-    together keeps working.
+    (:func:`jet`), and :meth:`build` reads its checks from their Taylor
+    coefficients at 0.
     """
 
     f: Expr
     g: Expr
     h: Expr
     h0: complex
-    hp: InitVar[Expr | None] = None
 
     @cached_property
     def fp(self) -> Expr:
-        """The tree of f'."""
+        """The tree of f': the operator's weight, by which the bracket fits
+        are cached and which a chain shares with its operator."""
         return differentiate(self.f)
-
-    @property
-    def fpp(self) -> Expr:
-        """The tree of f'', built on each access; no field reads it."""
-        return differentiate(self.fp)
 
     @staticmethod
     def build(f: Expr, g: Expr, h: Expr) -> "AnalyticTriple":
         for name, e in (("f", f), ("g", g)):
-            v0, d0 = _at_origin(e, 1)
-            if abs(v0) > _NORM_TOL or abs(d0 - 1) > _NORM_TOL:
-                raise ParameterError(
-                    f"{name} is not normalized: {name}(0)={v0!r}, {name}'(0)={d0!r}"
-                )
+            problems = _normalization_problems(e, name)
+            if problems:
+                raise ParameterError(f"{name} is not normalized: {'; '.join(problems)}")
         h0, = _at_origin(h, 0)
         if h0.imag == 0 and h0.real <= 0:
             raise ParameterError(f"h(0)={h0!r} lies on (-inf, 0]")
@@ -625,9 +623,10 @@ class AnalyticTriple:
 
 
 def _at_origin(e: Expr, order: int) -> list[complex]:
-    """[e(0), e'(0), ...][:order + 1] from one jet walk; like :func:`eval_expr`,
-    a non-finite entry raises NonFiniteValue."""
-    out = [complex(np.ravel(v)[0]) for v in jet(e, np.zeros(1, dtype=complex), order)]
+    """The Taylor coefficients [c_0, ..., c_order] of e at 0 from one jet walk;
+    like :func:`eval_expr`, a non-finite entry raises NonFiniteValue."""
+    out = [complex(np.ravel(v)[0]) for v in _jet(e, np.zeros(1, dtype=complex), order)]
+    out += [0j] * (order + 1 - len(out))
     if not all(_finite(v) for v in out):
         raise NonFiniteValue(0j)
     return out

@@ -788,6 +788,7 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
     alpha = _validate_alpha(alpha)
     zarr = _prepare(z)
     if fit is None:
+        # the weight stays the tree of f': the bracket fits' series cache is keyed by it
         fit = BracketFit(g, alpha, weight=differentiate(f))
     fin = fit.final(zarr)
     vals, errs = _operator_from(zarr, alpha, fin)

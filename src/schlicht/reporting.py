@@ -8,6 +8,7 @@ atomically, temp-then-rename.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 import time
@@ -65,12 +66,14 @@ class ResolvedConfig:
     sources: dict
 
 
-def _to_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ParameterError(f"complex value must be [re, im], got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+def _param(key: str, v, pair: bool):
+    """params.<key> as a float, or as a complex when a [re, im] ``pair`` may
+    stand for it.  A bool, a string or null is no number here."""
+    parts = v if pair and isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in parts):
+        kind = "a real number or a [re, im] pair of real numbers" if pair else "a real number"
+        raise ParameterError(f"params.{key} must be {kind}, got {v!r}")
+    return complex(*map(float, parts)) if pair else float(v)
 
 
 # The keys a config may hold: top level (""), then the sections.
@@ -82,9 +85,9 @@ _CONFIG_KEYS = {"": ("f", "g", "h", "k_fn", "params", "check", "preset", "grid",
 def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
     """Resolve a config mapping; flags in ``overrides`` win over the file.
 
-    A key that a config cannot hold, and a config or a ``grid`` or
-    ``params`` section that is not a JSON object (null counts as an empty
-    section), raise ParameterError naming it.
+    A key that a config cannot hold, a config or a ``grid`` or ``params``
+    section that is not a JSON object (null counts as an empty section),
+    and a value of the wrong type or range raise ParameterError naming it.
     """
     overrides = overrides or {}
     if not isinstance(raw, dict):
@@ -112,13 +115,12 @@ def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
     k_fn = parse(merged["k_fn"]) if merged.get("k_fn") else None
 
     pr = merged.get("params") or {}
-    params = CriterionParams(
-        alpha=_to_complex(pr.get("alpha", 1)),
-        c=_to_complex(pr.get("c", -1)),
-        s=_to_complex(pr.get("s", 1)),
-        m=float(pr.get("m", 2.0)),
-        k=float(pr.get("k", 0.0)),
-    )
+    params = CriterionParams(**{
+        key: _param(key, pr.get(key, default), key in ("alpha", "c", "s"))
+        for key, default in (("alpha", 1), ("c", -1), ("s", 1), ("m", 2.0), ("k", 0.0))})
+    seed = merged.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
 
     gr = merged.get("grid") or {}
     grid = DiskGrid(**{k: gr[k] for k in _CONFIG_KEYS["grid"] if k in gr})
@@ -142,7 +144,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ResolvedConfig:
     }
     return ResolvedConfig(f=f, g=g, h=h, params=params, check=check,
                           preset=preset, grid=grid,
-                          seed=int(merged.get("seed", 0)), sources=sources)
+                          seed=int(seed), sources=sources)
 
 
 def _cplx(v) -> list[float] | None:
@@ -184,6 +186,7 @@ def _operator_subject(rc: ResolvedConfig):
     array, so asking for G' at the points just evaluated (or for G again)
     costs nothing.
     """
+    # the weight stays the tree of f': the bracket fits' series cache is keyed by it
     fit = BracketFit(rc.g, rc.params.alpha, weight=differentiate(rc.f))
     last: dict = {}
 
@@ -238,7 +241,7 @@ def _expr_subject(rc: ResolvedConfig):
         if points is not None and points.shape == arr.shape and np.array_equal(points, arr):
             out = kept["values"][order]
         else:
-            out = jet(f, arr, order)[order]
+            out = jet(f, arr, order, value=not order)[order]
         if not isinstance(out, np.ndarray):
             out = np.full(arr.shape, out, dtype=complex)
         if not np.isfinite(out).all():

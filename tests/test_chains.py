@@ -135,8 +135,7 @@ def test_chains_at_time_zero_are_the_operator_bit_for_bit(f_src, g_src, alpha, p
 
 def test_chain_l_raises_where_the_chain_bracket_crosses_zero():
     # h = -1 gives W0(t) = 2 - e^(2t), which reaches 0 at t = ln 2 / 2
-    triple = dataclasses.replace(TRIPLE_TRIVIAL, h=parse("-1"), h0=-1 + 0j,
-                                 hp=parse("0"))
+    triple = dataclasses.replace(TRIPLE_TRIVIAL, h=parse("-1"), h0=-1 + 0j)
     with pytest.raises(ToleranceNotMet, match="chain bracket"):
         chain_l(triple, P_TRIVIAL, np.array([0.5 + 0.1j, -0.3j]), 1.0)
 

@@ -316,6 +316,45 @@ def test_invalid_grid_flag_exit_two(tmp_path, capsys):
     assert "grid.n_radial must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
+_REAL_OR_PAIR = "must be a real number or a [re, im] pair of real numbers"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": 2.7}, "seed must be an integer >= 0, got 2.7"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": None}, "seed must be an integer >= 0, got None"),
+    ({"params": {"m": True}}, "params.m must be a real number, got True"),
+    ({"params": {"m": None}}, "params.m must be a real number, got None"),
+    ({"params": {"k": "0.5"}}, "params.k must be a real number, got '0.5'"),
+    ({"params": {"alpha": "1"}}, f"params.alpha {_REAL_OR_PAIR}, got '1'"),
+    ({"params": {"s": [1, "2"]}}, f"params.s {_REAL_OR_PAIR}, got [1, '2']"),
+    ({"params": {"c": [-1, 0, 0]}}, f"params.c {_REAL_OR_PAIR}, got [-1, 0, 0]"),
+    ({"params": {"c": [False, 0]}}, f"params.c {_REAL_OR_PAIR}, got [False, 0]"),
+], ids=["seed-fractional", "seed-negative", "seed-bool", "seed-null", "m-bool",
+        "m-null", "k-string", "alpha-string", "s-string-part", "c-triple", "c-bool-part"])
+def test_invalid_param_or_seed_exit_two(tmp_path, capsys, change, message):
+    payload = {**TRIVIAL, **change}
+    if "params" in change:
+        payload["params"] = {**TRIVIAL["params"], **change["params"]}
+    cfg = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "rep.json"
+    for oracle in ([], ["--no-oracle"]):
+        assert main(["check", "--config", cfg, "--out", str(out), *oracle]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+
+def test_params_and_seed_accept_numpy_scalars():
+    rc = load_config({**TRIVIAL, "seed": np.int64(11), "params": {
+        "alpha": [np.float64(1), np.int32(0)], "c": np.float64(-1), "s": 1,
+        "m": np.int64(2), "k": np.float32(0.5)}})
+    assert (rc.seed, rc.params.alpha, rc.params.c, rc.params.m) == (11, 1, -1, 2.0)
+    assert type(rc.seed) is int and type(rc.params.m) is float
+
+
 def test_every_shipped_config_loads(monkeypatch):
     # the demo configs and the benchmark's item configs hold only known keys
     spec = importlib.util.spec_from_file_location(

@@ -16,11 +16,13 @@ from schlicht.expr import (
     Sub,
     Var,
     Z,
+    _at_origin,
     _zero_order,
     const,
     differentiate,
     eval_expr,
     evaluate,
+    jet,
     log_derivative_at,
     log_derivative_field,
     pow_,
@@ -231,15 +233,24 @@ def test_log_derivative_at_origin_is_zero_order(src, expected):
     assert np.all(vals == expected)
 
 
+def test_zero_order_reads_no_coefficient_past_the_first_nonzero():
+    # z + z^2.5 has no third derivative at 0; the zero orders of f and f'
+    # at the origin need none
+    f = parse("z + z^2.5")
+    assert _zero_order(f) == 1 and _zero_order(f, 1) == 0
+    assert log_derivative_at(f, 0j) == 1
+    with pytest.raises(BranchPointHit):
+        jet(f, np.zeros(1, dtype=complex), 3)
+
+
 def _masked_log_derivative(e: Expr, z: np.ndarray) -> np.ndarray:
     """z e'/e computed only off the origin, gathered and scattered back."""
-    d = differentiate(e)
-    vals, dvals = evaluate(e, z), evaluate(d, z)
+    vals, dvals = (np.broadcast_to(v, z.shape) for v in jet(e, z, 1))
     at0 = z == 0
     out = np.empty(z.shape, dtype=complex)
     nz = ~at0
     out[nz] = z[nz] * dvals[nz] / vals[nz]
-    out[at0] = _zero_order(e, d)
+    out[at0] = _zero_order(e)
     return out
 
 
@@ -271,7 +282,7 @@ def test_triple_builds_and_caches():
     t = AnalyticTriple.build(parse("z + 0.1*z^2"), parse("z"), parse("1"))
     assert t.h0 == 1
     assert eval_expr(t.fp, 0j) == pytest.approx(1)
-    assert eval_expr(t.fpp, 0j) == pytest.approx(0.2)
+    assert _at_origin(t.f, 2)[2] == pytest.approx(0.1)  # f''(0)/2
 
 
 def test_triple_rejects_unnormalized():
