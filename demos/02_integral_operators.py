@@ -7,9 +7,10 @@ The central object is
 with the principal branch continued radially from the origin.  Three
 classical specializations come for free: g = z (Pascu), f = z
 (Moldoveanu-Pascu), and the g^alpha/u kernel (Mocanu).  Values come
-from Taylor coefficients when g and f' are analytic on the closed disk,
-and from radial Gauss-Legendre quadrature otherwise; every value carries
-an error estimate from the path that made it.
+from Taylor coefficients on the largest disk |u| <= rho (rho = 1 when g
+and f' are analytic on the closed unit disk) that the fit admits, and
+from radial Gauss-Legendre quadrature on the segments beyond rho; every
+value carries an error estimate.
 """
 
 import numpy as np
@@ -59,10 +60,10 @@ for z in (1e-2, 1e-3, 1e-4):
     ov = operator_g_alpha(parse("z + 0.1*z^2"), parse("z*exp(0.2*z)"), 1.7, z)
     print(f"  z = {z:g}: G(z)/z = {ov.value / z:.8f}")
 
-print("\n== which path computed the bracket ==")
+print("\n== the radius of the series, and why a larger one was refused ==")
 zs = 0.9 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)  # no ray through 1/2
 for f_src, g_src in (("z + 0.1*z^2", "z*exp(0.2*z)"), ("koebe", "z"),
                      ("z", "z*(1 - 2*z)")):
     fin = bracket_final(parse(g_src), 1.5, zs, weight=differentiate(parse(f_src)))
     why = fin.fallback_reason or f"cross-check gap {fin.cross_check_gap:.1e}"
-    print(f"  f = {f_src}, g = {g_src}: {fin.path} ({why})")
+    print(f"  f = {f_src}, g = {g_src}: rho = {fin.radius:g}, tolerance {fin.budget} ({why})")

@@ -542,9 +542,10 @@ def log_derivative_values(z: np.ndarray, vals, dvals, e: Expr, depth: int = 0):
     """z w'/w for w = e^(depth) from w and w' already evaluated on ``z``, say by :func:`jet`.
 
     The origin takes the order of the zero of w there, read from e's jet
-    at 0; a zero of w elsewhere raises DivisionByZero naming e, and a
-    non-finite result raises NonFiniteValue.  A nonzero scalar w with the
-    scalar w' = 0 is a constant, whose log derivative is the scalar 0j.
+    at 0; a zero of w elsewhere raises DivisionByZero naming the tree of w,
+    which only then is built, and a non-finite result raises
+    NonFiniteValue.  A nonzero scalar w with the scalar w' = 0 is a
+    constant, whose log derivative is the scalar 0j.
     """
     if (_is_zero(dvals) and not isinstance(vals, np.ndarray) and vals != 0
             and _finite(complex(vals))):
@@ -552,7 +553,13 @@ def log_derivative_values(z: np.ndarray, vals, dvals, e: Expr, depth: int = 0):
     at0 = z == 0
     zero = vals == 0
     if np.asarray(zero).any():
-        _raise_at_first(zero & ~at0, z, lambda w: DivisionByZero(w, e))
+        def vanished(point):
+            w = e
+            for _ in range(depth):
+                w = differentiate(w)
+            return DivisionByZero(point, w)
+
+        _raise_at_first(zero & ~at0, z, vanished)
     # 0/0 at the origin is overwritten below; any other non-finite value
     # fails the check at the end
     with np.errstate(divide="ignore", invalid="ignore"):

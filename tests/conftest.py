@@ -89,22 +89,29 @@ def admissible_params(rng, with_h0: bool = True):
 
 @pytest.fixture
 def _quadrature_log(monkeypatch):
-    """Every quadrature chunk run while active, as ray counts and as
-    (rays, panels, smallest panel edge sigma).
+    """Every quadrature call run while active, as its ray count, and every
+    group of rays it integrated on one panel layout, as (rays, panels,
+    smallest radius |u| where a segment of the group starts, smallest
+    endpoint radius |z| of the group).
 
-    Every ray of radial quadrature, a fallback batch or a cross-check
-    sample, passes through ``operators.iter_radial_brackets``, which
-    ``BracketFit`` looks up as a module global; subjects and chains
+    Every ray of radial quadrature, a segment beyond a fit's radius or a
+    cross-check sample, passes through ``operators.iter_radial_brackets``,
+    which ``BracketFit`` looks up as a module global; subjects and chains
     integrate only through a ``BracketFit``.
     """
     log = SimpleNamespace(rays=[], chunks=[])
     original = operators.iter_radial_brackets
 
-    def counted(*args, **kwargs):
-        for sel, br in original(*args, **kwargs):
-            log.rays.append(len(sel))
-            log.chunks.append((len(sel), len(br.sigmas), float(np.min(br.sigmas))))
+    def counted(g, alpha, z, *args, start, **kwargs):
+        zarr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        inner = np.abs(zarr) * np.broadcast_to(np.asarray(start[0], dtype=float), zarr.shape)
+        rays = 0
+        for sel, br in original(g, alpha, z, *args, start=start, **kwargs):
+            rays += len(sel)
+            log.chunks.append((len(sel), len(br.sigmas), float(np.min(inner[sel])),
+                               float(np.min(np.abs(zarr[sel])))))
             yield sel, br
+        log.rays.append(rays)
 
     monkeypatch.setattr(operators, "iter_radial_brackets", counted)
     return log
@@ -112,12 +119,13 @@ def _quadrature_log(monkeypatch):
 
 @pytest.fixture
 def ray_counter(_quadrature_log):
-    """List of the ray counts of every quadrature chunk run while active."""
+    """List of the ray counts of every quadrature call run while active."""
     return _quadrature_log.rays
 
 
 @pytest.fixture
 def chunk_counter(_quadrature_log):
-    """List of (rays, panels, smallest sigma) of every quadrature chunk run
-    while active; sigma is a panel's right edge as a fraction of |z|."""
+    """List of (rays, panels, smallest start radius, smallest endpoint radius)
+    of every group of rays that quadrature integrated on one panel layout
+    while active."""
     return _quadrature_log.chunks

@@ -25,6 +25,7 @@ from schlicht.expr import (
     jet,
     log_derivative_at,
     log_derivative_field,
+    log_derivative_values,
     pow_,
     principal_power,
 )
@@ -276,6 +277,21 @@ def test_log_derivative_zero_denominator():
     g = parse("z*(1 - 2*z)")
     with pytest.raises(DivisionByZero):
         log_derivative_at(g, 0.5)
+
+
+def test_a_zero_of_f_prime_names_f_prime():
+    # f' = 1 + z vanishes at z = -1, where z f''/f' divides by zero; the
+    # error names the tree of f', the function that vanished
+    from schlicht.criteria import bracket_field
+
+    f = parse("z + 0.5*z^2")
+    triple = AnalyticTriple.build(f, parse("z"), parse("1"))
+    with pytest.raises(DivisionByZero) as err:
+        bracket_field(triple, 2.0, np.array([-1 + 0j]))
+    assert err.value.z == -1 and err.value.subexpr == differentiate(f)
+    with pytest.raises(DivisionByZero) as err:
+        log_derivative_values(np.array([-1 + 0j]), *jet(f, np.array([-1 + 0j]), 2)[1:], f, 1)
+    assert err.value.subexpr == differentiate(f)
 
 
 def test_triple_builds_and_caches():

@@ -1,9 +1,10 @@
-"""Which path computes the operator bracket, why, and how well it agrees.
+"""Which radius a bracket fit takes, why, and how well it agrees.
 
-Subjects analytic on the closed disk take the coefficient path; the rest
-fall back to radial quadrature, whose values must then be exactly those
-of ``iter_radial_brackets`` on the same batch.  mpmath serves as an
-independent reference (test-only dependency).
+Subjects analytic on the closed disk take the coefficient path at radius
+1; the rest take the series on a smaller disk |u| <= rho and radial
+quadrature beyond it, whose values must then be exactly those of
+``iter_radial_brackets`` from the series' values on the radius.  mpmath
+serves as an independent reference (test-only dependency).
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ from schlicht import operators
 from schlicht.chains import chain_t6_p
 from schlicht.dsl import parse
 from schlicht.errors import ParameterError, ToleranceNotMet
-from schlicht.expr import differentiate
+from schlicht.expr import differentiate, evaluate
 from schlicht.operators import (
     bracket_final,
     continued_gz_log,
@@ -28,44 +29,64 @@ POINTS = 0.999 * np.sqrt(RNG_POINTS.uniform(0, 1, 200)) * np.exp(
     2j * np.pi * RNG_POINTS.uniform(0, 1, 200))
 
 
-def _quadrature_final(g, alpha, z, weight):
-    """bracket_final assembled from iter_radial_brackets alone."""
-    value = np.ones(len(z), dtype=complex)
-    log_value = np.zeros(len(z), dtype=complex)
-    logphi_end = np.zeros(len(z), dtype=complex)
-    for sel, br in iter_radial_brackets(g, alpha, z, weight=weight):
-        value[sel], log_value[sel], logphi_end[sel] = br.value, br.log_value, br.logphi_end
-    return value, log_value, logphi_end
+def _outer_segments(fit, z):
+    """The points of ``z`` beyond the fit's radius, and their V, log V and
+    log Phi from iter_radial_brackets alone, started from the series'
+    values on the radius."""
+    outer = np.flatnonzero(np.abs(z) > fit.radius * operators._EDGE)
+    t0 = fit.radius / np.abs(z[outer])
+    start = (t0, *fit._values(t0 * z[outer]))
+    got = [np.zeros(len(outer), dtype=complex) for _ in range(3)]
+    for sel, br in iter_radial_brackets(fit.g, fit.alpha, z[outer], weight=fit.weight,
+                                        start=start):
+        for arr, part in zip(got, (br.value, br.log_value, br.logphi_end)):
+            arr[sel] = part
+    return outer, got
 
 
-@pytest.mark.parametrize("f_src, g_src, reason", [
-    pytest.param("koebe", "z", "the weight cannot be evaluated on |u| = 1",
-                 id="koebe"),
-    pytest.param("z/(1-z)", "z", "the weight cannot be evaluated on |u| = 1",
-                 id="geometric-f"),
-    pytest.param("z + 0.1*z^2", "z/(1-z)", "g cannot be evaluated on |u| = 1",
-                 id="geometric-g"),
+# f', log g(u)/u on the rays for mpmath, and why the radius 1 is refused
+FALLBACKS = {
+    "koebe": ("koebe", "z", lambda mp, u: (1 + u) / (1 - u) ** 3, lambda mp, u: 0 * u,
+              "the weight cannot be evaluated on |u| = 1"),
+    "geometric-f": ("z/(1-z)", "z", lambda mp, u: 1 / (1 - u) ** 2, lambda mp, u: 0 * u,
+                    "the weight cannot be evaluated on |u| = 1"),
+    "geometric-g": ("z + 0.1*z^2", "z/(1-z)", lambda mp, u: 1 + 0.2 * u,
+                    lambda mp, u: -mp.log(1 - u), "g cannot be evaluated on |u| = 1"),
     # g/z = 1 - 2u vanishes at u = 1/2
-    pytest.param("z + 0.1*z^2", "z*(1 - 2*z)",
-                 "g(u)/u winds 1 times around 0 on |u| = 1", id="zero-in-disk"),
+    "zero-in-disk": ("z + 0.1*z^2", "z*(1 - 2*z)", lambda mp, u: 1 + 0.2 * u,
+                     lambda mp, u: mp.log(1 - 2 * u),
+                     "g(u)/u winds 1 times around 0 on |u| = 1"),
     # g/z = 1 - u is exactly 0 at the sample u = 1
-    pytest.param("z + 0.1*z^2", "z*(1 - z)", "g(u)/u vanishes on |u| = 1",
-                 id="zero-on-circle"),
+    "zero-on-circle": ("z + 0.1*z^2", "z*(1 - z)", lambda mp, u: 1 + 0.2 * u,
+                       lambda mp, u: mp.log(1 - u), "g(u)/u vanishes on |u| = 1"),
     # log g/z has coefficients 0.999^n/n: no N up to the cap resolves them
-    pytest.param("z + 0.1*z^2", "z/(1 - 0.999*z)", "coefficient tail", id="slow-tail"),
-])
+    "slow-tail": ("z + 0.1*z^2", "z/(1 - 0.999*z)", lambda mp, u: 1 + 0.2 * u,
+                  lambda mp, u: -mp.log(1 - 0.999 * u), "coefficient tail"),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
 @pytest.mark.parametrize("alpha", [2.0, 0.7 + 0.2j])
-def test_fallback_matches_quadrature_bit_for_bit(ray_counter, f_src, g_src, reason, alpha):
+def test_fallback_matches_quadrature_bit_for_bit(mpmath, ray_counter, case, alpha):
+    # the radius 1 is refused and a smaller one taken; the points beyond it
+    # are exactly the segment quadrature from the series, and the values
+    # agree with mpmath's quadrature from the origin (the principal log of
+    # g(u)/u is the continued one along every ray off the real axis)
+    f_src, g_src, fp, logphi, reason = FALLBACKS[case]
     f, g = parse(f_src), parse(g_src)
     z = POINTS[:40]
-    fin = bracket_final(g, alpha, z, weight=differentiate(f))
-    assert fin.path == "quadrature"
+    fit = operators.BracketFit(g, alpha, weight=differentiate(f))
+    fin = fit.final(z)
+    assert fin.path == "quadrature" and fin.radius < 1
     assert fin.fallback_reason.startswith(reason)
-    assert fin.cross_check_gap is None
-    assert ray_counter == [40]
-    for got, want in zip((fin.value, fin.log_value, fin.logphi_end),
-                         _quadrature_final(g, alpha, z, differentiate(f))):
-        assert np.array_equal(got, want)
+    assert fin.cross_check_gap <= 1e-10
+    outer, want = _outer_segments(fit, z)
+    assert ray_counter == [16, len(outer)] and len(outer)
+    for got, exact in zip((fin.value, fin.log_value, fin.logphi_end), want):
+        assert np.array_equal(got[outer], exact)
+    vals, _, _, ok = operator_values_with_derivative(f, g, alpha, z[:3], fit)
+    ref = np.array([_reference_operator(mpmath, fp, logphi, alpha, zz) for zz in z[:3]])
+    assert np.all(ok) and np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-12
 
 
 def test_interior_zero_of_g_still_raises_through_the_fallback():
@@ -99,21 +120,40 @@ def test_cross_check_sample_is_the_roots_of_unity(monkeypatch):
     assert np.array_equal(seen[0], operators._roots_of_unity(16))
 
 
-def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
+def _shifted_quadrature(monkeypatch, calls):
+    """Every quadrature call counted in ``calls``, and V shifted by 1e-8 in
+    the first one (or in all of them, if ``calls`` holds "all")."""
     original = operators.iter_radial_brackets
 
     def shifted(*args, **kwargs):
+        calls.append(1)
+        shift = 1e-8 if len(calls) == 1 or "all" in calls else 0.0
         for sel, br in original(*args, **kwargs):
-            br.values = br.values + 1e-8
+            br.values = br.values + shift
             yield sel, br
 
     monkeypatch.setattr(operators, "iter_radial_brackets", shifted)
+
+
+def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
+    # a gap at radius 1 moves the fit to the next radius, whose points
+    # beyond it are integrated
+    _shifted_quadrature(monkeypatch, [])
     fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
     for batch in (POINTS[:100], POINTS[100:]):
         fin = fit.final(batch)
-        assert fin.path == "quadrature"
+        assert fin.path == "quadrature" and fin.radius == 0.95
         assert fin.fallback_reason.startswith("cross-check gap 1.0e-08")
-        assert fin.cross_check_gap == pytest.approx(1e-8, rel=1e-6)
+        assert fin.cross_check_gap <= 1e-12
+
+
+def test_a_gap_at_every_radius_leaves_the_fit_without_one(monkeypatch):
+    _shifted_quadrature(monkeypatch, ["all"])
+    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
+    with pytest.raises(ToleranceNotMet, match=r"no series radius down to 0\.4 admitted: "
+                                              r"cross-check gap 1\.0e-08"):
+        fit.final(POINTS)
+    assert fit.reason.startswith("cross-check gap 1.0e-08")
 
 
 def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
@@ -129,12 +169,15 @@ def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
     monkeypatch.setattr(operators, "iter_radial_brackets", failing_once)
     fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
     fin = fit.final(POINTS)
-    assert fin.path == "quadrature" and len(calls) == 2
+    # the cross-check at radius 0.95, then the points beyond it
+    assert fin.path == "quadrature" and len(calls) == 3
     assert fin.fallback_reason == ("cross-check quadrature raised ToleranceNotMet: "
                                    "outer branch continuation unresolved")
-    # the fit keeps its verdict: the next batch is integrated, not cross-checked
-    assert fit.final(POINTS[:5]).fallback_reason == fin.fallback_reason
-    assert len(calls) == 3
+    # the fit keeps its radius: the next batch is integrated beyond it, not
+    # cross-checked
+    batch = POINTS[np.abs(POINTS) > 0.95][:5]
+    assert fit.final(batch).fallback_reason == fin.fallback_reason
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("alpha", [0.3, 2.0])
@@ -146,16 +189,17 @@ def test_cross_check_sees_an_error_of_the_constant_coefficient(alpha):
     fit.final(np.zeros(1))
     assert fit.reason is None
     fit.v[0] += 1e-8
+    gap, reason = fit._cross_check(complex(alpha), complex(alpha - 1))
+    assert reason.startswith("cross-check gap")
+    assert gap == pytest.approx(abs(1 - 2 ** -alpha) * 1e-8, rel=1e-3)
     fin = fit.final(operators._roots_of_unity(16))
-    assert fin.path == "quadrature"
-    assert fin.fallback_reason.startswith("cross-check gap")
-    assert fin.cross_check_gap == pytest.approx(abs(1 - 2 ** -alpha) * 1e-8, rel=1e-3)
+    assert fin.path == "quadrature" and fin.fallback_reason == reason
 
 
 def test_cross_check_attenuation_at_a_small_alpha():
     # at alpha = 0.05 the same shift shows as only 0.034 eps, still far above
-    # the bound of this polynomial H; the check runs by itself, since the
-    # fallback would integrate from the origin
+    # the bound of this polynomial H; the check runs by itself, since a
+    # refusal would move the fit to the next radius
     alpha = 0.05
     fit = operators.BracketFit(parse("z"), alpha, weight=differentiate(parse("z + 0.11*z^2")))
     fit.final(np.zeros(1))
@@ -169,68 +213,90 @@ def test_cross_check_attenuation_at_a_small_alpha():
 SEGMENT_F = "z/(1 - 0.17*z)"
 
 
-def _segment(g, alpha, u):
-    """(from the origin, from u/2 on) brackets at ``u``; the segment starts
-    from the from-origin quadrature's V and log V at u/2."""
-    w = differentiate(parse(SEGMENT_F))
-    (_, half), = iter_radial_brackets(g, alpha, 0.5 * u, weight=w)
-    (_, full), = iter_radial_brackets(g, alpha, u, weight=w)
-    (_, seg), = iter_radial_brackets(g, alpha, u, weight=w,
-                                     start=(half.value, half.log_value))
-    return half, full, seg
+def _segment(g, alpha, u, weight=None):
+    """(fit, [V, log V, log Phi, error]) at ``u`` by quadrature from
+    u/2 on, started from the series of the fit at radius 1 at u/2."""
+    fit = operators.BracketFit(g, alpha, weight=weight or differentiate(parse(SEGMENT_F)))
+    fit.final(np.zeros(1))
+    alpha = complex(alpha)
+    start = (0.5, *fit._values(0.5 * u))
+    return fit, operators._segments(g, alpha, u, alpha - 1, fit.weight, start)
+
+
+def _reference_v(mpmath, fp, logphi, alpha, z):
+    """V = alpha int_0^1 t^(alpha-1) Phi(zt)^(alpha-1) f'(zt) dt, by mpmath's
+    quadrature from the origin at 30 digits.
+
+    With t = s^(1/alpha), alpha t^(alpha-1) dt = ds, so V is the integral
+    of a function without endpoint singularity.
+    """
+    with mpmath.workdps(30):
+        a, zz = mpmath.mpc(alpha), mpmath.mpc(z)
+
+        def integrand(s):
+            u = zz * s ** (1 / a)
+            return mpmath.exp((a - 1) * logphi(mpmath, u)) * fp(mpmath, u)
+
+        return mpmath.quad(integrand, [0, 1])
+
+
+SEGMENT_WEIGHT = lambda mp, u: 1 / (1 - 0.17 * u) ** 2  # noqa: E731, f' of SEGMENT_F
+SEGMENT_LOGPHI = {"z": lambda mp, u: 0 * u, "z*exp(0.1*z)": lambda mp, u: 0.1 * u}
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0, 0.7 + 0.2j])
 @pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)"])
-def test_segment_from_half_matches_quadrature_from_the_origin(g_src, alpha):
-    u = operators._roots_of_unity(16)
-    half, full, seg = _segment(parse(g_src), alpha, u)
-    assert np.all(seg.sigmas >= 0.5)
-    bound = (seg.error + full.error + 2 ** -complex(alpha).real * half.error
-             + operators._ROUNDING * (1 + np.abs(full.value)))
-    assert np.all(np.abs(seg.value - full.value) <= bound)
-    assert np.all(np.abs(seg.log_value - full.log_value) <= bound / np.abs(full.value))
-    assert np.all(seg.branch_ok)
+def test_segment_from_half_matches_quadrature_from_the_origin(mpmath, g_src, alpha):
+    # mpmath's quadrature from the origin is the reference; the segment's
+    # error is its own plus the series error at u/2, attenuated by 2^(-alpha)
+    u = operators._roots_of_unity(16)[::4]
+    fit, (value, log_value, _, error) = _segment(parse(g_src), alpha, u)
+    ref = np.array([complex(_reference_v(mpmath, SEGMENT_WEIGHT, SEGMENT_LOGPHI[g_src],
+                                         alpha, zz)) for zz in u])
+    bound = (error + 2 ** -complex(alpha).real * fit.series.h_error
+             + operators._ROUNDING * (1 + np.abs(ref)))
+    assert np.all(np.abs(value - ref) <= bound)
+    assert np.all(np.abs(log_value - np.log(ref)) <= bound / np.abs(ref))
 
 
 def test_segment_start_needs_one_value_per_endpoint():
     with pytest.raises(ParameterError):
-        next(iter_radial_brackets(parse("z"), 2.0, [0.9], start=([1.0, 1.0], [0.0, 0.0])))
+        next(iter_radial_brackets(parse("z"), 2.0, [0.9],
+                                  start=(0.5, [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])))
+    with pytest.raises(ParameterError):
+        next(iter_radial_brackets(parse("z"), 2.0, [0.9],
+                                  start=([0.5, 0.5], [1.0], [0.0], [0.0])))
+    with pytest.raises(ParameterError):
+        next(iter_radial_brackets(parse("z"), 2.0, [0.9], start=(0.5, [1.0], [0.0])))
 
 
 @pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)", "z + 0.1*z^2"])
-def test_small_alpha_underflow_raises_tolerance_not_met(g_src):
-    # at alpha = 0.05 the substitution order is q = 16, and the cascade
-    # toward t = 0 bisects until tau^16 underflows
-    weight, u = parse("1 + 0.22*z"), operators._roots_of_unity(16)
-    with pytest.raises(ToleranceNotMet, match=r"q = 16.*Re alpha = 0\.05"):
-        list(iter_radial_brackets(parse(g_src), 0.05, u, weight=weight))
+def test_small_alpha_matches_mpmath(mpmath, g_src):
+    # at alpha = 0.05 the segment from u/2 integrates without any
+    # substitution: t^(alpha-1) is smooth on [1/2, 1]
+    weight, u = parse("1 + 0.22*z"), operators._roots_of_unity(16)[::4]
+    _, (value, _, _, _) = _segment(parse(g_src), 0.05, u, weight)
+    logphi = {"z": lambda mp, x: 0 * x, "z*exp(0.1*z)": lambda mp, x: 0.1 * x,
+              "z + 0.1*z^2": lambda mp, x: mp.log(1 + 0.1 * x)}[g_src]
+    ref = np.array([complex(_reference_v(mpmath, lambda mp, x: 1 + 0.22 * x, logphi,
+                                         0.05, zz)) for zz in u])
+    assert np.max(np.abs(value - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha, panels", [(0.07, 47), (0.1, 21)])
-def test_small_alpha_above_the_underflow_still_integrates(alpha, panels):
-    (_, br), = iter_radial_brackets(parse("z"), alpha, operators._roots_of_unity(16),
-                                    weight=parse("1 + 0.22*z"))
-    assert len(br.sigmas) == panels and np.all(br.branch_ok)
+@pytest.mark.parametrize("alpha, panels", [(0.07, 1), (0.1, 1)])
+def test_small_alpha_above_the_underflow_still_integrates(chunk_counter, alpha, panels):
+    # the segment layout: one group of the 16 rays, on as many panels
+    _segment(parse("z"), alpha, operators._roots_of_unity(16), parse("1 + 0.22*z"))
+    assert chunk_counter == [(16, panels, 0.5, 1.0)]
 
 
 def test_segment_from_half_matches_mpmath(mpmath):
     alpha, u = 0.7 + 0.2j, operators._roots_of_unity(16)
-    _, _, seg = _segment(parse("z*exp(0.1*z)"), alpha, u)
-    with mpmath.workdps(30):
-        a = mpmath.mpc(alpha)
-
-        def v(zz):
-            # t = s^(1/alpha) turns alpha t^(alpha-1) dt into ds; with
-            # g = z exp(0.1z), Phi^(alpha-1) = exp((alpha-1) 0.1 u)
-            def integrand(s):
-                w = zz * s ** (1 / a)
-                return mpmath.exp((a - 1) * 0.1 * w) / (1 - 0.17 * w) ** 2
-            return complex(mpmath.quad(integrand, [0, 1]))
-
-        ref = np.array([v(mpmath.mpc(zz)) for zz in u])
-    assert np.max(np.abs(seg.value - ref)) <= 1e-12
-    assert np.max(np.abs(seg.log_value - np.log(ref))) <= 1e-12
+    _, (value, log_value, _, _) = _segment(parse("z*exp(0.1*z)"), alpha, u)
+    ref = np.array([complex(_reference_v(mpmath, SEGMENT_WEIGHT, SEGMENT_LOGPHI["z*exp(0.1*z)"],
+                                         alpha, zz)) for zz in u])
+    assert np.max(np.abs(value - ref)) <= 1e-12
+    assert np.max(np.abs(log_value - np.log(ref))) <= 1e-12
 
 
 def test_origin_only_batch_integrates_nothing(ray_counter):
@@ -264,20 +330,10 @@ REF_POINTS = (0.5 * np.exp(0.4j), 0.9 * np.exp(2.2j), 0.999 * np.exp(-1.9j))
 
 
 def _reference_operator(mpmath, fp, logphi, alpha, z):
-    """z * V^(1/alpha), V = alpha int_0^1 t^(alpha-1) Phi(zt)^(alpha-1) f'(zt) dt.
-
-    With t = s^(1/alpha), alpha t^(alpha-1) dt = ds, so V is the integral
-    of a function without endpoint singularity.
-    """
+    """z * V^(1/alpha) with V from :func:`_reference_v`."""
     with mpmath.workdps(30):
-        a, zz = mpmath.mpc(alpha), mpmath.mpc(z)
-
-        def integrand(s):
-            u = zz * s ** (1 / a)
-            return mpmath.exp((a - 1) * logphi(mpmath, u)) * fp(mpmath, u)
-
-        v = mpmath.quad(integrand, [0, 1])
-        return complex(zz * mpmath.exp(mpmath.log(v) / a))
+        v = _reference_v(mpmath, fp, logphi, alpha, z)
+        return complex(mpmath.mpc(z) * mpmath.exp(mpmath.log(v) / mpmath.mpc(alpha)))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7 + 0.2j, 2.0])
@@ -290,6 +346,19 @@ def test_coefficient_path_matches_mpmath(mpmath, family, alpha):
     assert bracket_final(g, alpha, z, weight=differentiate(f)).path == "coefficients"
     ref = np.array([_reference_operator(mpmath, *FAMILIES[family], alpha, zz) for zz in z])
     assert np.max(np.abs(vals - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0, 0.7 + 0.2j])
+@pytest.mark.parametrize("case", ["koebe", "geometric-f", "geometric-g"])
+def test_singular_subjects_match_mpmath(mpmath, case, alpha):
+    # Koebe and z/(1-z) as f, and z/(1-z) as g: the series on |u| <= 0.95
+    # and the segments beyond it, within 1e-12 relative
+    f_src, g_src, fp, logphi, _ = FALLBACKS[case]
+    z = np.array(REF_POINTS)
+    vals, _, _, ok = operator_values_with_derivative(parse(f_src), parse(g_src), alpha, z)
+    assert bracket_final(parse(g_src), alpha, z, weight=differentiate(parse(f_src))).radius < 1
+    ref = np.array([_reference_operator(mpmath, fp, logphi, alpha, zz) for zz in z])
+    assert np.all(ok) and np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("family", list(FAMILIES), ids=["quad", "cubic", "exp", "moeb"])
@@ -306,20 +375,25 @@ def test_continued_gz_log_matches_mpmath_on_the_circle(mpmath, family):
 
 
 def test_continued_gz_log_falls_back_to_the_ladder():
+    # g is singular at u = 1: the log Phi series holds on |u| <= 0.95, and
+    # the points beyond take the ladder of their segments from the series
     g = parse("z/(1-z)")
     z = POINTS[:50]
-    ladder = operators._phi_ladder(g, z, np.unique(np.concatenate(
-        [operators._initial_tau_edges()[1:], [1.0]])))
-    expected = ladder.log_at(np.array([1.0]))[:, 0]
-    assert np.array_equal(continued_gz_log(g, z), expected)
+    fit = operators.GzLogFit(g)
+    logs = continued_gz_log(g, z, fit)
+    assert fit.radius == 0.95 and np.any(np.abs(z) > 0.95)
+    assert np.max(np.abs(logs + np.log(1 - z))) <= 1e-12
 
 
 @pytest.mark.parametrize("g_src", ["z/(1-z)", "z*exp(0.1*z)", "z*exp(4i*z)"])
 def test_ladder_queries_at_anchors_read_the_stored_logs(g_src):
     # a complex quotient v/v need not round to 1, so a step taken from an
     # anchor to itself can move its log in the last bit
-    ladder = operators._phi_ladder(parse(g_src), POINTS, operators._initial_tau_edges()[1:])
-    assert np.array_equal(ladder.log_at(ladder.ts), ladder.logs)
+    g = parse(g_src)
+    start = 0.5 * POINTS
+    ladder = operators._Ladder(g, lambda xs: POINTS[:, None] * (0.5 + 0.5 * xs[None, :]),
+                               np.log(evaluate(g, start) / start))
+    assert np.array_equal(ladder.log_at(ladder.xs), ladder.logs)
 
 
 def test_coefficient_path_refuses_an_unresolved_outer_continuation():

@@ -172,10 +172,16 @@ def test_panel_layout_independence(monkeypatch):
 
 
 def _quadrature_value(f, g, alpha, z):
-    """G(z) and its error estimate from radial quadrature alone."""
-    (_, br), = iter_radial_brackets(g, alpha, complex(z), weight=differentiate(f))
-    value = z * np.exp(br.log_value[0] / alpha)
-    return value, br.error[0] * abs(value) / abs(alpha * br.value[0])
+    """G(z) and its error bound from radial quadrature on the segment from
+    z/2 on, started from the series of the fit at radius 1 at z/2."""
+    fit = operators.BracketFit(g, alpha, weight=differentiate(f))
+    fit.final(np.zeros(1))
+    a, zz = complex(alpha), np.array([complex(z)])
+    value, log_value, _, error = operators._segments(
+        g, a, zz, a - 1, fit.weight, (0.5, *fit._values(0.5 * zz)))
+    error = error[0] + 0.5 ** a.real * fit.series.h_error
+    g_value = z * np.exp(log_value[0] / a)
+    return g_value, error * abs(g_value) / abs(a * value[0])
 
 
 def test_quadrature_halving_tolerance_stays_within_error(monkeypatch):
@@ -228,23 +234,25 @@ def test_branch_ok_means_the_continuation_resolved():
 
 
 def test_subdivision_depth_limit_names_the_panel(monkeypatch):
-    # Koebe's f' blows up at u = 1, so the last panel of a ray to 0.99
-    # needs more than one bisection; at the full depth it converges
+    # Koebe's f' blows up at u = 1, so the outer half of the segment from
+    # the fit's radius to 0.99 needs more than one bisection; at the full
+    # depth it converges
     f = parse("koebe")
     assert operator_g_alpha(f, parse("z"), 2.0, 0.99).branch_ok
     monkeypatch.setattr(operators, "_MAX_DEPTH", 1)
     with pytest.raises(ToleranceNotMet,
-                       match=r"panel \[0\.969,1\] above tolerance at depth 1"):
+                       match=r"panel \[0\.5,1\] above tolerance at depth 1"):
         operator_g_alpha(f, parse("z"), 2.0, 0.99)
 
 
 def test_ladder_inserts_anchors_where_phi_turns_fast():
     # the argument of Phi, 2 sin(111.7 u), swings by up to 4 radians
-    # between the initial ladder edges of a ray to 0.9, so anchors go in
-    # between
+    # between the initial ladder anchors of the segment from 0.09 to 0.9,
+    # so anchors go in between
     g = parse("z*exp(1.0*(exp(111.7i*z) - exp(-111.7i*z)))")
-    (_, br), = iter_radial_brackets(g, 1.5, [0.9])
-    ref = 2j * np.sin(111.7 * 0.9 * br.sigmas)
+    logphi0 = 2j * np.sin(111.7 * 0.09)
+    (_, br), = iter_radial_brackets(g, 1.5, [0.9], start=(0.1, [1.0], [0.0], [logphi0]))
+    ref = 2j * np.sin(111.7 * 0.9 * (1 - 0.9 * (1 - br.sigmas)))
     assert np.max(np.abs(br.logphi_edges[0] - ref)) <= 3e-14
 
 
@@ -255,7 +263,7 @@ def test_unwrap_prefix_names_the_first_row_of_the_innermost_bad_column(bad):
     rays = np.array([0.1, 0.2j, -0.3, 0.4 - 0.1j])
     sigmas = np.array([0.1, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(NonvanishingViolation) as info:
-        operators._unwrap_prefix(vals, 0j, rays, sigmas)
+        operators._unwrap_prefix(vals, 0j, rays[:, None] * sigmas)
     assert info.value.where == rays[2] * sigmas[1]
 
 

@@ -3,10 +3,11 @@
 An operator subject is evaluated once on the grid (the injectivity scan,
 whose pass the derivative check reuses), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
-Each subject or chain object fits its bracket once: when the fit takes the
-coefficient path, the object integrates one cross-check sample of 16 rays
-in all, each on its outer half only, whatever its number of batches; when
-it falls back, every batch integrates one ray per point from the origin.
+Each subject or chain object fits its bracket once: it integrates one
+cross-check sample of 16 rays per radius it tries, each on its outer half
+only, whatever its number of batches; at radius 1 that is all, and below
+it every batch integrates one segment per point beyond the radius, from
+the radius on.
 The Beltrami coefficient of a chain's extension comes from its driving
 term, so a dilatation scan integrates nothing and ``extend`` evaluates one
 chain value per exported point, in two batches.  The injectivity scan forms candidate pairs in fixed-size
@@ -37,8 +38,9 @@ SMALL = {"n_radial": 16, "n_angular": 32}
 @pytest.mark.parametrize("name, overrides, expected", [
     pytest.param("trivial_t2", {"grid": SMALL}, 16, id="trivial_t2"),
     pytest.param("t6_eps02", {}, 16, id="t6_eps02"),
-    # f' = 1/(1-z)^2 is singular on the circle: every batch falls back
-    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, 512 + 512 + 20,
+    # f' = 1/(1-z)^2 is singular on the circle: the fit takes the radius
+    # 0.95, and only the outer grid ring, 32 points, lies beyond it
+    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, 16 + 32,
                  id="fallback"),
 ])
 def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
@@ -49,25 +51,55 @@ def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
     assert sum(ray_counter) == expected
 
 
-@pytest.mark.parametrize("name, overrides, rays, outer_half", [
-    pytest.param("trivial_t2", {"grid": SMALL}, [16], True, id="trivial_t2"),
-    pytest.param("t6_eps02", {}, [16], True, id="t6_eps02"),
-    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, [512, 20, 512], False,
+@pytest.mark.parametrize("name, overrides, rays, rho", [
+    pytest.param("trivial_t2", {"grid": SMALL}, [16], 1.0, id="trivial_t2"),
+    pytest.param("t6_eps02", {}, [16], 1.0, id="t6_eps02"),
+    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, [16, 32], 0.95,
                  id="fallback"),
 ])
-def test_cross_check_integrates_the_outer_half_of_its_rays(chunk_counter, name, overrides,
-                                                            rays, outer_half):
-    # the cross-check starts each ray at u/2 from the series, in one panel
-    # [1/2, 1]; fallback batches integrate every ray from the origin
+def test_cross_check_integrates_the_outer_half_of_its_rays(ray_counter, chunk_counter, name,
+                                                            overrides, rays, rho):
+    # the cross-check starts each ray of |u| = rho at rho/2 from the series,
+    # in one panel [rho/2, rho] at radius 1; the points beyond a smaller rho
+    # start from the series on the radius
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     rc = reporting.load_config(raw, overrides)
     reporting.oracle_block(rc, reporting.subject_function(rc))
-    assert [c[0] for c in chunk_counter] == rays
-    if outer_half:
+    assert ray_counter == rays
+    assert all(c[2] >= rho / 2 for c in chunk_counter)
+    if rho == 1:
         assert [c[1] for c in chunk_counter] == [1]
-        assert all(c[2] >= 0.5 for c in chunk_counter)
-    else:
-        assert all(c[2] <= 2.0 ** -10 for c in chunk_counter)
+
+
+def test_a_singular_subject_integrates_only_beyond_its_radius(ray_counter, chunk_counter,
+                                                              tmp_path):
+    # f' = 1/(1-z)^2 is singular at z = 1: the fit takes a radius rho < 1,
+    # cross-checks 16 rays of |u| = rho from rho/2 on, and integrates only
+    # the grid points beyond rho, from rho on; the probes (|z| <= 0.85) and
+    # the preimage circle (|z| = 0.9) take the series
+    raw = json.loads((CONFIGS / "trivial_t2.json").read_text())
+    config = tmp_path / "t2_geometric_f.json"
+    config.write_text(json.dumps({**raw, "f": "z/(1-z)"}))
+    out = tmp_path / "report.json"
+    assert main(["check", "--config", str(config), "--out", str(out), "--no-timings"]) == 1
+    rho = min(c[3] for c in chunk_counter)
+    assert rho < 1 and any(rho == pytest.approx(r) for r in operators._RADII)
+    cross = [c for c in chunk_counter if c[3] < rho * operators._EDGE]
+    assert sum(c[0] for c in cross) == 16
+    assert all(c[2] == pytest.approx(rho / 2) for c in cross)
+    assert all(c[2] == pytest.approx(rho) and c[3] > rho for c in chunk_counter
+               if c not in cross)
+    radii = criteria.DiskGrid(**raw["grid"]).radii()
+    assert ray_counter == [16, raw["grid"]["n_angular"] * int(np.sum(radii > rho))]
+    # the verdict, margin and oracle verdicts of the from-origin quadrature
+    report = json.loads(out.read_text())
+    assert not report["check"]["satisfied"]
+    assert report["check"]["margin"] == pytest.approx(-2.9940019999999423, abs=1e-9)
+    oracle = report["oracle"]
+    assert oracle["injective_on_grid"] and oracle["collision_pair"] is None
+    assert oracle["preimage_counts"] == [1] * 20 and oracle["preimage_counts_ok"]
+    assert not oracle["derivative_flagged"]
+    assert oracle["derivative_min_abs"] == pytest.approx(0.2502501876250781, rel=1e-12)
 
 
 def test_max_dilatation_integrates_nothing(ray_counter):
@@ -111,15 +143,15 @@ def test_logderiv_check_with_the_oracle_fits_its_subject_once(ray_counter):
 
 @pytest.fixture
 def ladder_counter(monkeypatch):
-    """Points of every anchor ladder of Phi = g(u)/u built while the test runs."""
+    """Rays of every anchor ladder of Phi = g(u)/u built while the test runs."""
     points = []
-    original = operators._phi_ladder
+    original = operators._Ladder
 
-    def counted(g, z, ts):
-        points.append(len(z))
-        return original(g, z, ts)
+    def counted(g, points_at, start_log):
+        points.append(len(start_log))
+        return original(g, points_at, start_log)
 
-    monkeypatch.setattr(operators, "_phi_ladder", counted)
+    monkeypatch.setattr(operators, "_Ladder", counted)
     return points
 
 
@@ -174,8 +206,8 @@ def test_injectivity_scan_memory_peak(subject, injective):
 
 
 def test_extend_ray_count_fallback(ray_counter, tmp_path):
-    # f' of z/(1-z) is singular on the circle, so both batches integrate
-    # every point by quadrature
+    # f' of z/(1-z) is singular on the circle, so the chain's fit takes the
+    # radius 0.95, and each batch integrates its 8 points beyond it
     assert main(["extend", "--config", str(CONFIGS / "becker_fail.json"), "--force",
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
-    assert ray_counter == [32, 32]
+    assert ray_counter == [16, 8, 8]
