@@ -16,7 +16,6 @@ value carries an error estimate.
 import numpy as np
 
 from schlicht.dsl import parse
-from schlicht.expr import differentiate
 from schlicht.operators import (
     bracket_final,
     operator_g_alpha,
@@ -64,6 +63,6 @@ print("\n== the radius of the series, and why a larger one was refused ==")
 zs = 0.9 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)  # no ray through 1/2
 for f_src, g_src in (("z + 0.1*z^2", "z*exp(0.2*z)"), ("koebe", "z"),
                      ("z", "z*(1 - 2*z)")):
-    fin = bracket_final(parse(g_src), 1.5, zs, weight=differentiate(parse(f_src)))
+    fin = bracket_final(parse(g_src), 1.5, zs, f=parse(f_src))
     why = fin.fallback_reason or f"cross-check gap {fin.cross_check_gap:.1e}"
     print(f"  f = {f_src}, g = {g_src}: rho = {fin.radius:g}, tolerance {fin.budget} ({why})")

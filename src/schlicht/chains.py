@@ -39,7 +39,7 @@ from .errors import (
     PoleAtOne,
     ToleranceNotMet,
 )
-from .expr import AnalyticTriple, Expr, _scalar_out, differentiate, evaluate
+from .expr import AnalyticTriple, Expr, _scalar_out, evaluate
 from .operators import BracketFit, GzLogFit
 
 __all__ = [
@@ -113,8 +113,8 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
     With u0 = e^{-st} z the bracket is W = V(u0) (1 - (e^{mt}-1) D) with
     D = (a/c) Phi(u0)^(alpha-1) f'(u0) h(u0) / V(u0), so its log is the
     operator's continued log V plus :func:`_time_log`.  ``fit``, the
-    operator's ``BracketFit(triple.g, params.alpha, weight=triple.fp)``,
-    is reused across calls; by default each call fits its own.
+    operator's ``BracketFit(triple.g, params.alpha, f=triple.f)``, is
+    reused across calls; by default each call fits its own.
     """
     params.validate()
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
@@ -122,10 +122,10 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
     alpha = params.alpha
     u0 = np.exp(-params.s * tf) * zf
     if fit is None:
-        fit = BracketFit(triple.g, alpha, weight=triple.fp)
+        fit = BracketFit(triple.g, alpha, f=triple.f)
     fin = fit.final(u0)
     drift = ((params.a / params.c) * np.exp((alpha - 1) * fin.logphi_end)
-             * evaluate(triple.fp, u0) * evaluate(triple.h, u0) / fin.value)
+             * evaluate(triple.f, u0, 1) * evaluate(triple.h, u0) / fin.value)
     log_w = fin.log_value + _time_log(drift, np.expm1(params.m * tf))
     out = zf * np.exp(-params.s * tf + log_w / alpha)
     return _scalar_out(out.reshape(zb.shape), z, t)
@@ -288,8 +288,8 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
     """The automorphism chain [alpha int_0^z g^(a-1) f' du + (e^{alpha t}-1) z^alpha]^(1/alpha).
 
     Its bracket is U = V(z) + e^{alpha t} - 1 = V(z) (1 + (e^{alpha t}-1) / V(z)).
-    ``fit``, the operator's ``BracketFit(g, alpha, weight=differentiate(f))``,
-    is reused across calls; by default each call fits its own.
+    ``fit``, the operator's ``BracketFit(g, alpha, f=f)``, is reused
+    across calls; by default each call fits its own.
     """
     alpha = float(alpha)
     if not alpha > 0:
@@ -297,8 +297,7 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
     if fit is None:
-        # the weight stays the tree of f': the bracket fits' series cache is keyed by it
-        fit = BracketFit(g, alpha, weight=differentiate(f))
+        fit = BracketFit(g, alpha, f=f)
     fin = fit.final(zf)
     log_u = fin.log_value + _time_log(-1.0 / fin.value, np.expm1(alpha * tf))
     return _scalar_out((zf * np.exp(log_u / alpha)).reshape(zb.shape), z, t)
@@ -339,7 +338,7 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams):
     ``chain.driving_term(z, t)``, which needs no quadrature.  Its values
     share one bracket fit.
     """
-    fit = BracketFit(triple.g, params.alpha, weight=triple.fp)
+    fit = BracketFit(triple.g, params.alpha, f=triple.f)
 
     def chain(z, t):
         return chain_l(triple, params, z, t, fit)
@@ -358,8 +357,7 @@ def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
     values share one bracket fit, and its driving terms one log Phi fit.
     """
-    # the weight stays the tree of f': the bracket fits' series cache is keyed by it
-    fit = BracketFit(g, alpha, weight=differentiate(f))
+    fit = BracketFit(g, alpha, f=f)
     gz_fit = GzLogFit(g)
 
     def chain(z, t):

@@ -9,19 +9,18 @@ x*1 and x^1, but not 0 - x (+0 would become -0) or x^0 (0^0 raises).
 
 One walk serves every evaluation.  :func:`jet` walks a tree once in
 truncated Taylor arithmetic, one rule per node kind for every order up to
-64, and returns (e, e', ..., e^(n)); :func:`evaluate` is its order-0 case.
-The criterion fields, the normalization checks, the order of a zero at
-the origin and the oracle's f' all read jets.  :func:`differentiate`
-still builds the symbolic derivative: for printing, as the tests'
-reference, and for f' as the operator's weight, whose tree keys the
-bracket fits' caches and is shared by a chain and its operator.
+64, and returns (e, e', ..., e^(n)); :func:`evaluate` is its order-0 case,
+and reads one derivative off a jet at a higher order.  The criterion
+fields, the normalization checks, the order of a zero at the origin, the
+oracle's f' and the operator's weight f' all read jets, so a bracket fit
+is keyed by f itself.  :func:`differentiate` still builds the symbolic
+derivative, for printing and as the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -436,15 +435,16 @@ def jet(e: Expr, z: np.ndarray, order: int = 2, value: bool = True) -> tuple:
     return tuple(out)
 
 
-def evaluate(e: Expr, z: np.ndarray) -> np.ndarray:
-    """``e`` on the points ``z`` (an ndarray) under principal branches.
+def evaluate(e: Expr, z: np.ndarray, order: int = 0) -> np.ndarray:
+    """``e``, or its ``order``-th derivative, on the points ``z`` (an ndarray).
 
-    This is the order-0 :func:`jet`, with a constant result broadcast to
+    Order 0 is the order-0 :func:`jet` under principal branches, order k
+    is ``jet(e, z, k, value=False)[k]``, and a constant is broadcast to
     the shape of ``z``.  A zero divisor, and a zero under log or a
     non-integer power, raise at the first such point; NaN and inf are
     returned as they are.
     """
-    out = _jet(e, z, 0)[0]
+    out = jet(e, z, order, value=False)[order] if order else _jet(e, z, 0)[0]
     return out if isinstance(out, np.ndarray) else np.full(np.shape(z), out, dtype=complex)
 
 
@@ -610,12 +610,6 @@ class AnalyticTriple:
     g: Expr
     h: Expr
     h0: complex
-
-    @cached_property
-    def fp(self) -> Expr:
-        """The tree of f': the operator's weight, by which the bracket fits
-        are cached and which a chain shares with its operator."""
-        return differentiate(self.f)
 
     @staticmethod
     def build(f: Expr, g: Expr, h: Expr) -> "AnalyticTriple":

@@ -5,11 +5,12 @@ Everything reduces to one bracket
 
     V(z) = alpha * int_0^1 t^(alpha-1) * Phi(z t)^beta * w(z t) dt,
 
-where Phi(u) = g(u)/u (equal to 1 at the origin) and w is f' or 1.  The
-full integral is then alpha * int_0^z g^(alpha-1) f' du = z^alpha V(z) and
-the operator value is z * V(z)^(1/alpha).
+where Phi(u) = g(u)/u (equal to 1 at the origin) and w is f', read off a
+jet of f (``evaluate(f, u, 1)``), or 1 when no f is given.  The full
+integral is then alpha * int_0^z g^(alpha-1) f' du = z^alpha V(z) and the
+operator value is z * V(z)^(1/alpha).
 
-One path computes V.  A :class:`BracketFit` of one (g, w, alpha, beta)
+One path computes V.  A :class:`BracketFit` of one (g, f, alpha, beta)
 fixes a radius rho for all the batches of endpoints that a subject or
 chain object evaluates; :func:`bracket_final` is the same for one batch.
 Points with |z| <= rho take the series, the others a quadrature on the
@@ -48,7 +49,7 @@ by quadrature from the series' V, log V and log Phi at rho e^(i theta)
 (:func:`iter_radial_brackets`); its error bound adds (rho/r)^Re(alpha)
 h_err to the quadrature's.  The same segments serve the cross-check and
 :func:`continued_gz_log`, whose :class:`GzLogFit` is the fit of V = 1
-(phi exponent 0, no weight): it carries log Phi alone.
+(phi exponent 0, no f): it carries log Phi alone.
 
 Every branch is continued by one rule: :func:`_continued_log` takes one
 principal log step per entry and flags steps that turn the argument by
@@ -93,7 +94,7 @@ from .errors import (
     SchlichtError,
     ToleranceNotMet,
 )
-from .expr import Expr, Var, _raise_at_first, differentiate, evaluate
+from .expr import Expr, Var, _raise_at_first, evaluate
 
 __all__ = [
     "OperatorValue", "RadialBracket", "BracketFinal", "BracketFit",
@@ -279,7 +280,7 @@ def _halves(panels) -> list:
             for half in ((a, 0.5 * (a + b), depth + 1), (0.5 * (a + b), b, depth + 1))]
 
 
-def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
+def _bracket_chunk(g: Expr, f: Expr | None, alpha: complex, beta: complex,
                    zc: np.ndarray, start) -> Iterator[tuple[np.ndarray, RadialBracket]]:
     """The segments from t0 zc to zc, given ``start`` = (t0, V, log V, log Phi)
     at t0 zc, one of each per ray:
@@ -311,9 +312,9 @@ def _bracket_chunk(g: Expr, weight: Expr | None, alpha: complex, beta: complex,
         vals = span[rows] * np.exp((alpha - 1) * np.log(t))
         if ladder is not None and beta != 0:
             vals = vals * np.exp(beta * ladder.log_at(x)[rows])
-        if weight is not None:
+        if f is not None:
             u = zc[rows, None] * t
-            wt = evaluate(weight, u)
+            wt = evaluate(f, u, 1)
             # bound to a name, the mask lives to the end of this call; freed
             # before the product below, glibc's heap reuse raised the peak
             # RSS of benchmark runs by 5-9 MB
@@ -400,15 +401,16 @@ def _prepare(z) -> np.ndarray:
 
 
 def iter_radial_brackets(g: Expr, alpha, z, phi_exponent=None,
-                         weight: Expr | None = None, *, start,
+                         f: Expr | None = None, *, start,
                          ) -> Iterator[tuple[np.ndarray, RadialBracket]]:
     """Yield (flat indices, RadialBracket) per group of rays on one panel layout.
 
     ``start`` = (t0, V, log V, log Phi) gives, for each endpoint z, the
     fraction t0 of z where its segment starts (a scalar serves them all)
     and the bracket's V, log V and log Phi at t0 z; each segment is
-    integrated from there to z (:func:`_bracket_chunk`).  Endpoints with
-    |z| below 1e-100 are skipped; there V = 1 exactly.
+    integrated from there to z (:func:`_bracket_chunk`) with the weight
+    f', or 1 without ``f``.  Endpoints with |z| below 1e-100 are skipped;
+    there V = 1 exactly.
     """
     alpha = _validate_alpha(alpha)
     beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
@@ -423,17 +425,17 @@ def iter_radial_brackets(g: Expr, alpha, z, phi_exponent=None,
     idx_nonzero = np.flatnonzero(np.abs(zarr) > _ZERO_RADIUS)
     for first in range(0, len(idx_nonzero), _CHUNK):
         sel = idx_nonzero[first:first + _CHUNK]
-        for rows, br in _bracket_chunk(g, weight, alpha, beta, zarr[sel],
+        for rows, br in _bracket_chunk(g, f, alpha, beta, zarr[sel],
                                        (t0[sel], *(a[sel] for a in given))):
             yield sel[rows], br
 
 
 def _segments(g: Expr, alpha: complex, z: np.ndarray, beta: complex,
-              weight: Expr | None, start) -> list[np.ndarray]:
+              f: Expr | None, start) -> list[np.ndarray]:
     """[V, log V, log Phi, error] at ``z`` by :func:`iter_radial_brackets`."""
     out = [np.ones(len(z), dtype=complex), np.zeros(len(z), dtype=complex),
            np.zeros(len(z), dtype=complex), np.zeros(len(z))]
-    for sel, br in iter_radial_brackets(g, alpha, z, beta, weight, start=start):
+    for sel, br in iter_radial_brackets(g, alpha, z, beta, f, start=start):
         for arr, part in zip(out, (br.value, br.log_value, br.logphi_end, br.error)):
             arr[sel] = part
     return out
@@ -441,7 +443,7 @@ def _segments(g: Expr, alpha: complex, z: np.ndarray, beta: complex,
 
 @dataclass(frozen=True)
 class _CircleSeries:
-    """Taylor coefficients of log Phi and of H = exp(beta log Phi) w in u/rho
+    """Taylor coefficients of log Phi and of H = exp(beta log Phi) f' in u/rho
     on |u| <= rho, their error bounds, Phi(0) and the tolerance met
     (``budget``), or the reason there are none."""
 
@@ -473,10 +475,11 @@ def _trim(coef: np.ndarray, tol: float):
     return coef[:max(half - k, 1)], error
 
 
-def _sample_circle(e: Expr, u: np.ndarray, what: str, circle: str):
-    """Values of ``e`` on the sample circle, or the reason they are unusable."""
+def _sample_circle(e: Expr, u: np.ndarray, what: str, circle: str, order: int = 0):
+    """Values of ``e``, or of its ``order``-th derivative, on the sample
+    circle, or the reason they are unusable."""
     try:
-        v = evaluate(e, u)
+        v = evaluate(e, u, order)
     except SchlichtError as exc:
         return None, f"{what} cannot be evaluated on {circle} ({type(exc).__name__})"
     if not np.all(np.isfinite(v)):
@@ -532,7 +535,7 @@ def _circle_log(vals: np.ndarray, what: str, circle: str):
 
 
 @lru_cache(maxsize=64)
-def _circle_series(g: Expr, weight: Expr | None, beta: complex, rho: float,
+def _circle_series(g: Expr, f: Expr | None, beta: complex, rho: float,
                    tol: float) -> _CircleSeries:
     circle = f"|u| = {rho:g}"
     n = _SERIES_START
@@ -546,8 +549,8 @@ def _circle_series(g: Expr, weight: Expr | None, beta: complex, rho: float,
                 return _CircleSeries(reason=reason)
             phi = gv / u
         wv = np.ones(n, dtype=complex)
-        if weight is not None:
-            wv, reason = _sample_circle(weight, u, "the weight", circle)
+        if f is not None:
+            wv, reason = _sample_circle(f, u, "the weight", circle, 1)
             if reason:
                 return _CircleSeries(reason=reason)
         logphi, reason = _circle_log(phi, "g(u)/u", circle)
@@ -617,8 +620,8 @@ def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class BracketFit:
-    """The bracket of one (g, weight, alpha, phi exponent), fitted once for
-    all the batches of endpoints that a subject or chain object evaluates.
+    """The bracket of one (g, f, alpha, phi exponent), weight f' (1 without
+    f), fitted once for all the batches a subject or chain object evaluates.
 
     The first batch fits the series at ``radius`` rho = 1 and, once a batch
     has an endpoint off the origin, cross-checks it (:meth:`_cross_check`);
@@ -628,8 +631,8 @@ class BracketFit:
     gap of the cross-check at rho (None until it passes).
     """
 
-    def __init__(self, g: Expr, alpha, phi_exponent=None, weight: Expr | None = None):
-        self.g, self.alpha, self.phi_exponent, self.weight = g, alpha, phi_exponent, weight
+    def __init__(self, g: Expr, alpha, phi_exponent=None, f: Expr | None = None):
+        self.g, self.alpha, self.phi_exponent, self.f = g, alpha, phi_exponent, f
         self.radius = _RADII[0]
         self.series: _CircleSeries | None = None
         self.v = self.logv = None
@@ -664,7 +667,7 @@ class BracketFit:
         if len(outer):
             (out.value[outer], out.log_value[outer], out.logphi_end[outer],
              out.error[outer]) = _segments(
-                self.g, alpha, zo, beta, self.weight, (t0, v[k:], logv[k:], logphi[k:]))
+                self.g, alpha, zo, beta, self.f, (t0, v[k:], logv[k:], logphi[k:]))
             out.error[outer] += t0 ** alpha.real * self.series.h_error
         return out
 
@@ -698,7 +701,7 @@ class BracketFit:
     def _fit_series(self, alpha: complex, beta: complex) -> str | None:
         """Coefficients of log Phi, H, V and log V at the current radius, or
         the reason there are none."""
-        self.series = _circle_series(self.g, self.weight, beta, self.radius,
+        self.series = _circle_series(self.g, self.f, beta, self.radius,
                                      _ABS_TOLERANCE)
         if self.series.reason is not None:
             return self.series.reason
@@ -749,7 +752,7 @@ class BracketFit:
         start = (_CROSS_CHECK_START, v[:n], logv[:n], logphi[:n])
         try:
             quad, quad_logv, quad_logphi, quad_err = _segments(
-                self.g, alpha, zs, beta, self.weight, start)
+                self.g, alpha, zs, beta, self.f, start)
         except SchlichtError as exc:
             return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
         gap = np.abs(v[n:] - quad)
@@ -767,9 +770,9 @@ class BracketFit:
 
 
 def bracket_final(g: Expr, alpha, z, phi_exponent=None,
-                  weight: Expr | None = None) -> BracketFinal:
+                  f: Expr | None = None) -> BracketFinal:
     """One batch of bracket values from a fit of its own (:class:`BracketFit`)."""
-    return BracketFit(g, alpha, phi_exponent, weight).final(z)
+    return BracketFit(g, alpha, phi_exponent, f).final(z)
 
 
 def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
@@ -784,19 +787,17 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
     """Operator values and closed-form G' from one bracket pass.
 
     Returns (values, derivatives, errors, branch_ok), vectorized over z.
-    ``fit``, the ``BracketFit(g, alpha, weight=differentiate(f))`` of a
-    caller that evaluates many batches, is reused; by default each call
-    fits its own.
+    ``fit``, the ``BracketFit(g, alpha, f=f)`` of a caller that evaluates
+    many batches, is reused; by default each call fits its own.
     """
     alpha = _validate_alpha(alpha)
     zarr = _prepare(z)
     if fit is None:
-        # the weight stays the tree of f': the bracket fits' series cache is keyed by it
-        fit = BracketFit(g, alpha, weight=differentiate(f))
+        fit = BracketFit(g, alpha, f=f)
     fin = fit.final(zarr)
     vals, errs = _operator_from(zarr, alpha, fin)
-    derivs = evaluate(fit.weight, zarr) * np.exp((alpha - 1) * (fin.logphi_end
-                                                              - fin.log_value / alpha))
+    derivs = evaluate(f, zarr, 1) * np.exp((alpha - 1) * (fin.logphi_end
+                                                         - fin.log_value / alpha))
     return vals, derivs, errs, fin.branch_ok
 
 
@@ -840,7 +841,7 @@ def operator_mocanu(g: Expr, alpha, z) -> OperatorValue:
 class GzLogFit(BracketFit):
     """The fit that carries log Phi alone, once for all the batches that a
     T6 check or chain passes to :func:`continued_gz_log`: the bracket of
-    V = 1 (phi exponent 0, no weight), whose ``logphi_end`` is log Phi."""
+    V = 1 (phi exponent 0, no f), whose ``logphi_end`` is log Phi."""
 
     def __init__(self, g: Expr):
         super().__init__(g, 1.0, 0.0)

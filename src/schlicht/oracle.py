@@ -21,7 +21,7 @@ chunk reaches the floor ratio 0 (a constant subject stops after its first
 chunk).
 
 Subjects are expressions or vectorized callables, taken through
-``expr.as_subject``, which also gives the derivative check its f': symbolic
+``expr.as_subject``, which also gives the derivative check its f': a jet
 for an expression, the callable's own ``derivative`` when it has one (the
 operator subject's closed form G', see ``operators``, or f' from the jet
 pass that a becker run's subject keeps, see ``reporting``), and finite

@@ -7,6 +7,7 @@ atomically, temp-then-rename.
 
 from __future__ import annotations
 
+import errno
 import json
 import numbers
 import os
@@ -42,7 +43,6 @@ from .expr import (
     _scalar_out,
     as_subject,
     const,
-    differentiate,
     jet,
 )
 from .operators import BracketFit, operator_values_with_derivative
@@ -186,8 +186,7 @@ def _operator_subject(rc: ResolvedConfig):
     array, so asking for G' at the points just evaluated (or for G again)
     costs nothing.
     """
-    # the weight stays the tree of f': the bracket fits' series cache is keyed by it
-    fit = BracketFit(rc.g, rc.params.alpha, weight=differentiate(rc.f))
+    fit = BracketFit(rc.g, rc.params.alpha, f=rc.f)
     last: dict = {}
 
     def evaluate(zz):
@@ -368,7 +367,8 @@ def oracle_block(rc: ResolvedConfig, subject) -> dict:
         "injective_on_grid": inj.injective_on_grid,
         "collision_pair": ([_cplx(inj.collision_pair[0]), _cplx(inj.collision_pair[1])]
                            if inj.collision_pair else None),
-        "min_separation_ratio": inj.min_separation_ratio,
+        # a one-point grid has no pair: null, since JSON has no Infinity
+        "min_separation_ratio": inj.min_separation_ratio if inj.n_points > 1 else None,
         "n_points": inj.n_points,
         "collision_tol": inj.tol,
         "preimage_counts": counts,
@@ -421,10 +421,19 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _umask() -> int:
-    mask = os.umask(0)  # reading the umask means setting it; put it back
-    os.umask(mask)
-    return mask
+def _new_temp(target: str, binary: bool):
+    """(path, handle) of a new file beside ``target``, which ``open`` creates
+    with 0666 less the umask, so the umask is never read (which means
+    setting it for every thread); a taken name is drawn again, as
+    ``tempfile.mkstemp`` does."""
+    directory = os.path.dirname(os.path.abspath(target))
+    for _ in range(tempfile.TMP_MAX):
+        tmp = os.path.join(directory, f".schlicht-{os.urandom(8).hex()}")
+        try:
+            return tmp, open(tmp, "xb" if binary else "x")
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no unused temp file name", target)
 
 
 def atomic_write(path: str, data, *more) -> None:
@@ -432,21 +441,17 @@ def atomic_write(path: str, data, *more) -> None:
 
     ``more`` holds further (path, data) pairs.  Every temp file is written
     before any is renamed, so a failed write leaves none of the outputs.
-    Files get the mode ``open`` would give them (0666 less the umask), and
-    an error names the path asked for, not its temp file.
+    Files get the mode ``open`` gives them (0666 less the umask), and an
+    error names the path asked for, not its temp file.
     """
-    perm = 0o666 & ~_umask()
     outputs = [(path, data), *more]
     temps: list[str] = []
     try:
         for target, payload in outputs:
-            mode = "wb" if isinstance(payload, (bytes, bytearray)) else "w"
             try:
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(os.path.abspath(target)), prefix=".schlicht-")
+                tmp, handle = _new_temp(target, isinstance(payload, (bytes, bytearray)))
                 temps.append(tmp)
-                with os.fdopen(fd, mode) as handle:
-                    os.fchmod(handle.fileno(), perm)
+                with handle:
                     handle.write(payload)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, target) from None

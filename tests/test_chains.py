@@ -35,7 +35,7 @@ from schlicht.errors import (
     PoleAtOne,
     ToleranceNotMet,
 )
-from schlicht.expr import AnalyticTriple, differentiate, eval_expr
+from schlicht.expr import AnalyticTriple, eval_expr
 from schlicht.operators import bracket_final, operator_g_alpha, operator_values
 
 TRIPLE_TRIVIAL = AnalyticTriple.build(parse("z"), parse("z"), parse("1"))
@@ -125,7 +125,7 @@ def test_a1_with_a_real_h0_continues_in_complex_arithmetic():
 def test_chains_at_time_zero_are_the_operator_bit_for_bit(f_src, g_src, alpha, path):
     f, g = parse(f_src), parse(g_src)
     z = _rand_disk(np.random.default_rng(76), 40, r=0.95)
-    assert bracket_final(g, alpha, z, weight=differentiate(f)).path == path
+    assert bracket_final(g, alpha, z, f=f).path == path
     G = operator_values(f, g, alpha, z)[0]
     triple = AnalyticTriple.build(f, g, parse("1 + 0.3*z"))
     params = CriterionParams(alpha=alpha, c=-1.2 + 0.3j, s=1.3 + 0.2j, m=2.6)

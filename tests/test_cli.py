@@ -14,7 +14,7 @@ import pytest
 import schlicht
 from schlicht import cli
 from schlicht.cli import main
-from schlicht.reporting import load_config
+from schlicht.reporting import atomic_write, load_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -103,6 +103,27 @@ def test_report_validates_against_schema(tmp_path):
     schema_path = Path(schlicht.__file__).parent / "schemas" / "report.schema.json"
     schema = json.loads(schema_path.read_text())
     jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("grid, ratio", [("1x1", None), ("1x2", 1.0)])
+def test_a_one_point_grid_reports_no_separation_ratio(tmp_path, grid, ratio):
+    # with one point there is no pair: null, not the Infinity that strict
+    # JSON parsers reject
+    out = tmp_path / "rep.json"
+    assert main(["check", "--config", str(REPO / "demos" / "configs" / "becker_pass.json"),
+                 "--grid", grid, "--out", str(out), "--no-timings"]) == 0
+    report = _strict_json(out.read_text())
+    assert report["oracle"]["injective_on_grid"] is True
+    assert report["oracle"]["min_separation_ratio"] == ratio
+    schema_path = Path(schlicht.__file__).parent / "schemas" / "report.schema.json"
+    jsonschema.validate(report, json.loads(schema_path.read_text()))
 
 
 def test_ktable_values(tmp_path):
@@ -196,6 +217,29 @@ def test_output_files_honour_the_umask(tmp_path, mask):
         os.umask(old)
     for out in outs:
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+
+
+def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # reading the umask means setting it, and a file that another thread
+    # creates meanwhile would get the mode 0666 or 0777
+    def umask(mask):
+        raise AssertionError("atomic_write set the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    text, data = tmp_path / "r.json", tmp_path / "f.ppm"
+    atomic_write(str(text), "{}\n", (str(data), b"P6"))
+    assert text.read_text() == "{}\n" and data.read_bytes() == b"P6"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ppm", "r.json"]
+
+
+def test_atomic_write_draws_another_temp_name_when_one_exists(tmp_path, monkeypatch):
+    taken = tmp_path / f".schlicht-{bytes(8).hex()}"
+    taken.write_text("kept")
+    draws = iter([bytes(8), bytes(8), b"\x01" * 8])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    atomic_write(str(tmp_path / "out.txt"), "new")
+    assert (tmp_path / "out.txt").read_text() == "new" and taken.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.txt"]
 
 
 @pytest.mark.parametrize("bad", ["ppm", "csv"])

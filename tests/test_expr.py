@@ -297,7 +297,7 @@ def test_a_zero_of_f_prime_names_f_prime():
 def test_triple_builds_and_caches():
     t = AnalyticTriple.build(parse("z + 0.1*z^2"), parse("z"), parse("1"))
     assert t.h0 == 1
-    assert eval_expr(t.fp, 0j) == pytest.approx(1)
+    assert eval_expr(t.f, 0j, 1) == pytest.approx(1)
     assert _at_origin(t.f, 2)[2] == pytest.approx(0.1)  # f''(0)/2
 
 

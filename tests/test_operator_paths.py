@@ -16,7 +16,7 @@ from schlicht import operators
 from schlicht.chains import chain_t6_p
 from schlicht.dsl import parse
 from schlicht.errors import ParameterError, ToleranceNotMet
-from schlicht.expr import differentiate, evaluate
+from schlicht.expr import evaluate
 from schlicht.operators import (
     bracket_final,
     continued_gz_log,
@@ -37,7 +37,7 @@ def _outer_segments(fit, z):
     t0 = fit.radius / np.abs(z[outer])
     start = (t0, *fit._values(t0 * z[outer]))
     got = [np.zeros(len(outer), dtype=complex) for _ in range(3)]
-    for sel, br in iter_radial_brackets(fit.g, fit.alpha, z[outer], weight=fit.weight,
+    for sel, br in iter_radial_brackets(fit.g, fit.alpha, z[outer], f=fit.f,
                                         start=start):
         for arr, part in zip(got, (br.value, br.log_value, br.logphi_end)):
             arr[sel] = part
@@ -75,7 +75,7 @@ def test_fallback_matches_quadrature_bit_for_bit(mpmath, ray_counter, case, alph
     f_src, g_src, fp, logphi, reason = FALLBACKS[case]
     f, g = parse(f_src), parse(g_src)
     z = POINTS[:40]
-    fit = operators.BracketFit(g, alpha, weight=differentiate(f))
+    fit = operators.BracketFit(g, alpha, f=f)
     fin = fit.final(z)
     assert fin.path == "quadrature" and fin.radius < 1
     assert fin.fallback_reason.startswith(reason)
@@ -91,15 +91,15 @@ def test_fallback_matches_quadrature_bit_for_bit(mpmath, ray_counter, case, alph
 
 def test_interior_zero_of_g_still_raises_through_the_fallback():
     g = parse("z*(1 - 2*z)")
-    assert bracket_final(g, 2.0, np.array([0.3]), weight=parse("1")).path == "quadrature"
+    assert bracket_final(g, 2.0, np.array([0.3]), f=None).path == "quadrature"
     with pytest.raises(operators.IntegrandSingular):
-        bracket_final(g, 2.0, np.array([1.0]), weight=parse("1"))
+        bracket_final(g, 2.0, np.array([1.0]), f=None)
 
 
 @pytest.mark.parametrize("g_src", ["z", "z*exp(0.1*z)", "z + 0.1*z^2", "z/(1 - 0.3*z)"])
 def test_catalog_subjects_take_the_coefficient_path(ray_counter, g_src):
     f, g = parse("z/(1 - 0.17*z)"), parse(g_src)
-    fin = bracket_final(g, 1.5, POINTS, weight=differentiate(f))
+    fin = bracket_final(g, 1.5, POINTS, f=f)
     assert fin.path == "coefficients" and fin.fallback_reason is None
     assert 0 <= fin.cross_check_gap <= 1e-12
     assert ray_counter == [operators._CROSS_CHECK_POINTS]
@@ -115,7 +115,7 @@ def test_cross_check_sample_is_the_roots_of_unity(monkeypatch):
         return original(g, alpha, z, *args, **kwargs)
 
     monkeypatch.setattr(operators, "iter_radial_brackets", recording)
-    bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, weight=parse("1 + z"))
+    bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, f=parse("z + 0.5*z^2"))
     assert len(seen) == 1
     assert np.array_equal(seen[0], operators._roots_of_unity(16))
 
@@ -139,7 +139,7 @@ def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
     # a gap at radius 1 moves the fit to the next radius, whose points
     # beyond it are integrated
     _shifted_quadrature(monkeypatch, [])
-    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
+    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, f=parse("z + 0.5*z^2"))
     for batch in (POINTS[:100], POINTS[100:]):
         fin = fit.final(batch)
         assert fin.path == "quadrature" and fin.radius == 0.95
@@ -149,7 +149,7 @@ def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
 
 def test_a_gap_at_every_radius_leaves_the_fit_without_one(monkeypatch):
     _shifted_quadrature(monkeypatch, ["all"])
-    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
+    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, f=parse("z + 0.5*z^2"))
     with pytest.raises(ToleranceNotMet, match=r"no series radius down to 0\.4 admitted: "
                                               r"cross-check gap 1\.0e-08"):
         fit.final(POINTS)
@@ -167,7 +167,7 @@ def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(operators, "iter_radial_brackets", failing_once)
-    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, weight=parse("1 + z"))
+    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, f=parse("z + 0.5*z^2"))
     fin = fit.final(POINTS)
     # the cross-check at radius 0.95, then the points beyond it
     assert fin.path == "quadrature" and len(calls) == 3
@@ -185,7 +185,7 @@ def test_cross_check_sees_an_error_of_the_constant_coefficient(alpha):
     # the cross-check compares D(u) - 2^(-alpha) D(u/2) for the series
     # error D, so a shift eps of V's constant coefficient shows as
     # |1 - 2^(-alpha)| eps, far above the bound
-    fit = operators.BracketFit(parse("z"), alpha, weight=differentiate(parse("z + 0.11*z^2")))
+    fit = operators.BracketFit(parse("z"), alpha, f=parse("z + 0.11*z^2"))
     fit.final(np.zeros(1))
     assert fit.reason is None
     fit.v[0] += 1e-8
@@ -201,7 +201,7 @@ def test_cross_check_attenuation_at_a_small_alpha():
     # the bound of this polynomial H; the check runs by itself, since a
     # refusal would move the fit to the next radius
     alpha = 0.05
-    fit = operators.BracketFit(parse("z"), alpha, weight=differentiate(parse("z + 0.11*z^2")))
+    fit = operators.BracketFit(parse("z"), alpha, f=parse("z + 0.11*z^2"))
     fit.final(np.zeros(1))
     assert fit.reason is None
     fit.v[0] += 1e-8
@@ -213,14 +213,14 @@ def test_cross_check_attenuation_at_a_small_alpha():
 SEGMENT_F = "z/(1 - 0.17*z)"
 
 
-def _segment(g, alpha, u, weight=None):
+def _segment(g, alpha, u, f=None):
     """(fit, [V, log V, log Phi, error]) at ``u`` by quadrature from
     u/2 on, started from the series of the fit at radius 1 at u/2."""
-    fit = operators.BracketFit(g, alpha, weight=weight or differentiate(parse(SEGMENT_F)))
+    fit = operators.BracketFit(g, alpha, f=f or parse(SEGMENT_F))
     fit.final(np.zeros(1))
     alpha = complex(alpha)
     start = (0.5, *fit._values(0.5 * u))
-    return fit, operators._segments(g, alpha, u, alpha - 1, fit.weight, start)
+    return fit, operators._segments(g, alpha, u, alpha - 1, fit.f, start)
 
 
 def _reference_v(mpmath, fp, logphi, alpha, z):
@@ -274,8 +274,8 @@ def test_segment_start_needs_one_value_per_endpoint():
 def test_small_alpha_matches_mpmath(mpmath, g_src):
     # at alpha = 0.05 the segment from u/2 integrates without any
     # substitution: t^(alpha-1) is smooth on [1/2, 1]
-    weight, u = parse("1 + 0.22*z"), operators._roots_of_unity(16)[::4]
-    _, (value, _, _, _) = _segment(parse(g_src), 0.05, u, weight)
+    f, u = parse("z + 0.11*z^2"), operators._roots_of_unity(16)[::4]
+    _, (value, _, _, _) = _segment(parse(g_src), 0.05, u, f)
     logphi = {"z": lambda mp, x: 0 * x, "z*exp(0.1*z)": lambda mp, x: 0.1 * x,
               "z + 0.1*z^2": lambda mp, x: mp.log(1 + 0.1 * x)}[g_src]
     ref = np.array([complex(_reference_v(mpmath, lambda mp, x: 1 + 0.22 * x, logphi,
@@ -286,7 +286,7 @@ def test_small_alpha_matches_mpmath(mpmath, g_src):
 @pytest.mark.parametrize("alpha, panels", [(0.07, 1), (0.1, 1)])
 def test_small_alpha_above_the_underflow_still_integrates(chunk_counter, alpha, panels):
     # the segment layout: one group of the 16 rays, on as many panels
-    _segment(parse("z"), alpha, operators._roots_of_unity(16), parse("1 + 0.22*z"))
+    _segment(parse("z"), alpha, operators._roots_of_unity(16), parse("z + 0.11*z^2"))
     assert chunk_counter == [(16, panels, 0.5, 1.0)]
 
 
@@ -301,7 +301,7 @@ def test_segment_from_half_matches_mpmath(mpmath):
 
 def test_origin_only_batch_integrates_nothing(ray_counter):
     fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, np.zeros(3, dtype=complex),
-                        weight=parse("1 + z"))
+                        f=parse("z + 0.5*z^2"))
     assert ray_counter == [] and fin.cross_check_gap is None
     assert np.all(fin.value == 1) and np.all(fin.log_value == 0)
 
@@ -343,7 +343,7 @@ def test_coefficient_path_matches_mpmath(mpmath, family, alpha):
     z = np.array(REF_POINTS)
     vals, _, _, ok = operator_values_with_derivative(f, g, alpha, z)
     assert np.all(ok)
-    assert bracket_final(g, alpha, z, weight=differentiate(f)).path == "coefficients"
+    assert bracket_final(g, alpha, z, f=f).path == "coefficients"
     ref = np.array([_reference_operator(mpmath, *FAMILIES[family], alpha, zz) for zz in z])
     assert np.max(np.abs(vals - ref)) <= 1e-12
 
@@ -356,7 +356,7 @@ def test_singular_subjects_match_mpmath(mpmath, case, alpha):
     f_src, g_src, fp, logphi, _ = FALLBACKS[case]
     z = np.array(REF_POINTS)
     vals, _, _, ok = operator_values_with_derivative(parse(f_src), parse(g_src), alpha, z)
-    assert bracket_final(parse(g_src), alpha, z, weight=differentiate(parse(f_src))).radius < 1
+    assert bracket_final(parse(g_src), alpha, z, f=parse(f_src)).radius < 1
     ref = np.array([_reference_operator(mpmath, fp, logphi, alpha, zz) for zz in z])
     assert np.all(ok) and np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-12
 
@@ -401,7 +401,7 @@ def test_coefficient_path_refuses_an_unresolved_outer_continuation():
     # the ray to 0.9 e^(i(pi + 1e-3)) passes within 1e-3 of that zero, and
     # quadrature halves its panels until the continuation resolves
     z = np.array([0.9 * np.exp(1j * (np.pi + 1e-3))])
-    fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z + 2*z^2")))
+    fin = bracket_final(parse("z"), 1.0, z, f=parse("z + 2*z^2"))
     assert fin.path == "quadrature"
     assert fin.fallback_reason == "V winds 1 times around 0 on |u| = 1"
     assert np.max(np.abs(fin.value - (1 + 2 * z))) <= 3e-16
@@ -410,7 +410,7 @@ def test_coefficient_path_refuses_an_unresolved_outer_continuation():
 def test_coefficient_path_refuses_a_v_within_its_error_of_zero_on_the_circle():
     # V = 1 + u vanishes at u = -1: no margin is left for Rouche's theorem
     z = POINTS[:20]
-    fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z + z^2")))
+    fin = bracket_final(parse("z"), 1.0, z, f=parse("z + z^2"))
     assert fin.path == "quadrature"
     assert fin.fallback_reason.startswith("V comes within its error")
     assert np.max(np.abs(fin.value - (1 + z))) <= 1e-15
@@ -423,7 +423,7 @@ def test_real_coefficients_keep_the_conjugate_symmetry(alpha):
     n = len(POINTS)
     z = np.concatenate([POINTS, POINTS.conj(), [0.5, -0.999]])
     vals, derivs, _, _ = operator_values_with_derivative(f, g, alpha, z)
-    assert bracket_final(g, alpha, z, weight=differentiate(f)).path == "coefficients"
+    assert bracket_final(g, alpha, z, f=f).path == "coefficients"
     for arr in (vals, derivs):
         assert np.array_equal(arr[n:2 * n], arr[:n].conj())
         assert np.all(arr[2 * n:].imag == 0)
@@ -437,7 +437,7 @@ def test_phase_beyond_pi_on_the_circle_keeps_the_branch_from_the_origin():
     # constant is fixed by log Phi(0) = 0
     g = parse("z*exp(4i*z)")
     z = POINTS[:50]
-    fin = bracket_final(g, 2.0, z, weight=parse("1 + z"))
+    fin = bracket_final(g, 2.0, z, f=parse("z + 0.5*z^2"))
     assert fin.path == "coefficients"
     assert np.max(np.abs(fin.logphi_end - 4j * z)) <= 1e-12
     assert np.max(np.abs(continued_gz_log(g, z) - 4j * z)) <= 1e-12
@@ -449,7 +449,7 @@ def test_log_value_beyond_pi_keeps_the_branch_from_the_origin():
     # a whole turn there
     z = POINTS[:50]
     assert np.max(np.abs(4 * z.real)) > np.pi
-    fin = bracket_final(parse("z"), 1.0, z, weight=differentiate(parse("z*exp(4i*z)")))
+    fin = bracket_final(parse("z"), 1.0, z, f=parse("z*exp(4i*z)"))
     assert fin.path == "coefficients"
     assert np.max(np.abs(fin.log_value - 4j * z)) <= 1e-12
 
@@ -458,23 +458,23 @@ def test_cross_check_rejects_another_branch_of_log_v(ray_counter):
     # the segment starts log V from the series at u/2, so a whole turn on
     # the series' log V(0) reaches u/2 and u alike; only the anchor of log V
     # at the origin can see it
-    g, w = parse("z*exp(0.5*z)"), parse("1 + z")
-    fit = operators.BracketFit(g, 2.0, weight=w)
+    g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
+    fit = operators.BracketFit(g, 2.0, f=f)
     fit.final(np.zeros(1))
     assert fit.reason is None and ray_counter == []
     fit.logv[0] += 2j * np.pi
     fin = fit.final(POINTS[:16])
     assert fin.path == "quadrature" and fin.cross_check_gap <= 1e-12
     assert fin.fallback_reason.startswith("cross-check gap")
-    assert operators.BracketFit(g, 2.0, weight=w).final(POINTS[:16]).path == "coefficients"
+    assert operators.BracketFit(g, 2.0, f=f).final(POINTS[:16]).path == "coefficients"
 
 
 def test_cross_check_rejects_another_branch_of_log_phi(ray_counter):
     # with beta = 1 a whole turn in log Phi leaves V unchanged, so only
     # the branch comparison can see it
-    g, w = parse("z*exp(0.5*z)"), parse("1 + z")
+    g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
     zs = POINTS[:16]
-    fit = operators.BracketFit(g, 2.0, 1.0, w)
+    fit = operators.BracketFit(g, 2.0, 1.0, f)
     fit.final(np.zeros(1))  # takes the coefficients, integrates nothing
     assert fit.reason is None and ray_counter == []
     fit.series = dataclasses.replace(
@@ -482,4 +482,4 @@ def test_cross_check_rejects_another_branch_of_log_phi(ray_counter):
     fin = fit.final(zs)
     assert fin.path == "quadrature" and fin.cross_check_gap <= 1e-12
     assert fin.fallback_reason.startswith("cross-check gap")
-    assert operators.BracketFit(g, 2.0, 1.0, w).final(zs).path == "coefficients"
+    assert operators.BracketFit(g, 2.0, 1.0, f).final(zs).path == "coefficients"

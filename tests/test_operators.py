@@ -10,7 +10,7 @@ from schlicht.errors import (
     ParameterError,
     ToleranceNotMet,
 )
-from schlicht.expr import Var, differentiate, eval_expr
+from schlicht.expr import Var, eval_expr
 from schlicht.operators import (
     bracket_final,
     iter_radial_brackets,
@@ -174,11 +174,11 @@ def test_panel_layout_independence(monkeypatch):
 def _quadrature_value(f, g, alpha, z):
     """G(z) and its error bound from radial quadrature on the segment from
     z/2 on, started from the series of the fit at radius 1 at z/2."""
-    fit = operators.BracketFit(g, alpha, weight=differentiate(f))
+    fit = operators.BracketFit(g, alpha, f=f)
     fit.final(np.zeros(1))
     a, zz = complex(alpha), np.array([complex(z)])
     value, log_value, _, error = operators._segments(
-        g, a, zz, a - 1, fit.weight, (0.5, *fit._values(0.5 * zz)))
+        g, a, zz, a - 1, fit.f, (0.5, *fit._values(0.5 * zz)))
     error = error[0] + 0.5 ** a.real * fit.series.h_error
     g_value = z * np.exp(log_value[0] / a)
     return g_value, error * abs(g_value) / abs(a * value[0])
@@ -224,7 +224,7 @@ def test_branch_ok_means_the_continuation_resolved():
     # rounding floor the panels were accepted at, far above the absolute
     # budget; the error bounds show that, and the branch is fine
     f, z = parse("koebe"), 0.999
-    fin = bracket_final(parse("z"), 2.0, [z], weight=differentiate(f))
+    fin = bracket_final(parse("z"), 2.0, [z], f=f)
     assert fin.error[0] > operators._ABS_TOLERANCE and fin.branch_ok[0]
     ov = operator_g_alpha(f, parse("z"), 2.0, z)
     # G^2 = 2 int_0^z u f'(u) du = 2 (z f(z) - 1/(1-z) + 1 - log(1-z))

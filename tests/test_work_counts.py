@@ -12,17 +12,19 @@ The Beltrami coefficient of a chain's extension comes from its driving
 term, so a dilatation scan integrates nothing and ``extend`` evaluates one
 chain value per exported point, in two batches.  The injectivity scan forms candidate pairs in fixed-size
 chunks, so its memory stays small even when every image point falls in
-one cell.
+one cell.  No check or extend run builds a derivative tree: every f'
+comes from a jet of f.
 """
 
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from schlicht import criteria, operators, reporting
+from schlicht import criteria, expr, operators, reporting
 from schlicht.chains import chain_t6_callable
 from schlicht.cli import main
 from schlicht.dsl import parse
@@ -211,3 +213,44 @@ def test_extend_ray_count_fallback(ray_counter, tmp_path):
     assert main(["extend", "--config", str(CONFIGS / "becker_fail.json"), "--force",
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
     assert ray_counter == [16, 8, 8]
+
+
+def _forbid_derivative_trees(monkeypatch):
+    """``expr.differentiate``, and every schlicht module name bound to it, raise."""
+    original = expr.differentiate
+
+    def differentiate(e):
+        raise AssertionError(f"a derivative tree was built for {e!r}")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "schlicht"]:
+        for attr in [a for a, v in vars(module).items() if v is original]:
+            monkeypatch.setattr(module, attr, differentiate)
+
+
+NO_TREE_CHECKS = [
+    *[pytest.param(json.loads(p.read_text()), int(p.stem == "becker_fail"), id=p.stem)
+      for p in sorted(CONFIGS.glob("*.json"))],
+    pytest.param({"f": "z + 0.05*z^2", "g": "z*exp(0.1*z)",
+                  "params": {"alpha": [2, 0], "c": [-1, 0], "s": [1, 0], "m": 2, "k": 0.6},
+                  "check": "T6", "grid": {"n_radial": 16, "n_angular": 32}, "seed": 3},
+                 0, id="t6-ladder"),
+    pytest.param({"f": "z + 0.05*z^2",
+                  "params": {"alpha": [1, 0], "c": [-1, 0], "s": [1, 0], "m": 2, "k": 0.5},
+                  "check": "logderiv-Uk", "grid": {"n_radial": 32, "n_angular": 64}, "seed": 3},
+                 0, id="logderiv-Uk"),
+]
+
+
+@pytest.mark.parametrize("raw, code", NO_TREE_CHECKS)
+def test_a_check_builds_no_derivative_tree(monkeypatch, raw, code):
+    # f' of every criterion field, oracle subject, operator weight and G'
+    # comes from jets of f
+    _forbid_derivative_trees(monkeypatch)
+    assert reporting.run_check(reporting.load_config(raw), with_timings=False)[1] == code
+
+
+@pytest.mark.parametrize("name", ["t5_qc", "t6_eps02"])
+def test_extend_builds_no_derivative_tree(monkeypatch, tmp_path, name):
+    _forbid_derivative_trees(monkeypatch)
+    assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
