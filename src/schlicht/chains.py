@@ -124,10 +124,11 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
     if fit is None:
         fit = BracketFit(triple.g, alpha, f=triple.f)
     fin = fit.final(u0)
-    drift = ((params.a / params.c) * np.exp((alpha - 1) * fin.logphi_end)
+    # np.multiply, not *, on a temporary right factor: see "Batches" in operators
+    drift = (np.multiply(params.a / params.c, np.exp((alpha - 1) * fin.logphi_end))
              * evaluate(triple.f, u0, 1) * evaluate(triple.h, u0) / fin.value)
     log_w = fin.log_value + _time_log(drift, np.expm1(params.m * tf))
-    out = zf * np.exp(-params.s * tf + log_w / alpha)
+    out = np.multiply(zf, np.exp(-params.s * tf + log_w / alpha))
     return _scalar_out(out.reshape(zb.shape), z, t)
 
 
@@ -300,7 +301,8 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
         fit = BracketFit(g, alpha, f=f)
     fin = fit.final(zf)
     log_u = fin.log_value + _time_log(-1.0 / fin.value, np.expm1(alpha * tf))
-    return _scalar_out((zf * np.exp(log_u / alpha)).reshape(zb.shape), z, t)
+    out = np.multiply(zf, np.exp(log_u / alpha))  # see "Batches" in operators
+    return _scalar_out(out.reshape(zb.shape), z, t)
 
 
 def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t, gz_fit: GzLogFit | None = None):

@@ -78,25 +78,46 @@ def cmd_check(args) -> int:
     return code
 
 
-def _csv_rows(z: np.ndarray, f: np.ndarray, mu: np.ndarray) -> list[str]:
-    """One ``x,y,reF,imF,absMu`` row per point, each value as Python's float repr."""
-    table = np.column_stack([z.real, z.imag, f.real, f.imag, mu]).tolist()
-    return [",".join(map(repr, row)) for row in table]
+@functools.lru_cache(maxsize=1)
+def _export_grid(resolution: int, annulus_rmax: float):
+    """The points of an ``extend`` CSV and the ``x,y,`` text of each row.
+
+    Returns (points, n_interior, prefixes): ``resolution // 2`` rings
+    (at least one) of ``resolution`` angles inside the circle, radii up to
+    0.999, then as many geometric rings from 1.001 to ``annulus_rmax``, in
+    one read-only array.  Each prefix holds the Python float reprs of x and
+    y.  They depend on the two arguments alone, so the last grid is kept per
+    process; it takes 0.11 MB at resolution 32 and 1.8 MB at 128.
+    """
+    n_r = max(resolution // 2, 1)
+    radii = (1 - 1e-3) * np.arange(1, n_r + 1) / n_r
+    ext_radii = np.geomspace(1 + 1e-3, annulus_rmax, n_r)
+    circle = np.exp(1j * (2 * np.pi * np.arange(resolution) / resolution))
+    points = (np.concatenate([radii, ext_radii])[:, None] * circle[None, :]).ravel()
+    points.flags.writeable = False
+    prefixes = tuple(f"{x!r},{y!r}," for x, y in zip(points.real.tolist(), points.imag.tolist()))
+    return points, n_r * resolution, prefixes
+
+
+def _csv_rows(prefixes: tuple[str, ...], f: np.ndarray, mu: np.ndarray) -> list[str]:
+    """One ``x,y,reF,imF,absMu`` row per point: its cached ``x,y,`` text,
+    then reF, imF and |mu| as Python's float repr."""
+    return [f"{p}{a!r},{b!r},{c!r}" for p, a, b, c in
+            zip(prefixes, f.real.tolist(), f.imag.tolist(), mu.tolist())]
 
 
 def _field_csv(chain, annulus_rmax: float, resolution: int) -> str:
+    """The CSV of the extension of ``chain`` on the grid of :func:`_export_grid`.
+
+    F is evaluated once over the whole grid and mu once over the exterior,
+    where it comes from the chain's driving term; inside, |mu| is 0.
+    """
+    points, n_inner, prefixes = _export_grid(resolution, annulus_rmax)
     F = ExtensionField(chain)
-    n_r = max(resolution // 2, 1)
-    radii = (1 - 1e-3) * np.arange(1, n_r + 1) / n_r
-    angles = 2 * np.pi * np.arange(resolution) / resolution
-    interior = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    ext_radii = np.geomspace(1 + 1e-3, annulus_rmax, n_r)
-    exterior = (ext_radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    lines = (["x,y,reF,imF,absMu"]
-             + _csv_rows(interior, F(interior), np.zeros(len(interior)))
-             + _csv_rows(exterior, F(exterior),
-                         np.abs(beltrami_coefficient(F, exterior))))
-    return "\n".join(lines) + "\n"
+    values = F(points)
+    mu = np.zeros(len(points))
+    mu[n_inner:] = np.abs(beltrami_coefficient(F, points[n_inner:]))
+    return "\n".join(["x,y,reF,imF,absMu", *_csv_rows(prefixes, values, mu)]) + "\n"
 
 
 def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -25,6 +25,8 @@ exponentially convergent for analytic data; N doubles from
 ``_SERIES_START`` up to ``_SERIES_MAX``, and :func:`_trim` bounds the
 error from the slots n >= N/2.  log V comes the same way from V
 (:func:`_log_series`), and a point costs Horner (:meth:`BracketFit._values`).
+The series of log Phi, V and log V are kept per process for each (g, f,
+alpha, beta, rho) (:func:`_circle_series`).
 
 The radius and the gate.  rho = 1 comes first; each refusal moves the fit
 to the next radius of ``_RADII``, and when none is left it raises
@@ -68,6 +70,19 @@ where both powers take the continued logarithms of one bracket pass at the
 endpoint (``logphi_end`` and ``log_value``), the same branches that define
 the integrand and G itself.  At the origin Phi = V = 1, so G'(0) = f'(0)
 and no ray is integrated.
+
+Batches.  A value does not depend on the batch it is computed in, to the
+last bit.  Two numpy behaviours would break that, and the code avoids
+both.  On one element the in-place complex product of :func:`_horner`
+takes a scalar loop that rounds differently, so a one-point batch is
+evaluated as two.  And on arrays of 256 KiB or more (16,384 complex
+values), ``a * b`` with a temporary ``b`` multiplies into ``b`` with the
+operands swapped, while a complex product's imaginary part depends on
+their order; so a product whose right factor is a temporary is written
+``np.multiply(a, b)``, which keeps it, here and in ``chains``.  Points
+beyond rho are the exception: the segments of a batch share their panel
+layout (:func:`_bracket_chunk`), so their values agree across batches only
+within their error bounds.
 
 Panels are Gauss-Legendre with ``_NODES_PER_PANEL`` nodes; the error of
 each panel is estimated by doubling the node count, and panels are bisected,
@@ -443,12 +458,14 @@ def _segments(g: Expr, alpha: complex, z: np.ndarray, beta: complex,
 
 @dataclass(frozen=True)
 class _CircleSeries:
-    """Taylor coefficients of log Phi and of H = exp(beta log Phi) f' in u/rho
-    on |u| <= rho, their error bounds, Phi(0) and the tolerance met
-    (``budget``), or the reason there are none."""
+    """Taylor coefficients in u/rho on |u| <= rho of log Phi, of V = alpha *
+    sum h_n u^n / (n + alpha) for H = exp(beta log Phi) f' = sum h_n u^n, and
+    of log V; the error bounds of log Phi and H (V inherits H's), Phi(0)
+    and the tolerance met (``budget``), or the reason there are none."""
 
     logphi: np.ndarray | None = None
-    h: np.ndarray | None = None
+    v: np.ndarray | None = None
+    logv: np.ndarray | None = None
     logphi_error: float = 0.0
     h_error: float = 0.0
     phi0: complex = 1
@@ -535,8 +552,13 @@ def _circle_log(vals: np.ndarray, what: str, circle: str):
 
 
 @lru_cache(maxsize=64)
-def _circle_series(g: Expr, f: Expr | None, beta: complex, rho: float,
+def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: float,
                    tol: float) -> _CircleSeries:
+    """The series of the bracket of (g, f, alpha, beta) on |u| = rho, kept per
+    process for the 64 latest keys: every fit of the same key, and a chain
+    and its operator, which share f, read one copy.  Its arrays are
+    read-only; a fit that edits them works on its own copy
+    (:meth:`BracketFit._fit_series`)."""
     circle = f"|u| = {rho:g}"
     n = _SERIES_START
     while True:
@@ -562,9 +584,14 @@ def _circle_series(g: Expr, f: Expr | None, beta: complex, rho: float,
             ell, ell_err = _trim(_coefficients(logphi), budget)
             h, h_err = _trim(_coefficients(hv), budget)
             if ell is not None and h is not None:
-                ell.flags.writeable = h.flags.writeable = False  # cached
+                v = alpha * h / (np.arange(len(h)) + alpha)
+                # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
+                logv, reason = _log_series(v, h_err, circle)
+                if reason:
+                    return _CircleSeries(reason=reason)
+                ell.flags.writeable = v.flags.writeable = logv.flags.writeable = False
                 met = "absolute" if budget == tol else f"100 eps max|H| on {circle}"
-                return _CircleSeries(ell, h, ell_err, h_err, complex(np.mean(phi)),
+                return _CircleSeries(ell, v, logv, ell_err, h_err, complex(np.mean(phi)),
                                      f"{budget:.1e} ({met})")
         if n >= _SERIES_MAX:
             if logphi is None:
@@ -612,6 +639,15 @@ def _log_series(v: np.ndarray, v_error: float, circle: str):
 
 
 def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum coef[n] u^n over a flat batch, by Horner's rule in place.
+
+    Every series value passes through here.  On one element numpy's in-place
+    complex product takes a scalar loop whose last bit can differ from the
+    array loop's, so a one-point batch is evaluated as two copies of its
+    point: a value then does not depend on its batch.
+    """
+    if len(u) == 1:
+        return _horner(coef, np.repeat(u, 2))[:1]
     out = np.full(u.shape, coef[-1], dtype=complex)
     for c in coef[-2::-1]:
         out *= u
@@ -699,18 +735,15 @@ class BracketFit:
             self.radius, self.series = lower[0], None
 
     def _fit_series(self, alpha: complex, beta: complex) -> str | None:
-        """Coefficients of log Phi, H, V and log V at the current radius, or
-        the reason there are none."""
-        self.series = _circle_series(self.g, self.f, beta, self.radius,
+        """Coefficients of log Phi, V and log V at the current radius from
+        the process's series cache (:func:`_circle_series`), or the reason
+        there are none.  ``v`` and ``logv`` are this fit's own writable
+        copies, so an edit of one fit reaches no other."""
+        self.series = _circle_series(self.g, self.f, alpha, beta, self.radius,
                                      _ABS_TOLERANCE)
-        if self.series.reason is not None:
-            return self.series.reason
-        h = self.series.h
-        self.v = alpha * h / (np.arange(len(h)) + alpha)
-        # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
-        self.logv, reason = _log_series(self.v, self.series.h_error,
-                                        f"|u| = {self.radius:g}")
-        return reason
+        if self.series.reason is None:
+            self.v, self.logv = self.series.v.copy(), self.series.logv.copy()
+        return self.series.reason
 
     def _values(self, u: np.ndarray):
         """V, log V and log Phi at points of the closed disk |u| <= rho.
@@ -777,7 +810,8 @@ def bracket_final(g: Expr, alpha, z, phi_exponent=None,
 
 def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
     """Operator values z V^(1/alpha) and their error bounds from one bracket pass."""
-    vals = zarr * np.exp(fin.log_value / alpha)
+    # see "Batches" in the module docstring
+    vals = np.multiply(zarr, np.exp(fin.log_value / alpha))
     scale = np.abs(vals) / np.maximum(np.abs(alpha * fin.value), 1e-300)
     return vals, fin.error * scale
 
@@ -796,8 +830,9 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
         fit = BracketFit(g, alpha, f=f)
     fin = fit.final(zarr)
     vals, errs = _operator_from(zarr, alpha, fin)
-    derivs = evaluate(f, zarr, 1) * np.exp((alpha - 1) * (fin.logphi_end
-                                                         - fin.log_value / alpha))
+    # see "Batches" in the module docstring
+    derivs = evaluate(f, zarr, 1) * np.exp(np.multiply(alpha - 1, fin.logphi_end
+                                                       - fin.log_value / alpha))
     return vals, derivs, errs, fin.branch_ok
 
 

@@ -519,6 +519,37 @@ def test_fresh_process_and_reused_parser_print_the_same_report(tmp_path, capsys)
     assert capsys.readouterr().out.encode() == fresh.stdout
 
 
+def test_warm_and_fresh_processes_write_the_same_bytes(tmp_path, capsys):
+    # the export grid and the series are kept per process; a process that
+    # exported other configs at the same resolutions writes what a fresh one does
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    configs = REPO / "demos" / "configs"
+    t6 = str(configs / "t6_eps02.json")
+    runs = [["extend", "--config", t6, "--resolution", r, "--out"] for r in ("8", "16")]
+    check = ["check", "--config", t6, "--no-timings"]
+    fresh = []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"fresh{i}.csv"
+        done = subprocess.run([sys.executable, "-m", "schlicht.cli", *argv, str(out)],
+                              cwd=REPO, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        fresh.append(out.read_bytes())
+    done = subprocess.run([sys.executable, "-m", "schlicht.cli", *check], cwd=REPO,
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for i, argv in enumerate(runs):
+        for other in ("t5_qc", "becker_pass"):
+            assert main(["extend", "--config", str(configs / f"{other}.json"),
+                         *argv[3:], str(tmp_path / "other.csv")]) == 0
+        hits = cli._export_grid.cache_info().hits
+        assert main([*argv, str(tmp_path / "warm.csv")]) == 0
+        assert cli._export_grid.cache_info().hits == hits + 1
+        assert (tmp_path / "warm.csv").read_bytes() == fresh[i]
+    capsys.readouterr()
+    assert main(check) == 0
+    assert capsys.readouterr().out.encode() == done.stdout
+
+
 def _has_glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))

@@ -196,6 +196,24 @@ def test_cross_check_sees_an_error_of_the_constant_coefficient(alpha):
     assert fin.path == "quadrature" and fin.fallback_reason == reason
 
 
+def test_an_edited_fit_leaks_nothing_into_the_series_cache():
+    # fits of one (g, f, alpha) share the process's cached series, whose
+    # arrays are read-only; each fit edits only its own copies of V and log V
+    g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
+    first = operators.BracketFit(g, 2.0, f=f)
+    first.final(np.zeros(1))
+    v0, logv0 = first.v[0], first.logv[0]
+    first.v[0] += 1e-8
+    first.logv[0] += 2j * np.pi
+    second = operators.BracketFit(g, 2.0, f=f)
+    second.final(np.zeros(1))
+    assert second.series is first.series
+    assert second.v[0] == v0 and second.logv[0] == logv0
+    assert not (first.series.v.flags.writeable or first.series.logv.flags.writeable
+                or first.series.logphi.flags.writeable)
+    assert second.final(POINTS[:16]).path == "coefficients"
+
+
 def test_cross_check_attenuation_at_a_small_alpha():
     # at alpha = 0.05 the same shift shows as only 0.034 eps, still far above
     # the bound of this polynomial H; the check runs by itself, since a

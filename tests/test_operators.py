@@ -296,6 +296,31 @@ def test_vectorized_matches_scalar():
         assert abs(operator_g_alpha(f, g, 1.4, complex(z)).value - v) < 1e-13
 
 
+def _disk_points(rng, n: int) -> np.ndarray:
+    return 0.999 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+
+
+def test_a_point_alone_and_in_a_batch_match_bit_for_bit():
+    # a one-point batch takes the same numpy loops as a larger one, so a
+    # value does not depend on how its points were batched
+    f, g = parse("z + 0.1*z^2"), parse("z*exp(0.1*z)")
+    zs = _disk_points(np.random.default_rng(53), 200)
+    batch = operator_values(f, g, 1.7, zs)[0]
+    alone = np.array([operator_values(f, g, 1.7, zs[i:i + 1])[0][0] for i in range(len(zs))])
+    assert np.array_equal(alone, batch)
+
+
+def test_a_batch_of_256_kib_matches_smaller_batches_bit_for_bit():
+    # from 16,384 complex values on, numpy evaluates a * (temporary) into
+    # the temporary with the factors swapped; G and G' keep their order
+    f, g = parse("z + 0.1*z^2"), parse("z*exp(0.1*z)")
+    zs = _disk_points(np.random.default_rng(59), 1 << 14)
+    big = operator_values_with_derivative(f, g, 1.7 + 0.2j, zs)
+    for part in np.split(np.arange(len(zs)), 8):
+        small = operator_values_with_derivative(f, g, 1.7 + 0.2j, zs[part])
+        assert np.array_equal(small[0], big[0][part]) and np.array_equal(small[1], big[1][part])
+
+
 def _richardson(fn, z: np.ndarray, h: float) -> np.ndarray:
     """Richardson central difference, all points in one operator batch."""
     n = len(z)

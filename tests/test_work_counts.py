@@ -10,7 +10,8 @@ it every batch integrates one segment per point beyond the radius, from
 the radius on.
 The Beltrami coefficient of a chain's extension comes from its driving
 term, so a dilatation scan integrates nothing and ``extend`` evaluates one
-chain value per exported point, in two batches.  The injectivity scan forms candidate pairs in fixed-size
+chain value per exported point, in one batch; the seam check evaluates its
+two circles in one batch too.  The injectivity scan forms candidate pairs in fixed-size
 chunks, so its memory stays small even when every image point falls in
 one cell.  No check or extend run builds a derivative tree: every f'
 comes from a jet of f.
@@ -24,11 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schlicht import criteria, expr, operators, reporting
+from schlicht import cli, criteria, expr, operators, reporting
 from schlicht.chains import chain_t6_callable
 from schlicht.cli import main
 from schlicht.dsl import parse
-from schlicht.extension import ExtensionField, max_dilatation
+from schlicht.extension import ExtensionField, max_dilatation, seam_mismatch
 from schlicht.oracle import injectivity_test
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -113,7 +114,7 @@ def test_max_dilatation_integrates_nothing(ray_counter):
 
 @pytest.mark.parametrize("name", ["trivial_t2", "t6_eps02"])
 def test_extend_ray_count(ray_counter, tmp_path, name):
-    # resolution 8: 4 x 8 interior and 4 x 8 exterior points, two batches
+    # resolution 8: 4 x 8 interior and 4 x 8 exterior points, one batch
     # of one chain, which integrates one cross-check sample
     assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
@@ -207,12 +208,52 @@ def test_injectivity_scan_memory_peak(subject, injective):
     assert peak < 32 * 2**20
 
 
+@pytest.fixture
+def field_calls(monkeypatch):
+    """(F calls, chain calls), each as the number of points asked for, of
+    every extension field and every chain that ``cli.build_chain`` builds
+    while the test runs."""
+    calls = ([], [])
+    field_call, build = ExtensionField.__call__, cli.build_chain
+
+    def counted_field(self, z):
+        calls[0].append(np.size(z))
+        return field_call(self, z)
+
+    def counted_build(rc):
+        chain = build(rc)
+
+        def counted(z, t):
+            calls[1].append(np.size(z))
+            return chain(z, t)
+        counted.driving_term = chain.driving_term
+        return counted
+
+    monkeypatch.setattr(ExtensionField, "__call__", counted_field)
+    monkeypatch.setattr(cli, "build_chain", counted_build)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["t6_eps02", "t5_qc"])
+def test_extend_evaluates_its_field_once(field_calls, tmp_path, name):
+    # the export grid in one F call, and the seam's two circles in one
+    # more; each F call is one chain call, and mu needs no F value
+    assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
+    assert field_calls == ([64], [64])
+    rc = reporting.load_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    F = ExtensionField(cli.build_chain(rc))
+    assert seam_mismatch(F, n_angles=90) < 1e-5
+    assert field_calls == ([64, 180], [64, 180])
+
+
 def test_extend_ray_count_fallback(ray_counter, tmp_path):
     # f' of z/(1-z) is singular on the circle, so the chain's fit takes the
-    # radius 0.95, and each batch integrates its 8 points beyond it
+    # radius 0.95, and its one batch integrates the 16 points beyond it: 8
+    # inside the circle and 8 exterior points whose chain argument is there
     assert main(["extend", "--config", str(CONFIGS / "becker_fail.json"), "--force",
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
-    assert ray_counter == [16, 8, 8]
+    assert ray_counter == [16, 16]
 
 
 def _forbid_derivative_trees(monkeypatch):
