@@ -23,6 +23,10 @@ the two paths, which holds whenever L is a Loewner chain.
 
 The automorphism chain of the second extension theorem is handled the
 same way with bracket V(z) + e^{alpha t} - 1.
+
+At alpha = 1 the operator is f - f(0) and the 1/alpha power is the
+identity, so both chains take V(u) = (f(u) - f(0))/u and its principal log
+from one jet of f (:func:`_closed_bracket`) and fit no bracket.
 """
 
 from __future__ import annotations
@@ -34,13 +38,22 @@ import numpy as np
 from .criteria import CriterionParams, _blend, t6_field
 from .errors import (
     DenominatorZero,
+    NonFiniteValue,
     NonvanishingViolation,
     ParameterError,
     PoleAtOne,
     ToleranceNotMet,
 )
-from .expr import AnalyticTriple, Expr, _scalar_out, evaluate
-from .operators import BracketFit, GzLogFit
+from .expr import (
+    AnalyticTriple,
+    Expr,
+    _raise_at_first,
+    _scalar_out,
+    eval_expr,
+    evaluate,
+    jet,
+)
+from .operators import _ZERO_RADIUS, BracketFit, GzLogFit
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -106,6 +119,25 @@ def chain_a1(params: CriterionParams, h0: complex, t) -> complex | np.ndarray:
     return _scalar_out(np.exp(-params.s * ts + logs / params.alpha), t)
 
 
+def _closed_bracket(f: Expr, u: np.ndarray):
+    """(V, log V, f') at the flat points ``u`` for alpha = 1, from one jet of f.
+
+    At alpha = 1 the operator is f - f(0), so V(u) = (f(u) - f(0))/u, which
+    is 1 at the origin; endpoints with |u| below 1e-100 take V = 1 exactly,
+    as a fit's do.  log V is the principal log: the 1/alpha power is the
+    identity, so its branch does not matter.  A non-finite f raises
+    NonFiniteValue, and a zero of V NonvanishingViolation, at its first
+    point.
+    """
+    fu, fp = (np.broadcast_to(v, u.shape) for v in jet(f, u, 1))
+    _raise_at_first(~np.isfinite(fu), u, NonFiniteValue)
+    v = np.ones(u.shape, dtype=complex)
+    off = np.abs(u) > _ZERO_RADIUS
+    v[off] = (fu[off] - eval_expr(f, 0j)) / u[off]
+    _raise_at_first(v == 0, u, NonvanishingViolation)
+    return v, np.log(v), fp
+
+
 def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
             fit: BracketFit | None = None):
     """Sample the chain at (z, t); vectorized over broadcast arrays.
@@ -114,20 +146,29 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
     D = (a/c) Phi(u0)^(alpha-1) f'(u0) h(u0) / V(u0), so its log is the
     operator's continued log V plus :func:`_time_log`.  ``fit``, the
     operator's ``BracketFit(triple.g, params.alpha, f=triple.f)``, is
-    reused across calls; by default each call fits its own.
+    reused across calls; by default each call fits its own.  At alpha = 1,
+    V = (f(u0) - f(0))/u0 and D = (a/c) f'(u0) h(u0) / V(u0) come from one
+    jet of f (:func:`_closed_bracket`): no fit is made and g is not
+    evaluated.
     """
     params.validate()
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
     alpha = params.alpha
     u0 = np.exp(-params.s * tf) * zf
-    if fit is None:
-        fit = BracketFit(triple.g, alpha, f=triple.f)
-    fin = fit.final(u0)
-    # np.multiply, not *, on a temporary right factor: see "Batches" in operators
-    drift = (np.multiply(params.a / params.c, np.exp((alpha - 1) * fin.logphi_end))
-             * evaluate(triple.f, u0, 1) * evaluate(triple.h, u0) / fin.value)
-    log_w = fin.log_value + _time_log(drift, np.expm1(params.m * tf))
+    if alpha == 1:
+        value, log_value, fp = _closed_bracket(triple.f, u0)
+        weight = params.a / params.c * fp
+    else:
+        if fit is None:
+            fit = BracketFit(triple.g, alpha, f=triple.f)
+        fin = fit.final(u0)
+        value, log_value = fin.value, fin.log_value
+        # np.multiply, not *, on a temporary right factor: see "Batches" in operators
+        weight = (np.multiply(params.a / params.c, np.exp((alpha - 1) * fin.logphi_end))
+                  * evaluate(triple.f, u0, 1))
+    drift = weight * evaluate(triple.h, u0) / value
+    log_w = log_value + _time_log(drift, np.expm1(params.m * tf))
     out = np.multiply(zf, np.exp(-params.s * tf + log_w / alpha))
     return _scalar_out(out.reshape(zb.shape), z, t)
 
@@ -290,17 +331,23 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
 
     Its bracket is U = V(z) + e^{alpha t} - 1 = V(z) (1 + (e^{alpha t}-1) / V(z)).
     ``fit``, the operator's ``BracketFit(g, alpha, f=f)``, is reused
-    across calls; by default each call fits its own.
+    across calls; by default each call fits its own.  At alpha = 1,
+    V = (f(z) - f(0))/z comes from one jet of f (:func:`_closed_bracket`):
+    no fit is made and g is not evaluated.
     """
     alpha = float(alpha)
     if not alpha > 0:
         raise ParameterError("alpha must be a positive real number here")
     zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     zf, tf = zb.ravel(), tb.ravel()
-    if fit is None:
-        fit = BracketFit(g, alpha, f=f)
-    fin = fit.final(zf)
-    log_u = fin.log_value + _time_log(-1.0 / fin.value, np.expm1(alpha * tf))
+    if alpha == 1:
+        value, log_value, _ = _closed_bracket(f, zf)
+    else:
+        if fit is None:
+            fit = BracketFit(g, alpha, f=f)
+        fin = fit.final(zf)
+        value, log_value = fin.value, fin.log_value
+    log_u = log_value + _time_log(-1.0 / value, np.expm1(alpha * tf))
     out = np.multiply(zf, np.exp(log_u / alpha))  # see "Batches" in operators
     return _scalar_out(out.reshape(zb.shape), z, t)
 
@@ -338,9 +385,9 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams):
 
     It carries its driving term p = transfer_p(transfer_w(transfer_a)) as
     ``chain.driving_term(z, t)``, which needs no quadrature.  Its values
-    share one bracket fit.
+    share one bracket fit; at alpha = 1 they need none (:func:`chain_l`).
     """
-    fit = BracketFit(triple.g, params.alpha, f=triple.f)
+    fit = None if params.alpha == 1 else BracketFit(triple.g, params.alpha, f=triple.f)
 
     def chain(z, t):
         return chain_l(triple, params, z, t, fit)
@@ -357,10 +404,10 @@ def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
 
     It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
-    values share one bracket fit, and its driving terms one log Phi fit.
+    values share one bracket fit, and its driving terms one log Phi fit; at
+    alpha = 1 neither is needed (:func:`chain_t6`, :func:`chain_t6_p`).
     """
-    fit = BracketFit(g, alpha, f=f)
-    gz_fit = GzLogFit(g)
+    fit, gz_fit = (None, None) if alpha == 1 else (BracketFit(g, alpha, f=f), GzLogFit(g))
 
     def chain(z, t):
         return chain_t6(f, g, alpha, z, t, fit)

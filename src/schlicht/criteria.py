@@ -306,10 +306,13 @@ def check_h_condition(triple: AnalyticTriple, p: CriterionParams,
 def bracket_field(triple: AnalyticTriple, alpha: complex, zz: np.ndarray) -> np.ndarray:
     """(alpha-1) z g'/g + 1 + z f''/f' + z h'/h with removable limits at 0.
 
-    Each log derivative comes from one jet walk of f, g or h.
+    Each log derivative comes from one jet walk of f, g or h.  At alpha = 1
+    the g term is 0 and g is not evaluated, so a zero of g/z in the disk
+    does not matter there.
     """
     _, fp, fpp = jet(triple.f, zz, 2, value=False)
-    t1 = (alpha - 1) * log_derivative_values(zz, *jet(triple.g, zz, 1), triple.g)
+    t1 = 0 if alpha == 1 else (
+        (alpha - 1) * log_derivative_values(zz, *jet(triple.g, zz, 1), triple.g))
     t2 = log_derivative_values(zz, fp, fpp, triple.f, 1)
     t3 = log_derivative_values(zz, *jet(triple.h, zz, 1), triple.h)
     return t1 + 1 + t2 + t3
@@ -414,7 +417,11 @@ def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray,
 
     f' comes from a jet walk of f.  ``gz_fit``, the ``GzLogFit(g)`` of a
     caller that evaluates many batches, is reused (:func:`continued_gz_log`).
+    At alpha = 1 the power is 1: the field is f' on the shape of ``zz``,
+    and g is not evaluated.
     """
+    if alpha == 1:
+        return np.broadcast_to(jet(f, zz, 1, value=False)[1], zz.shape).astype(complex)
     logphi = continued_gz_log(g, zz.ravel(), gz_fit).reshape(zz.shape)
     return np.exp((alpha - 1) * logphi) * jet(f, zz, 1, value=False)[1]
 
@@ -439,7 +446,8 @@ def check_log_derivative_condition(G, k: float, grid: DiskGrid) -> CriterionRepo
 
     G' is the ``derivative`` of ``as_subject(G)``, asked right after G at
     the same points, so the operator subject, which keeps its last pass,
-    integrates once.
+    integrates once.  At alpha = 1 that subject is f - f(0), whose G and
+    G' come from jets of f and integrate nothing.
     """
     if not (0 <= k < 1):
         raise ParameterError(f"k={k} must lie in [0, 1)")

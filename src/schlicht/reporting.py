@@ -13,7 +13,7 @@ import numbers
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,9 @@ from .expr import (
     _scalar_out,
     as_subject,
     const,
+    eval_expr,
     jet,
+    sub,
 )
 from .operators import BracketFit, operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
@@ -180,12 +182,17 @@ def _report_dict(rep: CriterionReport) -> dict:
 def _operator_subject(rc: ResolvedConfig):
     """The operator G, carrying its closed-form derivative as ``op.derivative``.
 
-    Every batch reuses the subject's one bracket fit, so the subject
-    integrates one cross-check sample in all.  G and G' come from one
-    bracket pass, and the last pass is kept, keyed by the exact points
-    array, so asking for G' at the points just evaluated (or for G again)
-    costs nothing.
+    At alpha = 1 the operator is int_0^z f' du = f - f(0), whatever g is,
+    so the subject is :func:`_expr_subject` of f - f(0) (of f itself when
+    f(0) = 0): nothing is fitted or integrated.  Otherwise every batch
+    reuses the subject's one bracket fit, so the subject integrates one
+    cross-check sample in all.  G and G' come from one bracket pass, and
+    the last pass is kept, keyed by the exact points array, so asking for
+    G' at the points just evaluated (or for G again) costs nothing.
     """
+    if rc.params.alpha == 1:
+        f0 = eval_expr(rc.f, 0j)
+        return _expr_subject(rc if f0 == 0 else replace(rc, f=sub(rc.f, const(f0))))
     fit = BracketFit(rc.g, rc.params.alpha, f=rc.f)
     last: dict = {}
 

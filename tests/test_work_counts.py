@@ -1,5 +1,10 @@
 """Exact quadrature work of the oracle and the extension, so extra rays fail a test.
 
+At alpha = 1 the operator is f - f(0), so a check or extend there
+integrates nothing, and the demo configs, which all have alpha = 1, are
+put on the general path by a params override (alpha = 2) where a test
+counts the work of that path.
+
 An operator subject is evaluated once on the grid (the injectivity scan,
 whose pass the derivative check reuses), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
@@ -36,15 +41,27 @@ CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 SMALL = {"n_radial": 16, "n_angular": 32}
+# The demo configs have alpha = 1, where the operator is f and nothing is
+# integrated; these overrides put them on the general path (T2 keeps
+# |alpha - m/(2a)| < m/(2a)).
+T2_ALPHA2 = {"alpha": [2, 0], "m": 5}
+T6_ALPHA2 = {"alpha": [2, 0]}
+
+
+def _demo(name: str, **changes) -> dict:
+    """A demo config with its params updated by ``params`` and other keys replaced."""
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    params = {**raw["params"], **changes.pop("params", {})}
+    return {**raw, **changes, "params": params}
 
 
 @pytest.mark.parametrize("name, overrides, expected", [
-    pytest.param("trivial_t2", {"grid": SMALL}, 16, id="trivial_t2"),
-    pytest.param("t6_eps02", {}, 16, id="t6_eps02"),
+    pytest.param("trivial_t2", {"grid": SMALL, "params": T2_ALPHA2}, 16, id="trivial_t2"),
+    pytest.param("t6_eps02", {"params": T6_ALPHA2}, 16, id="t6_eps02"),
     # f' = 1/(1-z)^2 is singular on the circle: the fit takes the radius
     # 0.95, and only the outer grid ring, 32 points, lies beyond it
-    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, 16 + 32,
-                 id="fallback"),
+    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)", "params": T2_ALPHA2},
+                 16 + 32, id="fallback"),
 ])
 def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -55,10 +72,11 @@ def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
 
 
 @pytest.mark.parametrize("name, overrides, rays, rho", [
-    pytest.param("trivial_t2", {"grid": SMALL}, [16], 1.0, id="trivial_t2"),
-    pytest.param("t6_eps02", {}, [16], 1.0, id="t6_eps02"),
-    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)"}, [16, 32], 0.95,
-                 id="fallback"),
+    pytest.param("trivial_t2", {"grid": SMALL, "params": T2_ALPHA2}, [16], 1.0,
+                 id="trivial_t2"),
+    pytest.param("t6_eps02", {"params": T6_ALPHA2}, [16], 1.0, id="t6_eps02"),
+    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)", "params": T2_ALPHA2},
+                 [16, 32], 0.95, id="fallback"),
 ])
 def test_cross_check_integrates_the_outer_half_of_its_rays(ray_counter, chunk_counter, name,
                                                             overrides, rays, rho):
@@ -80,9 +98,9 @@ def test_a_singular_subject_integrates_only_beyond_its_radius(ray_counter, chunk
     # cross-checks 16 rays of |u| = rho from rho/2 on, and integrates only
     # the grid points beyond rho, from rho on; the probes (|z| <= 0.85) and
     # the preimage circle (|z| = 0.9) take the series
-    raw = json.loads((CONFIGS / "trivial_t2.json").read_text())
+    raw = _demo("trivial_t2", f="z/(1-z)", params=T2_ALPHA2)
     config = tmp_path / "t2_geometric_f.json"
-    config.write_text(json.dumps({**raw, "f": "z/(1-z)"}))
+    config.write_text(json.dumps(raw))
     out = tmp_path / "report.json"
     assert main(["check", "--config", str(config), "--out", str(out), "--no-timings"]) == 1
     rho = min(c[3] for c in chunk_counter)
@@ -97,12 +115,42 @@ def test_a_singular_subject_integrates_only_beyond_its_radius(ray_counter, chunk
     # the verdict, margin and oracle verdicts of the from-origin quadrature
     report = json.loads(out.read_text())
     assert not report["check"]["satisfied"]
-    assert report["check"]["margin"] == pytest.approx(-2.9940019999999423, abs=1e-9)
+    assert report["check"]["margin"] == pytest.approx(-6.970039970011966, abs=1e-9)
     oracle = report["oracle"]
     assert oracle["injective_on_grid"] and oracle["collision_pair"] is None
     assert oracle["preimage_counts"] == [1] * 20 and oracle["preimage_counts_ok"]
     assert not oracle["derivative_flagged"]
-    assert oracle["derivative_min_abs"] == pytest.approx(0.2502501876250781, rel=1e-12)
+    assert oracle["derivative_min_abs"] == pytest.approx(0.4024963646538956, rel=1e-12)
+
+
+ALPHA1_CHECKS = [
+    *[pytest.param(json.loads(p.read_text()), int(p.stem == "becker_fail"), id=p.stem)
+      for p in sorted(CONFIGS.glob("*.json"))],
+    # f' is singular on the circle, where a fit would take a radius below 1
+    pytest.param(_demo("trivial_t2", f="z/(1-z)", grid=SMALL), 1, id="t2-singular-f"),
+    pytest.param(_demo("t6_eps02", g="z*exp(0.1*z)", grid=SMALL), 0, id="t6-g-not-z"),
+    pytest.param({"f": "z + 0.02*z^2", "check": "logderiv-Uk", "params": {"k": 0.5},
+                  "grid": {"n_radial": 32, "n_angular": 64}, "seed": 2024}, 0,
+                 id="logderiv-Uk"),
+]
+
+
+@pytest.mark.parametrize("raw, code", ALPHA1_CHECKS)
+def test_a_check_at_alpha_one_integrates_nothing(ray_counter, ladder_counter, raw, code):
+    # at alpha = 1 the operator is f - f(0): the criterion, the oracle
+    # subject and G' need no fit, no cross-check and no log Phi
+    report, exit_code = reporting.run_check(reporting.load_config(raw), with_timings=False)
+    assert exit_code == code and "oracle" in report
+    assert ray_counter == [] and ladder_counter == []
+
+
+@pytest.mark.parametrize("name", ["trivial_t2", "t5_qc", "t6_eps02", "becker_pass",
+                                  "becker_fail"])
+def test_extend_at_alpha_one_integrates_nothing(ray_counter, ladder_counter, tmp_path, name):
+    # the main, becker and automorphism chains take V = f(u)/u from a jet of f
+    assert main(["extend", "--config", str(CONFIGS / f"{name}.json"), "--force",
+                 "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
+    assert ray_counter == [] and ladder_counter == []
 
 
 def test_max_dilatation_integrates_nothing(ray_counter):
@@ -112,18 +160,26 @@ def test_max_dilatation_integrates_nothing(ray_counter):
     assert sum(ray_counter) == 0
 
 
-@pytest.mark.parametrize("name", ["trivial_t2", "t6_eps02"])
-def test_extend_ray_count(ray_counter, tmp_path, name):
+@pytest.mark.parametrize("name, params", [
+    pytest.param("trivial_t2", T2_ALPHA2, id="trivial_t2"),
+    pytest.param("t6_eps02", T6_ALPHA2, id="t6_eps02"),
+])
+def test_extend_ray_count(ray_counter, tmp_path, name, params):
     # resolution 8: 4 x 8 interior and 4 x 8 exterior points, one batch
     # of one chain, which integrates one cross-check sample
-    assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_demo(name, params=params)))
+    assert main(["extend", "--config", str(config),
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
     assert ray_counter == [16]
 
 
-@pytest.mark.parametrize("name", ["trivial_t2", "t6_eps02"])
-def test_a_subject_object_integrates_one_cross_check(ray_counter, name):
-    rc = reporting.load_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+@pytest.mark.parametrize("name, params", [
+    pytest.param("trivial_t2", T2_ALPHA2, id="trivial_t2"),
+    pytest.param("t6_eps02", T6_ALPHA2, id="t6_eps02"),
+])
+def test_a_subject_object_integrates_one_cross_check(ray_counter, name, params):
+    rc = reporting.load_config(_demo(name, params=params))
     op = reporting.subject_function(rc)
     z = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
     op(z)
@@ -137,7 +193,7 @@ def test_a_subject_object_integrates_one_cross_check(ray_counter, name):
 def test_logderiv_check_with_the_oracle_fits_its_subject_once(ray_counter):
     # the criterion and the oracle share the run's one operator subject
     rc = reporting.load_config({
-        "f": "z + 0.02*z^2", "check": "logderiv-Uk", "params": {"k": 0.5},
+        "f": "z + 0.02*z^2", "check": "logderiv-Uk", "params": {"alpha": [2, 0], "k": 0.5},
         "grid": {"n_radial": 32, "n_angular": 64}, "seed": 2024})
     report, _ = reporting.run_check(rc, with_timings=False)
     assert "oracle" in report
@@ -251,7 +307,10 @@ def test_extend_ray_count_fallback(ray_counter, tmp_path):
     # f' of z/(1-z) is singular on the circle, so the chain's fit takes the
     # radius 0.95, and its one batch integrates the 16 points beyond it: 8
     # inside the circle and 8 exterior points whose chain argument is there
-    assert main(["extend", "--config", str(CONFIGS / "becker_fail.json"), "--force",
+    # (the main chain at s = 1, whose arguments are those of becker_fail's)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_demo("trivial_t2", f="z/(1-z)", params=T2_ALPHA2)))
+    assert main(["extend", "--config", str(config), "--force",
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
     assert ray_counter == [16, 16]
 
