@@ -27,7 +27,7 @@ from schlicht.operators import (
 print("== identities the operator must hit exactly ==")
 ov = operator_g_alpha(parse("z"), parse("z"), 2.5, 0.3 + 0.1j)
 print(f"  f=g=z, alpha=2.5:  G(0.3+0.1i) = {ov.value:.15f}")
-print(f"                     error estimate {ov.estimated_error:.2e}, branch ok {ov.branch_ok}")
+print(f"                     error estimate {ov.estimated_error:.2e}")
 ov = operator_pascu(parse("z + 0.1*z^2"), 1.0, 0.5)
 print(f"  alpha=1 recovers f: G(0.5) = {ov.value:.15f}  (f(0.5) = 0.525)")
 

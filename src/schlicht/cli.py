@@ -29,6 +29,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 
@@ -241,15 +242,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--grid", default=None, metavar="NxM")
     p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--annulus-rmax", type=_checked(float, lambda v: v >= 1, ">= 1"),
-                   default=10.0)
+    p.add_argument("--annulus-rmax", default=10.0,
+                   type=_checked(float, lambda v: 1 <= v < math.inf, "finite and >= 1"))
     p.add_argument("--resolution", type=_AT_LEAST_ONE, default=128)
     p.add_argument("--force", action="store_true",
                    help="export even when the criterion fails")
     p.add_argument("--ppm", default=None, help="also write a P6 raster here")
     p.add_argument("--ppm-resolution", type=_AT_LEAST_ONE, default=256)
-    p.add_argument("--window", type=_checked(float, lambda v: v > 0, "> 0"),
-                   default=2.0)
+    p.add_argument("--window", default=2.0,
+                   type=_checked(float, lambda v: 0 < v < math.inf, "finite and > 0"))
     p.set_defaults(fn=lambda a: cmd_extend(a))
 
     p = sub.add_parser("ktable", help="tabulate the dilatation bound K(s, k)")

@@ -20,6 +20,7 @@ every trend value, which is what refining the constant array would give.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -74,6 +75,9 @@ class CriterionParams:
         return self.s.imag
 
     def validate(self) -> "CriterionParams":
+        for name in ("alpha", "c", "s", "m", "k"):  # Python's json reads NaN and Infinity
+            if not cmath.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.a > 0:
             raise ParameterError(f"Re(s)={self.a} must be positive")
         if not self.m > 0:
@@ -444,18 +448,15 @@ def check_t6(f: Expr, g: Expr, alpha: float, k: float,
 def check_log_derivative_condition(G, k: float, grid: DiskGrid) -> CriterionReport:
     """z G'/G in U(k); G may be an expression or a sampled operator callable.
 
-    G' is the ``derivative`` of ``as_subject(G)``, asked right after G at
-    the same points, so the operator subject, which keeps its last pass,
-    integrates once.  At alpha = 1 that subject is f - f(0), whose G and
-    G' come from jets of f and integrate nothing.
+    Each field pass takes G and G' from one ``jet`` call of ``as_subject(G)``.
     """
     if not (0 <= k < 1):
         raise ParameterError(f"k={k} must lie in [0, 1)")
     subject = as_subject(G)
 
     def fld(zz):
-        vals = np.asarray(subject(zz))
-        deriv = subject.derivative(zz)
+        vals, deriv = subject.jet(zz)[:2]
+        vals = np.asarray(vals)
         _raise_at_first(vals == 0, zz, DivisionByZero)
         return _uk_distance_field(zz * deriv / vals)
 

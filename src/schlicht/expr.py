@@ -448,6 +448,14 @@ def evaluate(e: Expr, z: np.ndarray, order: int = 0) -> np.ndarray:
     return out if isinstance(out, np.ndarray) else np.full(np.shape(z), out, dtype=complex)
 
 
+def _on_points(out, arr: np.ndarray) -> np.ndarray:
+    """A jet entry on the shape of ``arr``; a non-finite one raises NonFiniteValue."""
+    if not isinstance(out, np.ndarray):
+        out = np.full(arr.shape, out, dtype=complex)
+    _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
+    return out
+
+
 def eval_expr(e: Expr, z, order: int = 0):
     """The ``order``-th derivative of ``e`` at ``z`` (scalar or ndarray), by :func:`jet`.
 
@@ -455,39 +463,43 @@ def eval_expr(e: Expr, z, order: int = 0):
     any component of the result is NaN or inf.
     """
     arr = np.asarray(z, dtype=complex)
-    out = jet(e, arr, order, value=not order)[order]
-    if not isinstance(out, np.ndarray):
-        out = np.full(arr.shape, out, dtype=complex)
-    _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
-    return _scalar_out(out, z)
+    return _scalar_out(_on_points(jet(e, arr, order, value=not order)[order], arr), z)
 
 
 def as_subject(f):
-    """A vectorized callable for an expression or a callable, carrying ``.derivative``.
+    """A subject: G itself, carrying G' as ``.derivative`` and (G, G') as ``.jet``.
 
-    An expression's derivative comes from its jet.  A callable that has its
-    own ``derivative`` (the operator subject's closed-form G') is returned
-    as it is; any other callable gets Richardson central differences.
+    An expression's ``jet`` is one :func:`jet` walk, checked and broadcast
+    as by :func:`eval_expr`.  A callable with its own ``jet`` (a run's
+    subject, see ``reporting``) is returned as it is; any other callable
+    keeps its ``derivative``, else gets Richardson central differences.
     """
     if isinstance(f, Expr):
         def subject(z):
             return eval_expr(f, z)
 
+        def expr_jet(z):
+            arr = np.asarray(z, dtype=complex)
+            return tuple(_scalar_out(_on_points(x, arr), z) for x in jet(f, arr, 1))
+
         subject.derivative = lambda z: eval_expr(f, z, 1)
+        subject.jet = expr_jet
         return subject
-    if hasattr(f, "derivative"):
+    if hasattr(f, "jet"):
         return f
 
     def sampled(z):
         return f(z)
 
-    def derivative(z):
+    def richardson(z):
         h = 1e-5 * (1 - np.abs(z))
         d1 = (f(z + h) - f(z - h)) / (2 * h)
         d2 = (f(z + h / 2) - f(z - h / 2)) / h
         return (4 * d2 - d1) / 3
 
+    derivative = getattr(f, "derivative", richardson)
     sampled.derivative = derivative
+    sampled.jet = lambda z: (f(z), derivative(z))
     return sampled
 
 

@@ -140,7 +140,6 @@ _LADDER_ROUNDS = 64        # anchor insertion rounds of one branch ladder
 class OperatorValue:
     value: complex
     estimated_error: float
-    branch_ok: bool
 
 
 @dataclass
@@ -184,7 +183,6 @@ class BracketFinal:
     log_value: np.ndarray
     logphi_end: np.ndarray
     error: np.ndarray
-    branch_ok: np.ndarray
     path: str
     radius: float = 1.0
     fallback_reason: str | None = None
@@ -689,7 +687,7 @@ class BracketFit:
         out = BracketFinal(
             value=np.ones(nz, dtype=complex), log_value=np.zeros(nz, dtype=complex),
             logphi_end=np.zeros(nz, dtype=complex), error=np.zeros(nz),
-            branch_ok=np.ones(nz, dtype=bool), path="coefficients" if rho == 1 else "quadrature",
+            path="coefficients" if rho == 1 else "quadrature",
             radius=rho, fallback_reason=self.reason, cross_check_gap=self.cross_check_gap,
             budget=self.series.budget)
         if not (len(inner) or len(outer)):
@@ -820,7 +818,7 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
                                     fit: BracketFit | None = None):
     """Operator values and closed-form G' from one bracket pass.
 
-    Returns (values, derivatives, errors, branch_ok), vectorized over z.
+    Returns (values, derivatives, errors), vectorized over z.
     ``fit``, the ``BracketFit(g, alpha, f=f)`` of a caller that evaluates
     many batches, is reused; by default each call fits its own.
     """
@@ -833,22 +831,19 @@ def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
     # see "Batches" in the module docstring
     derivs = evaluate(f, zarr, 1) * np.exp(np.multiply(alpha - 1, fin.logphi_end
                                                        - fin.log_value / alpha))
-    return vals, derivs, errs, fin.branch_ok
+    return vals, derivs, errs
 
 
 def operator_values(f: Expr, g: Expr, alpha, z):
-    """Vectorized operator evaluation; returns (values, errors, branch_ok)."""
-    vals, _, errs, ok = operator_values_with_derivative(f, g, alpha, z)
-    return vals, errs, ok
-
-
-def _scalar_operator(vals, errs, ok) -> OperatorValue:
-    return OperatorValue(complex(vals[0]), float(errs[0]), bool(ok[0]))
+    """Vectorized operator evaluation; returns (values, errors)."""
+    vals, _, errs = operator_values_with_derivative(f, g, alpha, z)
+    return vals, errs
 
 
 def operator_g_alpha(f: Expr, g: Expr, alpha, z) -> OperatorValue:
     """[alpha * int_0^z g^(alpha-1)(u) f'(u) du]^(1/alpha), branch continued."""
-    return _scalar_operator(*operator_values(f, g, alpha, complex(z)))
+    vals, errs = operator_values(f, g, alpha, complex(z))
+    return OperatorValue(complex(vals[0]), float(errs[0]))
 
 
 def operator_pascu(f: Expr, alpha, z) -> OperatorValue:
@@ -860,7 +855,8 @@ def _weightless(g: Expr, alpha, z, phi_exponent) -> OperatorValue:
     alpha = _validate_alpha(alpha)
     zc = np.atleast_1d(np.asarray(complex(z)))
     fin = bracket_final(g, alpha, zc, phi_exponent=phi_exponent)
-    return _scalar_operator(*_operator_from(zc, alpha, fin), fin.branch_ok)
+    vals, errs = _operator_from(zc, alpha, fin)
+    return OperatorValue(complex(vals[0]), float(errs[0]))
 
 
 def operator_moldoveanu_pascu(g: Expr, alpha, z) -> OperatorValue:

@@ -22,13 +22,13 @@ chunk).
 
 Subjects are expressions or vectorized callables, taken through
 ``expr.as_subject``, which also gives the derivative check its f': a jet
-for an expression, the callable's own ``derivative`` when it has one (the
-operator subject's closed form G', see ``operators``, or f' from the jet
-pass that a becker run's subject keeps, see ``reporting``), and finite
-differences only for a plain callable.  ``preimage_count`` takes one target
-or a sequence of targets; a sequence shares the evaluations of each winding
-circle, and every target's first attempt on the first circle is taken
-in one array pass.
+for an expression, the callable's own ``derivative`` when it has one (a
+run's subject, which keeps a grid pass of G and G' for the scan and the
+derivative check, see ``reporting``), and finite differences only for a
+plain callable.  ``preimage_count`` takes one target or a sequence of
+targets; a sequence shares the evaluations of each winding circle, and
+every target's first attempt on the first circle is taken in one array
+pass.
 """
 
 from __future__ import annotations
@@ -311,9 +311,7 @@ def derivative_nonvanishing(f, grid: DiskGrid,
                             flag_below: float = 1e-10) -> DerivativeReport:
     """Minimum of |f'| over the grid and the origin; must stay positive.
 
-    f' is the ``derivative`` of ``as_subject(f)``, asked at the grid array
-    itself before the origin, so that a subject which keeps its last pass
-    (the operator) reuses the injectivity scan.
+    f' is the ``derivative`` of ``as_subject(f)``.
     """
     derivative = as_subject(f).derivative
     pts = grid.points()

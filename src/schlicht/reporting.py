@@ -38,7 +38,6 @@ from .errors import NonFiniteValue, ParameterError
 from .expr import (
     AnalyticTriple,
     Expr,
-    Var,
     _raise_at_first,
     _scalar_out,
     as_subject,
@@ -179,87 +178,75 @@ def _report_dict(rep: CriterionReport) -> dict:
     }
 
 
-def _operator_subject(rc: ResolvedConfig):
-    """The operator G, carrying its closed-form derivative as ``op.derivative``.
+def _run_subject(rc: ResolvedConfig, order: int, walk):
+    """The run's subject G: one evaluation contract, one keep rule.
 
-    At alpha = 1 the operator is int_0^z f' du = f - f(0), whatever g is,
-    so the subject is :func:`_expr_subject` of f - f(0) (of f itself when
-    f(0) = 0): nothing is fitted or integrated.  Otherwise every batch
-    reuses the subject's one bracket fit, so the subject integrates one
-    cross-check sample in all.  G and G' come from one bracket pass, and
-    the last pass is kept, keyed by the exact points array, so asking for
-    G' at the points just evaluated (or for G again) costs nothing.
+    ``subject(z)`` is G, ``subject.derivative(z)`` G', ``subject.jet(zz)``
+    (G, G', ...) to ``order`` from one pass ``walk(zz, n, value)`` (G may
+    be None without ``value``); a non-finite G or G' raises NonFiniteValue.
+    The first pass on the run's grid (an array of its shape) that gives G
+    and G' is kept with its points, read-only and not copied, but not its
+    higher orders; a request at those points takes it, and any other makes
+    one pass of what it asks.  A plain function, so ``functools.wraps``
+    keeps ``derivative`` and ``jet``.
     """
-    if rc.params.alpha == 1:
-        f0 = eval_expr(rc.f, 0j)
-        return _expr_subject(rc if f0 == 0 else replace(rc, f=sub(rc.f, const(f0))))
-    fit = BracketFit(rc.g, rc.params.alpha, f=rc.f)
-    last: dict = {}
-
-    def evaluate(zz):
-        zz = np.asarray(zz)
-        points = last.get("points")
-        if points is None or not np.array_equal(points, zz):
-            vals, derivs, _, _ = operator_values_with_derivative(
-                rc.f, rc.g, rc.params.alpha, zz.ravel(), fit)
-            last.update(points=zz.copy(), values=vals.reshape(zz.shape),
-                        derivatives=derivs.reshape(zz.shape))
-            # a hit hands the same arrays to another caller
-            for arr in last.values():
-                arr.flags.writeable = False
-        return last
-
-    def op(zz):
-        return evaluate(zz)["values"]
-
-    op.derivative = lambda zz: evaluate(zz)["derivatives"]
-    return op
-
-
-def _expr_subject(rc: ResolvedConfig):
-    """f itself, carrying ``subject.derivative`` and ``subject.jet``.
-
-    ``subject.jet(zz)`` gives (f, f', f'') on ``zz`` from one walk of f's
-    tree.  The pass on an array of the run's grid shape is kept: its points
-    (made read-only, not copied), f and f'.  So when the criterion has
-    walked the grid, the oracle's injectivity scan and derivative check on
-    the grid take f and f' from that pass.  Other points cost one walk of
-    order 0 for f and of order 1 for f'.  As with ``eval_expr``, a
-    non-finite value raises NonFiniteValue at its first point.
-    """
-    f = rc.f
     shape = (rc.grid.n_radial, rc.grid.n_angular)
-    kept: dict = {}
+    kept: dict = {}  # "points" and "values", (G, G') on them
 
-    def jets(zz):
-        out = jet(f, zz, 2)
-        if np.shape(zz) == shape:
-            kept.update(points=zz, values=out[:2])
-            # a hit hands the same arrays to another caller
-            for arr in (zz, *out[:2]):
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
-        return out
-
-    def at(z, order: int):
-        arr = np.asarray(z, dtype=complex)
+    def entries(z, n: int, value: bool = True):
+        zz = np.asarray(z, dtype=complex)
         points = kept.get("points")
-        if points is not None and points.shape == arr.shape and np.array_equal(points, arr):
-            out = kept["values"][order]
-        else:
-            out = jet(f, arr, order, value=not order)[order]
-        if not isinstance(out, np.ndarray):
-            out = np.full(arr.shape, out, dtype=complex)
-        if not np.isfinite(out).all():
-            _raise_at_first(~np.isfinite(out), arr, NonFiniteValue)
-        return _scalar_out(out, z)
+        if n <= 1 and points is not None and (zz is points or np.array_equal(zz, points)):
+            return zz, kept["values"]
+        out = walk(zz, n, value)
+        for x in out[:2]:
+            if x is not None and not np.isfinite(x).all():
+                _raise_at_first(~np.isfinite(x), zz, NonFiniteValue)
+        if points is None and zz.shape == shape and len(out) > 1 and out[0] is not None:
+            for x in (zz, *out[:2]):
+                if isinstance(x, np.ndarray):  # another caller gets it too
+                    x.flags.writeable = False
+            kept.update(points=zz, values=out[:2])
+        return zz, out
+
+    def at(z, n: int):
+        zz, out = entries(z, n, value=not n)
+        x = out[n] if isinstance(out[n], np.ndarray) else np.full(zz.shape, out[n], dtype=complex)
+        return _scalar_out(x, z)
 
     def subject(z):
         return at(z, 0)
 
     subject.derivative = lambda z: at(z, 1)
-    subject.jet = jets
+    subject.jet = lambda zz: entries(zz, order)[1]
     return subject
+
+
+def _operator_subject(rc: ResolvedConfig):
+    """The operator G as a run subject of order 1 (:func:`_run_subject`).
+
+    At alpha = 1 the operator is int_0^z f' du = f - f(0), whatever g is,
+    so the subject is :func:`_expr_subject` of f - f(0) (of f itself when
+    f(0) = 0): nothing is fitted or integrated.  Otherwise a pass is one
+    bracket pass of the subject's one fit, giving G and G' together, so
+    the subject integrates one cross-check sample in all.
+    """
+    if rc.params.alpha == 1:
+        f0 = eval_expr(rc.f, 0j)
+        return _expr_subject(rc if f0 == 0 else replace(rc, f=sub(rc.f, const(f0))), 1)
+    fit = BracketFit(rc.g, rc.params.alpha, f=rc.f)
+
+    def bracket_pass(zz, n, value):
+        vals, derivs, _ = operator_values_with_derivative(
+            rc.f, rc.g, rc.params.alpha, zz.ravel(), fit)
+        return vals.reshape(zz.shape), derivs.reshape(zz.shape)
+
+    return _run_subject(rc, 1, bracket_pass)
+
+
+def _expr_subject(rc: ResolvedConfig, order: int):
+    """f as a run subject whose ``jet`` has order ``order``; a pass walks f's tree once."""
+    return _run_subject(rc, order, lambda zz, n, value: jet(rc.f, zz, n, value=value))
 
 
 def _triple(rc: ResolvedConfig) -> AnalyticTriple:
@@ -277,11 +264,9 @@ def _main_chain(rc: ResolvedConfig):
 
 
 def _becker_chain(rc: ResolvedConfig):
-    # classical chain: the s = alpha = 1, h = -c reduction
-    params = CriterionParams(alpha=1, c=rc.params.c, s=1,
-                             m=rc.params.m, k=rc.params.k)
-    triple = AnalyticTriple.build(rc.f, Var(), const(-rc.params.c))
-    return chain_callable(triple, params)
+    # the classical chain of the becker preset's reduction: s = alpha = 1, h = -c
+    becker = apply_preset("becker", rc.f, rc.g, rc.h, rc.params)
+    return chain_callable(AnalyticTriple.build(becker.f, becker.g, becker.h), becker.params)
 
 
 def _logderiv_chain(rc: ResolvedConfig):
@@ -291,9 +276,10 @@ def _logderiv_chain(rc: ResolvedConfig):
         return np.exp(np.asarray(t, dtype=float)) * np.asarray(op(z))
 
     def driving_term(z, t):
-        # L = e^t G gives p = z G'/G; G and G' share the subject's pass
+        # L = e^t G gives p = z G'/G, from one pass of the subject
         zz = np.asarray(z, dtype=complex)
-        p = zz * op.derivative(zz) / op(zz)
+        vals, deriv = op.jet(zz)
+        p = zz * deriv / vals
         return np.broadcast_to(p, np.broadcast_shapes(zz.shape, np.shape(t)))
 
     chain.driving_term = driving_term
@@ -304,13 +290,12 @@ def _logderiv_chain(rc: ResolvedConfig):
 class Criterion:
     """How one criterion id runs; every field maps a ResolvedConfig.
 
-    ``subject`` gives the function the oracle scans (f with its jets, or
-    the operator G with its closed-form derivative), ``check`` the
-    CriterionReport, taking the run's subject object too, so that the
-    criterion and the oracle share its passes, and ``chain`` the Loewner
-    chain, carrying ``driving_term``, that the extension uses.  A
-    satisfied check with ``qc_bound`` set reports the dilatation bound
-    K(s, k).
+    ``subject`` gives the run's subject (:func:`_run_subject`: f for
+    becker, else the operator G), ``check`` the CriterionReport, taking
+    the run's subject object too, so that the criterion and the oracle
+    share its grid pass, and ``chain`` the Loewner chain, carrying
+    ``driving_term``, that the extension uses.  A satisfied check with
+    ``qc_bound`` set reports the dilatation bound K(s, k).
     """
 
     check: Callable[[ResolvedConfig, object], CriterionReport]
@@ -329,7 +314,7 @@ CRITERIA = {
                      _operator_subject, _main_chain),
     "becker": Criterion(
         lambda rc, subject: check_becker(rc.f, rc.params.m, rc.grid, subject.jet),
-        _expr_subject, _becker_chain),
+        lambda rc: _expr_subject(rc, 2), _becker_chain),
     "T3": Criterion(lambda rc, _: check_t3(_triple(rc), rc.params, rc.grid),
                     _operator_subject, _main_chain),
     "T5-qc": Criterion(lambda rc, _: check_qc_t5(_triple(rc), rc.params, rc.grid)[0],
@@ -364,7 +349,6 @@ def oracle_block(rc: ResolvedConfig, subject) -> dict:
     n_probes = 20
     fn = as_subject(subject)
     inj = injectivity_test(fn, rc.grid)
-    # right after the scan, so an operator subject reuses the scan's pass
     deriv = derivative_nonvanishing(fn, rc.grid)
     rng = np.random.default_rng(rc.seed)
     zz = 0.85 * np.sqrt(rng.uniform(0, 1, n_probes)) * np.exp(

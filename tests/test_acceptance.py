@@ -66,7 +66,7 @@ def _operator_subject(f_src: str, g_src: str = "z", alpha: float = 1.0):
     f, g = parse(f_src), parse(g_src)
 
     def op(zz):
-        vals, _, _ = operator_values(f, g, alpha, np.asarray(zz).ravel())
+        vals, _ = operator_values(f, g, alpha, np.asarray(zz).ravel())
         return vals.reshape(np.shape(zz))
 
     return op

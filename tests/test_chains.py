@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_chain_at_time_zero_is_operator():
             L0 = chain_l(triple, params, complex(z), 0.0)
             G = operator_g_alpha(parse(f_src), parse(g_src), alpha, complex(z))
             assert abs(L0 - G.value) < 1e-10
+
+
+@pytest.mark.parametrize("change", [{"s": complex(1, math.inf)}, {"m": math.inf},
+                                    {"alpha": complex(math.nan, 0)}])
+def test_chain_l_rejects_a_non_finite_parameter(change):
+    params = dataclasses.replace(P_TRIVIAL, **change)
+    with pytest.raises(ParameterError, match="must be finite"):
+        chain_l(TRIPLE_TRIVIAL, params, 0.5 + 0j, 0.3)
 
 
 def test_trivial_chain_closed_form():

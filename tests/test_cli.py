@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import math
 import os
 import stat
 import subprocess
@@ -167,6 +168,7 @@ def test_extend_zero_resolution_exit_two(tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--resolution", "0"), ("--ppm-resolution", "0"), ("--ppm-resolution", "-3"),
     ("--window", "0"), ("--window", "nan"), ("--annulus-rmax", "0.5"),
+    ("--window", "inf"), ("--annulus-rmax", "inf"),
 ])
 def test_extend_bad_flag_exit_two_writes_nothing(tmp_path, capsys, flag, value):
     cfg = _write(tmp_path, "cfg.json", TRIVIAL)
@@ -375,8 +377,20 @@ _REAL_OR_PAIR = "must be a real number or a [re, im] pair of real numbers"
     ({"params": {"s": [1, "2"]}}, f"params.s {_REAL_OR_PAIR}, got [1, '2']"),
     ({"params": {"c": [-1, 0, 0]}}, f"params.c {_REAL_OR_PAIR}, got [-1, 0, 0]"),
     ({"params": {"c": [False, 0]}}, f"params.c {_REAL_OR_PAIR}, got [False, 0]"),
+    # Python's json reads NaN, Infinity and -Infinity; T5-qc with s = [1, Infinity]
+    # was certified with K = NaN, and the others reported NaN margins
+    ({"check": "T5-qc", "params": {"s": [1, math.inf], "k": 0.2}},
+     "s must be finite, got (1+infj)"),
+    ({"params": {"alpha": math.nan}}, "alpha must be finite, got (nan+0j)"),
+    ({"params": {"alpha": [1, math.inf]}}, "alpha must be finite, got (1+infj)"),
+    ({"params": {"c": [-math.inf, 0]}}, "c must be finite, got (-inf+0j)"),
+    ({"params": {"m": math.inf}}, "m must be finite, got inf"),
+    ({"params": {"m": math.nan}}, "m must be finite, got nan"),
+    ({"params": {"k": math.nan}}, "k must be finite, got nan"),
 ], ids=["seed-fractional", "seed-negative", "seed-bool", "seed-null", "m-bool",
-        "m-null", "k-string", "alpha-string", "s-string-part", "c-triple", "c-bool-part"])
+        "m-null", "k-string", "alpha-string", "s-string-part", "c-triple", "c-bool-part",
+        "t5qc-s-infinite", "alpha-nan", "alpha-infinite-part", "c-minus-infinite",
+        "m-infinite", "m-nan", "k-nan"])
 def test_invalid_param_or_seed_exit_two(tmp_path, capsys, change, message):
     payload = {**TRIVIAL, **change}
     if "params" in change:

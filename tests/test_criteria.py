@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -242,7 +245,7 @@ def test_log_derivative_condition_sampled_operator():
     f, g = parse("z + 0.1*z^2"), parse("z")
 
     def op(zz):
-        vals, _, _ = operator_values(f, g, 1.0, np.asarray(zz).ravel())
+        vals, _ = operator_values(f, g, 1.0, np.asarray(zz).ravel())
         return vals.reshape(np.shape(zz))
 
     rep_op = check_log_derivative_condition(op, 0.15, grid)
@@ -347,6 +350,19 @@ def test_params_validation():
 def test_disk_grid_names_the_rejected_value(kwargs, key):
     with pytest.raises(ParameterError, match=key):
         DiskGrid(**kwargs)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", complex(math.nan, 0)), ("alpha", complex(1, math.inf)),
+    ("c", complex(-math.inf, 0)), ("c", complex(-1, math.nan)),
+    ("s", complex(1, math.inf)), ("s", complex(math.inf, 0)),
+    ("m", math.inf), ("m", math.nan), ("k", math.nan), ("k", -math.inf),
+])
+def test_params_validation_rejects_a_non_finite_value(name, value):
+    params = dataclasses.replace(CriterionParams(alpha=1, c=-1, s=1, m=2.0, k=0.5),
+                                 **{name: value})
+    with pytest.raises(ParameterError, match=f"^{name} must be finite, got "):
+        params.validate()
 
 
 def test_disk_grid_accepts_numpy_integers():

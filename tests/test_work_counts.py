@@ -5,8 +5,9 @@ integrates nothing, and the demo configs, which all have alpha = 1, are
 put on the general path by a params override (alpha = 2) where a test
 counts the work of that path.
 
-An operator subject is evaluated once on the grid (the injectivity scan,
-whose pass the derivative check reuses), once on the preimage circle shared
+An operator subject is evaluated once on the grid (the criterion's pass,
+or else the injectivity scan's, whose G and G' the subject keeps for the
+rest of the run), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
 Each subject or chain object fits its bracket once: it integrates one
 cross-check sample of 16 rays per radius it tries, each on its outer half
@@ -22,9 +23,11 @@ one cell.  No check or extend run builds a derivative tree: every f'
 comes from a jet of f.
 """
 
+import gc
 import json
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -354,3 +357,136 @@ def test_extend_builds_no_derivative_tree(monkeypatch, tmp_path, name):
     _forbid_derivative_trees(monkeypatch)
     assert main(["extend", "--config", str(CONFIGS / f"{name}.json"),
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
+
+
+# The run's subject keeps G and G' computed on the run's grid
+# (reporting._run_subject), so the criterion, the oracle's scan and its
+# derivative check share one pass there whatever order they ask in.
+LOGDERIV = {"f": "z + 0.08*z^2", "check": "logderiv-Uk", "params": {"k": 0.5},
+            "grid": {"n_radial": 32, "n_angular": 64}, "seed": 2}
+T2_ALPHA1 = _demo("t5_qc", check="T2", params={"k": 0.5})
+
+
+@pytest.fixture
+def f_walks(monkeypatch):
+    """``walks(rc)``: the list, filled while the test runs, of (shape,
+    order, value flag) of every walk of ``rc.f``'s tree."""
+    def walks(rc):
+        seen = []
+        original = expr._jet
+
+        def counted(e, z, order, *value):
+            if e is rc.f:
+                seen.append((np.shape(z), order, *value))
+            return original(e, z, order, *value)
+
+        monkeypatch.setattr(expr, "_jet", counted)
+        return seen
+    return walks
+
+
+@pytest.fixture
+def operator_passes(monkeypatch):
+    """Number of points of every bracket pass of an operator subject."""
+    sizes = []
+    original = reporting.operator_values_with_derivative
+
+    def counted(f, g, alpha, z, *args):
+        sizes.append(np.size(z))
+        return original(f, g, alpha, z, *args)
+
+    monkeypatch.setattr(reporting, "operator_values_with_derivative", counted)
+    return sizes
+
+
+def test_a_logderiv_check_at_alpha_one_walks_f_once_on_the_grid(f_walks):
+    # one order-1 walk per field pass gives G and G'; the oracle takes
+    # both on the grid from the criterion's pass
+    rc = reporting.load_config(LOGDERIV)
+    walks = f_walks(rc)
+    report, code = reporting.run_check(rc, with_timings=False)
+    assert code == 0 and "oracle" in report
+    # f(0), then the criterion and the oracle
+    assert walks == [((), 0, True), ((32, 64), 1, True), *[((8, 8), 1, True)] * 3,
+                     ((1,), 1, False), ((20,), 0, True), ((512,), 0, True)]
+
+
+def test_a_logderiv_check_at_alpha_two_makes_one_operator_pass_on_the_grid(operator_passes):
+    # the grid, three refinements, the origin, the probes and the circle
+    rc = reporting.load_config({**LOGDERIV, "params": {"alpha": [2, 0], "k": 0.5}})
+    report, _ = reporting.run_check(rc, with_timings=False)
+    assert "oracle" in report
+    assert operator_passes == [2048, 64, 64, 64, 1, 20, 512]
+
+
+def test_an_operator_subject_asked_for_g_prime_then_g_on_the_grid_makes_one_pass(
+        operator_passes):
+    rc = reporting.load_config(_demo("trivial_t2", f="z + 0.05*z^2", grid=SMALL,
+                                     params=T2_ALPHA2))
+    subject = reporting.subject_function(rc)
+    derivs = subject.derivative(rc.grid.points())
+    vals = subject(rc.grid.points())
+    assert operator_passes == [512]
+    # the kept values are those of a pass of their own
+    fresh = operators.operator_values_with_derivative(
+        rc.f, rc.g, rc.params.alpha, rc.grid.points().ravel())
+    assert np.array_equal(vals.ravel(), fresh[0]) and np.array_equal(derivs.ravel(), fresh[1])
+
+
+def test_an_operator_subject_keeps_only_its_grid_pass(operator_passes):
+    rc = reporting.load_config(_demo("trivial_t2", f="z + 0.05*z^2", grid=SMALL,
+                                     params=T2_ALPHA2))
+    subject = reporting.subject_function(rc)
+    vals, derivs = subject.jet(rc.grid.points())
+    assert np.array_equal(subject.derivative(rc.grid.points()), derivs)
+    assert np.array_equal(subject(rc.grid.points()), vals)
+    assert operator_passes == [512]
+    # points of the grid's shape that are not its points: a pass per request
+    subject(0.5 * rc.grid.points())
+    subject.derivative(0.5 * rc.grid.points())
+    assert operator_passes == [512, 512, 512]
+    # and the grid's pass is still kept
+    subject(rc.grid.points())
+    assert operator_passes == [512, 512, 512]
+
+
+@pytest.mark.parametrize("raw, walks", [
+    # the criterion walks f through its own jets; the oracle's scan keeps
+    # G, and its derivative check walks f' alone
+    pytest.param(T2_ALPHA1, [((), 0, True), ((1,), 1), ((64, 128), 2, False),
+                             *[((8, 8), 2, False)] * 3, ((64, 128), 0, True),
+                             ((64, 128), 1, False), ((1,), 1, False), ((20,), 0, True),
+                             ((512,), 0, True)], id="T2"),
+    # the criterion's order-2 pass on the grid serves the scan and f'
+    pytest.param(_demo("becker_pass"), [((64, 128), 2, True), *[((8, 8), 2, True)] * 3,
+                                        ((1,), 1, False), ((20,), 0, True), ((512,), 0, True)],
+                 id="becker"),
+])
+def test_a_check_at_alpha_one_walks_f_as_before(f_walks, raw, walks):
+    rc = reporting.load_config(raw)
+    seen = f_walks(rc)
+    report, code = reporting.run_check(rc, with_timings=False)
+    assert code == 0 and "oracle" in report
+    assert seen == walks
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(LOGDERIV, id="alpha-one"),
+    pytest.param({**LOGDERIV, "params": {"alpha": [2, 0], "k": 0.5}}, id="alpha-two"),
+    pytest.param(_demo("becker_pass", grid=SMALL), id="becker"),
+])
+def test_a_run_subject_is_freed_without_the_cycle_collector(raw):
+    # a reference cycle through the subject would hold its kept grid pass
+    # until the cyclic collector ran, and grow the heap of a process that
+    # runs check after check
+    rc = reporting.load_config(raw)
+    subject = reporting.subject_function(rc)
+    subject(rc.grid.points())
+    subject.derivative(rc.grid.points())
+    freed = weakref.ref(subject)
+    gc.disable()
+    try:
+        del subject
+        assert freed() is None
+    finally:
+        gc.enable()
