@@ -53,7 +53,7 @@ from .expr import (
     evaluate,
     jet,
 )
-from .operators import _ZERO_RADIUS, BracketFit, GzLogFit
+from .operators import _ZERO_RADIUS, BracketFit
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -179,8 +179,7 @@ def transfer_a(triple: AnalyticTriple, params: CriterionParams, z, t):
     It is the e^(-mt) blend of the criteria's lead and bracket at u0 =
     e^(-st) z; a zero of h there raises NonvanishingViolation.
     """
-    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                 np.asarray(t, dtype=float))
+    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     u0 = np.exp(-params.s * tb) * zb
     out = _blend(triple, params, u0, np.exp(-params.m * tb), NonvanishingViolation)
     return _scalar_out(out, z, t)
@@ -352,18 +351,16 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
     return _scalar_out(out.reshape(zb.shape), z, t)
 
 
-def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t, gz_fit: GzLogFit | None = None):
+def chain_t6_p(f: Expr, g: Expr, alpha: float, z, t):
     """Driving term p(z,t) = e^{-alpha t}(z^{1-alpha} g^{alpha-1} f') + 1 - e^{-alpha t}.
 
     This is p = z L'(z,t) / dL/dt, the quotient the Becker extension turns
-    into mu = (z/conj z)(1-p)/(1+p); no quadrature is involved.  ``gz_fit``,
-    the ``GzLogFit(g)`` of a caller that evaluates many batches, is reused.
+    into mu = (z/conj z)(1-p)/(1+p); no quadrature is involved.
     """
     alpha = float(alpha)
-    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                 np.asarray(t, dtype=float))
+    zb, tb = np.broadcast_arrays(np.asarray(z, dtype=complex), _times(t))
     decay = np.exp(-alpha * tb)
-    return _scalar_out(decay * t6_field(f, g, alpha, zb, gz_fit) + (1 - decay), z, t)
+    return _scalar_out(decay * t6_field(f, g, alpha, zb) + (1 - decay), z, t)
 
 
 def chain_point(triple: AnalyticTriple, params: CriterionParams, z, t) -> ChainPoint:
@@ -404,16 +401,16 @@ def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
 
     It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
-    values share one bracket fit, and its driving terms one log Phi fit; at
-    alpha = 1 neither is needed (:func:`chain_t6`, :func:`chain_t6_p`).
+    values share one bracket fit; at alpha = 1 none is needed
+    (:func:`chain_t6`).
     """
-    fit, gz_fit = (None, None) if alpha == 1 else (BracketFit(g, alpha, f=f), GzLogFit(g))
+    fit = None if alpha == 1 else BracketFit(g, alpha, f=f)
 
     def chain(z, t):
         return chain_t6(f, g, alpha, z, t, fit)
 
     def driving_term(z, t):
-        return chain_t6_p(f, g, alpha, z, t, gz_fit)
+        return chain_t6_p(f, g, alpha, z, t)
 
     chain.driving_term = driving_term
     return chain

@@ -42,7 +42,7 @@ from .expr import (
     jet,
     log_derivative_values,
 )
-from .operators import GzLogFit, continued_gz_log
+from .operators import continued_gz_log
 
 __all__ = [
     "CriterionParams", "DiskGrid", "ConditionReport", "CriterionReport",
@@ -415,18 +415,16 @@ def check_qc_t5(triple: AnalyticTriple, p: CriterionParams,
     return rep, bound
 
 
-def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray,
-             gz_fit: GzLogFit | None = None) -> np.ndarray:
+def t6_field(f: Expr, g: Expr, alpha: float, zz: np.ndarray) -> np.ndarray:
     """z^(1-alpha) g^(alpha-1) f' as the branch-continued (g/z)^(alpha-1) f'.
 
-    f' comes from a jet walk of f.  ``gz_fit``, the ``GzLogFit(g)`` of a
-    caller that evaluates many batches, is reused (:func:`continued_gz_log`).
+    f' comes from a jet walk of f, and log(g/z) from :func:`continued_gz_log`.
     At alpha = 1 the power is 1: the field is f' on the shape of ``zz``,
     and g is not evaluated.
     """
     if alpha == 1:
         return np.broadcast_to(jet(f, zz, 1, value=False)[1], zz.shape).astype(complex)
-    logphi = continued_gz_log(g, zz.ravel(), gz_fit).reshape(zz.shape)
+    logphi = continued_gz_log(g, zz.ravel()).reshape(zz.shape)
     return np.exp((alpha - 1) * logphi) * jet(f, zz, 1, value=False)[1]
 
 
@@ -438,10 +436,9 @@ def check_t6(f: Expr, g: Expr, alpha: float, k: float,
         raise ParameterError("alpha must be a positive real number here")
     if not (0 <= k < 1):
         raise ParameterError(f"k={k} must lie in [0, 1)")
-    gz_fit = GzLogFit(g)
     main, trend = _grid_condition(
         "uk-distance", False, k,
-        lambda zz: _uk_distance_field(t6_field(f, g, alpha, zz, gz_fit)), grid)
+        lambda zz: _uk_distance_field(t6_field(f, g, alpha, zz)), grid)
     return _assemble("T6", [main], grid, trend)
 
 

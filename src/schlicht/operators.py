@@ -22,8 +22,8 @@ V(z) = alpha * sum h_n z^n / (n + alpha) for every Re(alpha) > 0.  One FFT
 each of samples at N points rho e^(2 pi i k/N) gives the coefficients of
 log Phi (:func:`_circle_log`) and of H in u/rho, the trapezoidal rule,
 exponentially convergent for analytic data; N doubles from
-``_SERIES_START`` up to ``_SERIES_MAX``, and :func:`_trim` bounds the
-error from the slots n >= N/2.  log V comes the same way from V
+``_SERIES_START`` up to ``_SERIES_MAX`` while the error that :func:`_trim`
+bounds from the slots n >= N/2 still falls.  log V comes the same way from V
 (:func:`_log_series`), and a point costs Horner (:meth:`BracketFit._values`).
 The series of log Phi, V and log V are kept per process for each (g, f,
 alpha, beta, rho) (:func:`_circle_series`).
@@ -35,12 +35,12 @@ and w are finite on |u| = rho, Phi has no zero there and winding number 0
 (with analytic g this rules out zeros inside), both coefficient errors
 fit the tolerance, V stays above its error on the circle and winds 0
 times around 0 (so by Rouche's theorem it has no zero in the disk), the
-log V tail fits ``_ABS_TOLERANCE``, and the cross-check passes
-(:meth:`BracketFit._cross_check`).  The tolerance is ``_ABS_TOLERANCE``;
-on a circle with rho < 1, which a singularity of g or w may approach
-closely, it is the larger of that and ``_ROUNDING`` times the largest |H|
-there, the level that rounding of those samples leaves in every
-coefficient (``BracketFinal.budget`` says which).
+log V tail fits ``_ABS_TOLERANCE``, log Phi passes its check
+(:func:`_check_log_phi`) and V the fit's (:meth:`BracketFit._cross_check`).
+The tolerance is ``_ABS_TOLERANCE``; on a circle with rho < 1, which a
+singularity of g or w may approach closely, it is the larger of that and
+``_ROUNDING`` times the largest |H| there, the level that rounding of those
+samples leaves in every coefficient (``BracketFinal.budget`` says which).
 
 Beyond rho.  A point z = r e^(i theta) with r > rho takes
 
@@ -49,9 +49,9 @@ Beyond rho.  A point z = r e^(i theta) with r > rho takes
 
 by quadrature from the series' V, log V and log Phi at rho e^(i theta)
 (:func:`iter_radial_brackets`); its error bound adds (rho/r)^Re(alpha)
-h_err to the quadrature's.  The same segments serve the cross-check and
-:func:`continued_gz_log`, whose :class:`GzLogFit` is the fit of V = 1
-(phi exponent 0, no f): it carries log Phi alone.
+h_err to the quadrature's.  The same segments serve the cross-check.
+:func:`continued_gz_log` needs log Phi alone: beyond rho it takes each
+segment's ladder and integrates nothing.
 
 Every branch is continued by one rule: :func:`_continued_log` takes one
 principal log step per entry and flags steps that turn the argument by
@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 import numpy as np
@@ -116,7 +116,7 @@ __all__ = [
     "iter_radial_brackets", "bracket_final",
     "operator_values", "operator_values_with_derivative", "operator_g_alpha",
     "operator_pascu", "operator_moldoveanu_pascu", "operator_mocanu",
-    "GzLogFit", "continued_gz_log",
+    "continued_gz_log",
 ]
 
 _HALF_PI = math.pi / 2
@@ -126,7 +126,7 @@ _CHUNK = 2048
 _SERIES_START = 64         # samples on |u| = rho at first
 _SERIES_MAX = 1 << 14      # cap of the sample doubling
 _RADII = (1.0, 0.95, 0.9, 0.8, 0.6, 0.4)  # series radii of a fit, tried in turn
-_CROSS_CHECK_POINTS = 16   # points on |u| = rho integrated by quadrature per fit
+_CROSS_CHECK_POINTS = 16   # points on |u| = rho of the V and log Phi cross-checks
 _CROSS_CHECK_START = 0.5   # fraction of each cross-check ray where quadrature starts
 _LADDER_ANCHORS = 8        # evenly spaced initial anchors of a ladder past the start
 _ROUNDING = 100 * np.finfo(float).eps
@@ -293,6 +293,11 @@ def _halves(panels) -> list:
             for half in ((a, 0.5 * (a + b), depth + 1), (0.5 * (a + b), b, depth + 1))]
 
 
+def _segment_points(z: np.ndarray, t0: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """t z at the fractions ``xs`` of the segments from t0 z to z, one row each."""
+    return z[:, None] * (1 - (1 - t0)[:, None] * (1 - xs)[None, :])
+
+
 def _bracket_chunk(g: Expr, f: Expr | None, alpha: complex, beta: complex,
                    zc: np.ndarray, start) -> Iterator[tuple[np.ndarray, RadialBracket]]:
     """The segments from t0 zc to zc, given ``start`` = (t0, V, log V, log Phi)
@@ -314,8 +319,7 @@ def _bracket_chunk(g: Expr, f: Expr | None, alpha: complex, beta: complex,
         """t at the fractions ``xs`` of the segments of ``rows``, one row each."""
         return 1 - span[rows] * (1 - xs)[None, :]
 
-    ladder = (None if isinstance(g, Var)
-              else _Ladder(g, lambda xs: zc[:, None] * fractions(xs, slice(None)), logphi0))
+    ladder = None if isinstance(g, Var) else _Ladder(g, partial(_segment_points, zc, t0), logphi0)
 
     def rule_values(x_nodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # x_nodes is (panels, nodes); result is (rows, panels, nodes)
@@ -458,15 +462,13 @@ def _segments(g: Expr, alpha: complex, z: np.ndarray, beta: complex,
 class _CircleSeries:
     """Taylor coefficients in u/rho on |u| <= rho of log Phi, of V = alpha *
     sum h_n u^n / (n + alpha) for H = exp(beta log Phi) f' = sum h_n u^n, and
-    of log V; the error bounds of log Phi and H (V inherits H's), Phi(0)
-    and the tolerance met (``budget``), or the reason there are none."""
+    of log V; the error bound of H (V inherits it) and the tolerance met
+    (``budget``), or the reason there are none."""
 
     logphi: np.ndarray | None = None
     v: np.ndarray | None = None
     logv: np.ndarray | None = None
-    logphi_error: float = 0.0
     h_error: float = 0.0
-    phi0: complex = 1
     budget: str = ""
     reason: str | None = None
 
@@ -552,13 +554,13 @@ def _circle_log(vals: np.ndarray, what: str, circle: str):
 @lru_cache(maxsize=64)
 def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: float,
                    tol: float) -> _CircleSeries:
-    """The series of the bracket of (g, f, alpha, beta) on |u| = rho, kept per
-    process for the 64 latest keys: every fit of the same key, and a chain
-    and its operator, which share f, read one copy.  Its arrays are
-    read-only; a fit that edits them works on its own copy
+    """The series of the bracket of (g, f, alpha, beta) on |u| = rho, its log
+    Phi checked, kept per process for the 64 latest keys: every fit of the
+    same key, and a chain and its operator, which share f, read one copy.
+    Its arrays are read-only; a fit that edits them works on its own copy
     (:meth:`BracketFit._fit_series`)."""
     circle = f"|u| = {rho:g}"
-    n = _SERIES_START
+    n, last_tail = _SERIES_START, math.inf
     while True:
         u = rho * _roots_of_unity(n)
         if isinstance(g, Var):
@@ -576,6 +578,7 @@ def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: 
         logphi, reason = _circle_log(phi, "g(u)/u", circle)
         if reason:
             return _CircleSeries(reason=reason)
+        tail = math.inf  # an unresolved phase doubles whatever the last tail
         if logphi is not None:
             hv = np.exp(beta * logphi) * wv
             budget = tol if rho == 1 else max(tol, _ROUNDING * float(np.max(np.abs(hv))))
@@ -585,20 +588,42 @@ def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: 
                 v = alpha * h / (np.arange(len(h)) + alpha)
                 # |alpha / (n + alpha)| <= 1 for Re(alpha) > 0, so V inherits H's bound
                 logv, reason = _log_series(v, h_err, circle)
+                if not (reason or isinstance(g, Var)):
+                    reason = _check_log_phi(g, ell, ell_err, complex(np.mean(phi)), rho)
                 if reason:
                     return _CircleSeries(reason=reason)
                 ell.flags.writeable = v.flags.writeable = logv.flags.writeable = False
                 met = "absolute" if budget == tol else f"100 eps max|H| on {circle}"
-                return _CircleSeries(ell, v, logv, ell_err, h_err, complex(np.mean(phi)),
-                                     f"{budget:.1e} ({met})")
-        if n >= _SERIES_MAX:
+                return _CircleSeries(ell, v, logv, h_err, f"{budget:.1e} ({met})")
+            tail = max(ell_err, h_err)
+        if n >= _SERIES_MAX or (logphi is not None and tail >= last_tail):
             if logphi is None:
                 return _CircleSeries(
                     reason=f"phase of g(u)/u unresolved at {n} samples on {circle}")
             return _CircleSeries(
-                reason=f"coefficient tail {max(ell_err, h_err):.1e} above "
+                reason=f"coefficient tail {tail:.1e} above "
                        f"tolerance {budget:.1e} at {n} samples on {circle}")
-        n *= 2
+        n, last_tail = 2 * n, tail
+
+
+def _check_log_phi(g: Expr, logphi: np.ndarray, error: float, phi0: complex,
+                   rho: float) -> str | None:
+    """Why the log Phi series on |u| <= rho is refused, or None.  Nothing is
+    integrated: on the 16 points u of |u| = rho the series must agree with
+    the ladder from its value at u/2 within 2 ``error`` plus rounding,
+    and, since a whole turn reaches u/2 and u alike, its constant term must
+    lie within pi/2 of the principal log of Phi(0) = ``phi0``."""
+    zs, c = rho * _roots_of_unity(_CROSS_CHECK_POINTS), _CROSS_CHECK_START
+    ends, starts = np.split(_horner(logphi, np.concatenate([zs, c * zs]) / rho), 2)
+    try:
+        ladder = _Ladder(g, lambda xs: zs[:, None] * (c + (1 - c) * xs[None, :]), starts)
+    except SchlichtError as exc:
+        return f"cross-check ladder raised {type(exc).__name__}: {exc}"
+    gap = np.abs(ends - ladder.logs[:, -1])
+    if (np.all(gap <= 2 * error + _ROUNDING * (1 + np.abs(ends)))
+            and abs(logphi[0] - np.log(phi0)) < _HALF_PI):
+        return None
+    return f"cross-check gap {float(np.max(gap)):.1e} outside the error bounds"
 
 
 def _log_series(v: np.ndarray, v_error: float, circle: str):
@@ -773,16 +798,17 @@ class BracketFit:
         error + rounding.  An error eps u^n in coefficient n shows as at
         least (1 - 2^(-Re alpha - n)) eps: 0.19 eps for n = 0 at alpha = 0.3,
         the catalog's smallest Re(alpha), eps / 29 at Re(alpha) = 0.05.  A
-        whole turn of the log V or log Phi series reaches u/2 and u alike, so
-        their constant terms must lie within pi/2 of the principal logs of
-        V(0) and Phi(0).
+        whole turn of the log V series reaches u/2 and u alike, so its
+        constant term must lie within pi/2 of the principal log of V(0).
+        The series of log Phi was checked where it was made
+        (:func:`_check_log_phi`).
         """
         zs = self.radius * _roots_of_unity(_CROSS_CHECK_POINTS)
         n = len(zs)
         v, logv, logphi = self._values(np.concatenate([_CROSS_CHECK_START * zs, zs]))
         start = (_CROSS_CHECK_START, v[:n], logv[:n], logphi[:n])
         try:
-            quad, quad_logv, quad_logphi, quad_err = _segments(
+            quad, quad_logv, _, quad_err = _segments(
                 self.g, alpha, zs, beta, self.f, start)
         except SchlichtError as exc:
             return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
@@ -790,10 +816,7 @@ class BracketFit:
         bound = (self.series.h_error * (1 + _CROSS_CHECK_START ** alpha.real)
                  + quad_err + _ROUNDING * (1 + np.abs(quad)))
         same_branch = ((np.abs(logv[n:] - quad_logv) < _HALF_PI)
-                       & (np.abs(logphi[n:] - quad_logphi) < _HALF_PI)
-                       & (abs(self.logv[0] - np.log(self.v[0])) < _HALF_PI)
-                       & (abs(self.series.logphi[0] - np.log(self.series.phi0))
-                          < _HALF_PI))
+                       & (abs(self.logv[0] - np.log(self.v[0])) < _HALF_PI))
         worst = float(np.max(gap))
         if np.all(gap <= bound) and np.all(same_branch):
             return worst, None
@@ -869,51 +892,32 @@ def operator_mocanu(g: Expr, alpha, z) -> OperatorValue:
     return _weightless(g, alpha, z, phi_exponent=complex(alpha))
 
 
-class GzLogFit(BracketFit):
-    """The fit that carries log Phi alone, once for all the batches that a
-    T6 check or chain passes to :func:`continued_gz_log`: the bracket of
-    V = 1 (phi exponent 0, no f), whose ``logphi_end`` is log Phi."""
-
-    def __init__(self, g: Expr):
-        super().__init__(g, 1.0, 0.0)
-
-    def _cross_check(self, alpha: complex, beta: complex):
-        """(largest log Phi gap, reason or None).  V = 1 exactly, so nothing
-        is integrated: on the 16 points u of |u| = rho the log Phi series
-        must agree with the ladder from its value at u/2 within both series
-        errors and rounding, and its constant term must lie within pi/2 of
-        the principal log of Phi(0)."""
-        zs, c = self.radius * _roots_of_unity(_CROSS_CHECK_POINTS), _CROSS_CHECK_START
-        ends, starts = np.split(_horner(self.series.logphi, np.concatenate([zs, c * zs])
-                                        / self.radius), 2)
-        try:
-            ladder = _Ladder(self.g, lambda xs: zs[:, None] * (c + (1 - c) * xs[None, :]), starts)
-        except SchlichtError as exc:
-            return None, f"cross-check ladder raised {type(exc).__name__}: {exc}"
-        gap = np.abs(ends - ladder.logs[:, -1])
-        worst = float(np.max(gap))
-        if (np.all(gap <= 2 * self.series.logphi_error + _ROUNDING * (1 + np.abs(ends)))
-                and abs(self.series.logphi[0] - np.log(self.series.phi0)) < _HALF_PI):
-            return worst, None
-        return worst, f"cross-check gap {worst:.1e} outside the error bounds"
-
-
-def continued_gz_log(g: Expr, z, fit: GzLogFit | None = None) -> np.ndarray:
+def continued_gz_log(g: Expr, z) -> np.ndarray:
     """Continued log of g(z)/z along each radial segment, 0 at the origin.
 
     Vectorized over ``z`` in the closed unit disk; the value at z = 0 is
-    exactly 0.  It is the log Phi series within the radius of ``fit``, and
-    the segments' ladder beyond it (:meth:`BracketFit.final`).  ``fit``,
-    the ``GzLogFit(g)`` of a caller that evaluates many batches, is
-    reused; by default each call fits anew.
+    exactly 0.  Within the first radius rho of ``_RADII`` whose series of
+    log Phi (:func:`_circle_series` of V = 1) is admitted, a point takes
+    that series; beyond it, its segment's ladder from the series at rho
+    z/|z|, on the points of :func:`_bracket_chunk`, ``_CHUNK`` at a time.
     """
     zarr = _prepare(z)
     out = np.zeros(zarr.shape, dtype=complex)
     if isinstance(g, Var):
         return out
-    fit = fit or GzLogFit(g)
-    inner, outer = fit._split(zarr, 1 + 0j, 0j)
-    out[inner] = _horner(fit.series.logphi, zarr[inner] / fit.radius)
-    if len(outer):
-        out[outer] = fit.final(zarr[outer]).logphi_end
+    for rho in _RADII:
+        series = _circle_series(g, None, 1 + 0j, 0j, rho, _ABS_TOLERANCE)
+        if series.reason is None:
+            break
+    else:
+        raise ToleranceNotMet(f"no series radius down to {rho:g} admitted: {series.reason}")
+    r = np.abs(zarr)
+    inner = np.flatnonzero((r > _ZERO_RADIUS) & (r <= rho * _EDGE))
+    out[inner] = _horner(series.logphi, zarr[inner] / rho)
+    outer = np.flatnonzero(r > rho * _EDGE)
+    for first in range(0, len(outer), _CHUNK):
+        sel = outer[first:first + _CHUNK]
+        t0 = rho / np.abs(zarr[sel])
+        out[sel] = _Ladder(g, partial(_segment_points, zarr[sel], t0),
+                           _horner(series.logphi, t0 * zarr[sel] / rho)).logs[:, -1]
     return out

@@ -7,9 +7,11 @@ import pytest
 from conftest import admissible_params
 from schlicht.chains import (
     chain_a1,
+    chain_callable,
     chain_l,
     chain_point,
     chain_t6,
+    chain_t6_callable,
     chain_t6_p,
     disk_inclusion_check,
     qc_bound_k,
@@ -258,6 +260,21 @@ def test_unit_disk_vs_centered_disk_equivalence():
     near = np.abs(np.abs(A[good] - m[good] / (2 * a[good])) - m[good] / (2 * a[good])) <= 1e-12
     disagree = lhs != rhs
     assert not np.any(disagree & ~near)
+
+
+def test_driving_terms_reject_negative_times():
+    # chain_l, chain_t6 and chain_a1 reject t < 0; the driving terms of
+    # both chains must too, instead of returning a value
+    f, g = parse("z + 0.1*z^2"), parse("z")
+    params = CriterionParams(alpha=2, c=-1, s=1, m=2.0)
+    triple = AnalyticTriple.build(f, g, parse("1"))
+    calls = [lambda: chain_t6_p(f, g, 2, 0.5, -1),
+             lambda: transfer_a(triple, params, 0.5, -1),
+             lambda: chain_callable(triple, params).driving_term(0.5, -1),
+             lambda: chain_t6_callable(f, g, 2).driving_term(0.5, -1)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="non-negative"):
+            call()
 
 
 def test_qc_bound_examples():

@@ -7,8 +7,6 @@ quadrature beyond it, whose values must then be exactly those of
 serves as an independent reference (test-only dependency).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from schlicht import operators
 from schlicht.chains import chain_t6_p
 from schlicht.dsl import parse
 from schlicht.errors import ParameterError, ToleranceNotMet
-from schlicht.expr import evaluate
+from schlicht.expr import Var, evaluate
 from schlicht.operators import (
     bracket_final,
     continued_gz_log,
@@ -396,10 +394,37 @@ def test_continued_gz_log_falls_back_to_the_ladder():
     # the points beyond take the ladder of their segments from the series
     g = parse("z/(1-z)")
     z = POINTS[:50]
-    fit = operators.GzLogFit(g)
-    logs = continued_gz_log(g, z, fit)
-    assert fit.radius == 0.95 and np.any(np.abs(z) > 0.95)
+    logs = continued_gz_log(g, z)
+    series = [operators._circle_series(g, None, 1 + 0j, 0j, rho, operators._ABS_TOLERANCE)
+              for rho in (1.0, 0.95)]
+    assert series[0].reason is not None and series[1].reason is None
+    assert np.any(np.abs(z) > 0.95)
     assert np.max(np.abs(logs + np.log(1 - z))) <= 1e-12
+
+
+def test_continued_gz_log_integrates_no_ray(ray_counter):
+    # log Phi alone needs no quadrature beyond rho, only the segments' ladder
+    z = POINTS[:50]
+    logs = continued_gz_log(parse("z/(1-z)"), z)
+    assert ray_counter == [] and np.any(np.abs(z) > 0.95)
+    assert np.max(np.abs(logs + np.log(1 - z))) <= 1e-12
+
+
+@pytest.mark.parametrize("g_src", ["z/(1-z)", "z*exp(0.1*z)"])
+def test_continued_gz_log_within_rho_does_not_depend_on_its_batch(g_src):
+    g = parse(g_src)
+    z = POINTS[np.abs(POINTS) <= 0.95]
+    alone = np.array([continued_gz_log(g, zz)[0] for zz in z])
+    assert np.array_equal(alone, continued_gz_log(g, z))
+
+
+def test_circle_series_stops_doubling_once_its_tail_stalls():
+    # f' = (1 + u)/(1 - u)^3 peaks at 2.5e5 on |u| = 0.98: rounding of its
+    # samples holds the coefficient tail above the tolerance at any count
+    series = operators._circle_series(Var(), parse("z/(1-z)^2"), 1.5, 0.5, 0.98,
+                                      operators._ABS_TOLERANCE)
+    assert series.reason.startswith("coefficient tail")
+    assert series.reason.endswith("at 8192 samples on |u| = 0.98")
 
 
 @pytest.mark.parametrize("g_src", ["z/(1-z)", "z*exp(0.1*z)", "z*exp(4i*z)"])
@@ -486,17 +511,26 @@ def test_cross_check_rejects_another_branch_of_log_v(ray_counter):
     assert operators.BracketFit(g, 2.0, f=f).final(POINTS[:16]).path == "coefficients"
 
 
-def test_cross_check_rejects_another_branch_of_log_phi(ray_counter):
-    # with beta = 1 a whole turn in log Phi leaves V unchanged, so only
-    # the branch comparison can see it
+def test_cross_check_rejects_another_branch_of_log_phi(monkeypatch, request):
+    # a whole turn on the log Phi series of |u| = 1, injected where the
+    # series is made: with beta = 1 it leaves V unchanged, and it reaches
+    # u/2 and u alike, so only the branch comparison at the origin sees it
     g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
     zs = POINTS[:16]
-    fit = operators.BracketFit(g, 2.0, 1.0, f)
-    fit.final(np.zeros(1))  # takes the coefficients, integrates nothing
-    assert fit.reason is None and ray_counter == []
-    fit.series = dataclasses.replace(
-        fit.series, logphi=fit.series.logphi + np.eye(1, len(fit.series.logphi))[0] * 2j * np.pi)
-    fin = fit.final(zs)
-    assert fin.path == "quadrature" and fin.cross_check_gap <= 1e-12
+    original = operators._circle_log
+
+    def turned(vals, what, circle):
+        logs, reason = original(vals, what, circle)
+        if logs is not None and what == "g(u)/u" and circle == "|u| = 1":
+            logs = logs + 2j * np.pi
+        return logs, reason
+
+    operators._circle_series.cache_clear()
+    request.addfinalizer(operators._circle_series.cache_clear)
+    monkeypatch.setattr(operators, "_circle_log", turned)
+    fin = bracket_final(g, 2.0, zs, 1.0, f)
+    assert fin.radius == 0.95 and fin.cross_check_gap <= 1e-12
     assert fin.fallback_reason.startswith("cross-check gap")
-    assert operators.BracketFit(g, 2.0, 1.0, f).final(zs).path == "coefficients"
+    monkeypatch.undo()
+    operators._circle_series.cache_clear()
+    assert bracket_final(g, 2.0, zs, 1.0, f).path == "coefficients"
