@@ -13,7 +13,7 @@ W(z,t) with W(0,t) = 1 - (a/c)(e^{mt}-1) h0, so that
 
 The 1/alpha power takes the branch continued from W = 1 at (0, 0):
 radially at t = 0, which is the operator's own continued log V
-(``operators.BracketFit`` at u0), then in time at fixed u0.  In time
+(``operators.bracket_final`` at u0), then in time at fixed u0.  In time
 W = V(u0) (1 - (e^{mt}-1) D) is affine in e^{mt}, so the rest of the
 branch is the principal log of 1 - (e^{mt}-1) D along a straight segment
 from 1 (:func:`_time_log`), which fails only where that segment passes
@@ -26,7 +26,7 @@ same way with bracket V(z) + e^{alpha t} - 1.
 
 At alpha = 1 the operator is f - f(0) and the 1/alpha power is the
 identity, so both chains take V(u) = (f(u) - f(0))/u and its principal log
-from one jet of f (:func:`_closed_bracket`) and fit no bracket.
+from one jet of f (:func:`_closed_bracket`) and make no series.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .expr import (
     evaluate,
     jet,
 )
-from .operators import _ZERO_RADIUS, BracketFit
+from .operators import _ZERO_RADIUS, bracket_final
 
 __all__ = [
     "ChainPoint", "QcBound", "chain_l", "chain_a1", "transfer_a",
@@ -124,10 +124,10 @@ def _closed_bracket(f: Expr, u: np.ndarray):
 
     At alpha = 1 the operator is f - f(0), so V(u) = (f(u) - f(0))/u, which
     is 1 at the origin; endpoints with |u| below 1e-100 take V = 1 exactly,
-    as a fit's do.  log V is the principal log: the 1/alpha power is the
-    identity, so its branch does not matter.  A non-finite f raises
-    NonFiniteValue, and a zero of V NonvanishingViolation, at its first
-    point.
+    as in ``operators.bracket_final``.  log V is the principal log: the
+    1/alpha power is the identity, so its branch does not matter.  A
+    non-finite f raises NonFiniteValue, and a zero of V
+    NonvanishingViolation, at its first point.
     """
     fu, fp = (np.broadcast_to(v, u.shape) for v in jet(f, u, 1))
     _raise_at_first(~np.isfinite(fu), u, NonFiniteValue)
@@ -138,17 +138,14 @@ def _closed_bracket(f: Expr, u: np.ndarray):
     return v, np.log(v), fp
 
 
-def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
-            fit: BracketFit | None = None):
+def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t):
     """Sample the chain at (z, t); vectorized over broadcast arrays.
 
     With u0 = e^{-st} z the bracket is W = V(u0) (1 - (e^{mt}-1) D) with
     D = (a/c) Phi(u0)^(alpha-1) f'(u0) h(u0) / V(u0), so its log is the
-    operator's continued log V plus :func:`_time_log`.  ``fit``, the
-    operator's ``BracketFit(triple.g, params.alpha, f=triple.f)``, is
-    reused across calls; by default each call fits its own.  At alpha = 1,
+    operator's continued log V plus :func:`_time_log`.  At alpha = 1,
     V = (f(u0) - f(0))/u0 and D = (a/c) f'(u0) h(u0) / V(u0) come from one
-    jet of f (:func:`_closed_bracket`): no fit is made and g is not
+    jet of f (:func:`_closed_bracket`): no series is made and g is not
     evaluated.
     """
     params.validate()
@@ -160,9 +157,7 @@ def chain_l(triple: AnalyticTriple, params: CriterionParams, z, t,
         value, log_value, fp = _closed_bracket(triple.f, u0)
         weight = params.a / params.c * fp
     else:
-        if fit is None:
-            fit = BracketFit(triple.g, alpha, f=triple.f)
-        fin = fit.final(u0)
+        fin = bracket_final(triple.g, alpha, u0, f=triple.f)
         value, log_value = fin.value, fin.log_value
         # np.multiply, not *, on a temporary right factor: see "Batches" in operators
         weight = (np.multiply(params.a / params.c, np.exp((alpha - 1) * fin.logphi_end))
@@ -325,14 +320,12 @@ def disk_inclusion_check(s, m: float, k: float, l: float) -> tuple[bool, float]:
     return (bool(slack >= -1e-12), float(slack))
 
 
-def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None):
+def chain_t6(f: Expr, g: Expr, alpha: float, z, t):
     """The automorphism chain [alpha int_0^z g^(a-1) f' du + (e^{alpha t}-1) z^alpha]^(1/alpha).
 
     Its bracket is U = V(z) + e^{alpha t} - 1 = V(z) (1 + (e^{alpha t}-1) / V(z)).
-    ``fit``, the operator's ``BracketFit(g, alpha, f=f)``, is reused
-    across calls; by default each call fits its own.  At alpha = 1,
-    V = (f(z) - f(0))/z comes from one jet of f (:func:`_closed_bracket`):
-    no fit is made and g is not evaluated.
+    At alpha = 1, V = (f(z) - f(0))/z comes from one jet of f
+    (:func:`_closed_bracket`): no series is made and g is not evaluated.
     """
     alpha = float(alpha)
     if not alpha > 0:
@@ -342,9 +335,7 @@ def chain_t6(f: Expr, g: Expr, alpha: float, z, t, fit: BracketFit | None = None
     if alpha == 1:
         value, log_value, _ = _closed_bracket(f, zf)
     else:
-        if fit is None:
-            fit = BracketFit(g, alpha, f=f)
-        fin = fit.final(zf)
+        fin = bracket_final(g, alpha, zf, f=f)
         value, log_value = fin.value, fin.log_value
     log_u = log_value + _time_log(-1.0 / value, np.expm1(alpha * tf))
     out = np.multiply(zf, np.exp(log_u / alpha))  # see "Batches" in operators
@@ -381,13 +372,10 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams):
     """Vectorized (z, t) -> L(z, t) closure for the extension builder.
 
     It carries its driving term p = transfer_p(transfer_w(transfer_a)) as
-    ``chain.driving_term(z, t)``, which needs no quadrature.  Its values
-    share one bracket fit; at alpha = 1 they need none (:func:`chain_l`).
+    ``chain.driving_term(z, t)``, which needs no quadrature.
     """
-    fit = None if params.alpha == 1 else BracketFit(triple.g, params.alpha, f=triple.f)
-
     def chain(z, t):
-        return chain_l(triple, params, z, t, fit)
+        return chain_l(triple, params, z, t)
 
     def driving_term(z, t):
         return transfer_p(transfer_w(transfer_a(triple, params, z, t),
@@ -400,14 +388,10 @@ def chain_callable(triple: AnalyticTriple, params: CriterionParams):
 def chain_t6_callable(f: Expr, g: Expr, alpha: float):
     """Vectorized (z, t) -> L(z, t) closure of the automorphism chain.
 
-    It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.  Its
-    values share one bracket fit; at alpha = 1 none is needed
-    (:func:`chain_t6`).
+    It carries :func:`chain_t6_p` as ``chain.driving_term(z, t)``.
     """
-    fit = None if alpha == 1 else BracketFit(g, alpha, f=f)
-
     def chain(z, t):
-        return chain_t6(f, g, alpha, z, t, fit)
+        return chain_t6(f, g, alpha, z, t)
 
     def driving_term(z, t):
         return chain_t6_p(f, g, alpha, z, t)

@@ -10,11 +10,10 @@ jet of f (``evaluate(f, u, 1)``), or 1 when no f is given.  The full
 integral is then alpha * int_0^z g^(alpha-1) f' du = z^alpha V(z) and the
 operator value is z * V(z)^(1/alpha).
 
-One path computes V.  A :class:`BracketFit` of one (g, f, alpha, beta)
-fixes a radius rho for all the batches of endpoints that a subject or
-chain object evaluates; :func:`bracket_final` is the same for one batch.
-Points with |z| <= rho take the series, the others a quadrature on the
-outer segment of their ray.
+One path computes V: :func:`bracket_final` over a batch of endpoints.
+Each (g, f, alpha, beta) has one radius rho per process, the first whose
+series is admitted (:func:`_admitted`).  Points with |z| <= rho take the
+series, the others a quadrature on the outer segment of their ray.
 
 The series.  When log Phi is analytic on the closed disk |u| <= rho, so is
 H = exp(beta log Phi) w = sum h_n u^n, and termwise integration gives
@@ -24,19 +23,21 @@ log Phi (:func:`_circle_log`) and of H in u/rho, the trapezoidal rule,
 exponentially convergent for analytic data; N doubles from
 ``_SERIES_START`` up to ``_SERIES_MAX`` while the error that :func:`_trim`
 bounds from the slots n >= N/2 still falls.  log V comes the same way from V
-(:func:`_log_series`), and a point costs Horner (:meth:`BracketFit._values`).
-The series of log Phi, V and log V are kept per process for each (g, f,
-alpha, beta, rho) (:func:`_circle_series`).
+(:func:`_log_series`), and a point costs Horner (:meth:`_CircleSeries.values`).
+The series of log Phi, V and log V are made, checked and kept once per
+process for each (g, f, alpha, beta, rho) (:func:`_circle_series`);
+nothing is integrated to admit them.
 
-The radius and the gate.  rho = 1 comes first; each refusal moves the fit
-to the next radius of ``_RADII``, and when none is left it raises
+The radius and the gate.  rho = 1 comes first; each refusal moves the
+bracket to the next radius of ``_RADII``, and when none is left it raises
 ToleranceNotMet with the last reason.  Coefficients are used only if g
 and w are finite on |u| = rho, Phi has no zero there and winding number 0
 (with analytic g this rules out zeros inside), both coefficient errors
 fit the tolerance, V stays above its error on the circle and winds 0
 times around 0 (so by Rouche's theorem it has no zero in the disk), the
-log V tail fits ``_ABS_TOLERANCE``, log Phi passes its check
-(:func:`_check_log_phi`) and V the fit's (:meth:`BracketFit._cross_check`).
+log V tail fits ``_ABS_TOLERANCE``, log Phi passes its check against
+ladders (:func:`_check_log_phi`), and the series of H, and so of V,
+agrees with H evaluated off the sample points (:func:`_check_v`).
 The tolerance is ``_ABS_TOLERANCE``; on a circle with rho < 1, which a
 singularity of g or w may approach closely, it is the larger of that and
 ``_ROUNDING`` times the largest |H| there, the level that rounding of those
@@ -49,7 +50,7 @@ Beyond rho.  A point z = r e^(i theta) with r > rho takes
 
 by quadrature from the series' V, log V and log Phi at rho e^(i theta)
 (:func:`iter_radial_brackets`); its error bound adds (rho/r)^Re(alpha)
-h_err to the quadrature's.  The same segments serve the cross-check.
+h_err to the quadrature's.
 :func:`continued_gz_log` needs log Phi alone: beyond rho it takes each
 segment's ladder and integrates nothing.
 
@@ -112,7 +113,7 @@ from .errors import (
 from .expr import Expr, Var, _raise_at_first, evaluate
 
 __all__ = [
-    "OperatorValue", "RadialBracket", "BracketFinal", "BracketFit",
+    "OperatorValue", "RadialBracket", "BracketFinal",
     "iter_radial_brackets", "bracket_final",
     "operator_values", "operator_values_with_derivative", "operator_g_alpha",
     "operator_pascu", "operator_moldoveanu_pascu", "operator_mocanu",
@@ -125,9 +126,9 @@ _EDGE = 1 + 1e-9           # endpoints up to this factor beyond a radius count a
 _CHUNK = 2048
 _SERIES_START = 64         # samples on |u| = rho at first
 _SERIES_MAX = 1 << 14      # cap of the sample doubling
-_RADII = (1.0, 0.95, 0.9, 0.8, 0.6, 0.4)  # series radii of a fit, tried in turn
-_CROSS_CHECK_POINTS = 16   # points on |u| = rho of the V and log Phi cross-checks
-_CROSS_CHECK_START = 0.5   # fraction of each cross-check ray where quadrature starts
+_RADII = (1.0, 0.95, 0.9, 0.8, 0.6, 0.4)  # series radii, tried in turn
+_CHECK_POINTS = 16         # points on each circle of the series checks
+_CHECK_INNER = 0.5         # the checks' inner circle, as a fraction of rho
 _LADDER_ANCHORS = 8        # evenly spaced initial anchors of a ladder past the start
 _ROUNDING = 100 * np.finfo(float).eps
 _NODES_PER_PANEL = 16      # Gauss-Legendre nodes; the error estimate uses twice as many
@@ -172,11 +173,10 @@ class RadialBracket:
 class BracketFinal:
     """Flat per-point bracket results.
 
-    ``radius`` is the fit's series radius rho; ``path`` is "coefficients" at
-    rho = 1, where no point is integrated, and "quadrature" below it.
+    ``radius`` is the admitted series radius rho; ``path`` is "coefficients"
+    at rho = 1, where no point is integrated, and "quadrature" below it.
     ``fallback_reason`` says why rho = 1 was refused (None when it was not),
-    ``cross_check_gap`` is the largest gap of the cross-check at rho (None
-    when it did not run), and ``budget`` names the tolerance the series met.
+    and ``budget`` names the tolerance the series met.
     """
 
     value: np.ndarray
@@ -186,7 +186,6 @@ class BracketFinal:
     path: str
     radius: float = 1.0
     fallback_reason: str | None = None
-    cross_check_gap: float | None = None
     budget: str = ""
 
 
@@ -470,7 +469,27 @@ class _CircleSeries:
     logv: np.ndarray | None = None
     h_error: float = 0.0
     budget: str = ""
+    radius: float = 1.0
     reason: str | None = None
+
+    def values(self, u: np.ndarray):
+        """V, log V and log Phi at points of the closed disk |u| <= rho.
+
+        log V is the principal log of V plus the whole turns that the log V
+        series puts on it: the series fixes the branch, and V its value.
+        It is taken as log|V| + i (arg V + 2 pi turns), one real log, with
+        the principal arg V that the turn count needs anyway.
+        """
+        w = u / self.radius
+        v = _horner(self.v, w)
+        arg = np.angle(v)
+        logv = np.log(np.abs(v)) + 1j * (arg + 2 * np.pi * _turns(_horner(self.logv, w).imag, arg))
+        return v, logv, _horner(self.logphi, w)
+
+
+def _turns(phase: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """Whole turns between a continued phase and the principal one."""
+    return np.round((phase - arg) / (2 * np.pi))
 
 
 def _trim(coef: np.ndarray, tol: float):
@@ -555,10 +574,9 @@ def _circle_log(vals: np.ndarray, what: str, circle: str):
 def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: float,
                    tol: float) -> _CircleSeries:
     """The series of the bracket of (g, f, alpha, beta) on |u| = rho, its log
-    Phi checked, kept per process for the 64 latest keys: every fit of the
-    same key, and a chain and its operator, which share f, read one copy.
-    Its arrays are read-only; a fit that edits them works on its own copy
-    (:meth:`BracketFit._fit_series`)."""
+    Phi (:func:`_check_log_phi`) and V (:func:`_check_v`) checked, kept per
+    process for the 64 latest keys: every batch of the same key, and a
+    chain and its operator, which share f, read one read-only copy."""
     circle = f"|u| = {rho:g}"
     n, last_tail = _SERIES_START, math.inf
     while True:
@@ -581,7 +599,8 @@ def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: 
         tail = math.inf  # an unresolved phase doubles whatever the last tail
         if logphi is not None:
             hv = np.exp(beta * logphi) * wv
-            budget = tol if rho == 1 else max(tol, _ROUNDING * float(np.max(np.abs(hv))))
+            h_max = float(np.max(np.abs(hv)))
+            budget = tol if rho == 1 else max(tol, _ROUNDING * h_max)
             ell, ell_err = _trim(_coefficients(logphi), budget)
             h, h_err = _trim(_coefficients(hv), budget)
             if ell is not None and h is not None:
@@ -594,7 +613,9 @@ def _circle_series(g: Expr, f: Expr | None, alpha: complex, beta: complex, rho: 
                     return _CircleSeries(reason=reason)
                 ell.flags.writeable = v.flags.writeable = logv.flags.writeable = False
                 met = "absolute" if budget == tol else f"100 eps max|H| on {circle}"
-                return _CircleSeries(ell, v, logv, h_err, f"{budget:.1e} ({met})")
+                series = _CircleSeries(ell, v, logv, h_err, f"{budget:.1e} ({met})", rho)
+                reason = _check_v(g, f, alpha, beta, series, h_max)
+                return _CircleSeries(reason=reason) if reason else series
             tail = max(ell_err, h_err)
         if n >= _SERIES_MAX or (logphi is not None and tail >= last_tail):
             if logphi is None:
@@ -613,7 +634,7 @@ def _check_log_phi(g: Expr, logphi: np.ndarray, error: float, phi0: complex,
     the ladder from its value at u/2 within 2 ``error`` plus rounding,
     and, since a whole turn reaches u/2 and u alike, its constant term must
     lie within pi/2 of the principal log of Phi(0) = ``phi0``."""
-    zs, c = rho * _roots_of_unity(_CROSS_CHECK_POINTS), _CROSS_CHECK_START
+    zs, c = rho * _roots_of_unity(_CHECK_POINTS), _CHECK_INNER
     ends, starts = np.split(_horner(logphi, np.concatenate([zs, c * zs]) / rho), 2)
     try:
         ladder = _Ladder(g, lambda xs: zs[:, None] * (c + (1 - c) * xs[None, :]), starts)
@@ -626,6 +647,51 @@ def _check_log_phi(g: Expr, logphi: np.ndarray, error: float, phi0: complex,
     return f"cross-check gap {float(np.max(gap)):.1e} outside the error bounds"
 
 
+def _check_v(g: Expr, f: Expr | None, alpha: complex, beta: complex,
+             series: _CircleSeries, h_max: float) -> str | None:
+    """Why the series of V and log V on |u| <= rho are refused, or None.
+
+    Nothing is integrated.  The FFT reproduces H at its samples, so
+    aliasing and truncation show between them: at ``_CHECK_POINTS`` points
+    of |u| = rho at the angles 2 pi (k + 1/3) / 16, which are sample points
+    for no N, and at as many of |u| = rho/2, the series sum h_n (u/rho)^n
+    with h_n = v_n (n + alpha) / alpha must agree with H = exp(beta log
+    Phi) f', evaluated there with log Phi the principal log plus the whole
+    turns of its checked series, within h_err plus rounding of max|H| on
+    the circle (``h_max``).  V = alpha sum h_n u^n / (n + alpha) is then
+    right within h_err too.  The log V series must lie within pi/2 of arg V
+    plus whole turns at the same points, so that the turns a point reads
+    off it (:meth:`_CircleSeries.values`) are unambiguous, and its constant
+    term within pi/2 of the principal log of V(0), since a whole turn
+    reaches every point alike.
+    """
+    rho, circle = series.radius, f"|u| = {series.radius:g}"
+    w = np.exp(2j * np.pi * (np.arange(_CHECK_POINTS) + 1 / 3) / _CHECK_POINTS)
+    w = np.concatenate([w, _CHECK_INNER * w])
+    u = rho * w
+    h = np.ones(len(u), dtype=complex)
+    if f is not None:
+        h, reason = _sample_circle(f, u, "the weight", circle, 1)
+        if reason:
+            return reason
+    if beta != 0 and not isinstance(g, Var):
+        gv, reason = _sample_circle(g, u, "g", circle)
+        if reason:
+            return reason
+        phi = gv / u
+        turns = _turns(_horner(series.logphi, w).imag, np.angle(phi))
+        h = np.exp(beta * (np.log(phi) + 2j * np.pi * turns)) * h
+    coef = series.v * ((np.arange(len(series.v)) + alpha) / alpha)
+    gap = float(np.max(np.abs(_horner(coef, w) - h)))
+    if not gap <= series.h_error + _ROUNDING * h_max:  # a NaN gap fails too
+        return f"H series gap {gap:.1e} outside the error bounds"
+    phase, arg = _horner(series.logv, w).imag, np.angle(_horner(series.v, w))
+    if not (np.max(np.abs(phase - arg - 2 * np.pi * _turns(phase, arg))) < _HALF_PI
+            and abs(series.logv[0] - np.log(series.v[0])) < _HALF_PI):
+        return "log V series off the branch of V"
+    return None
+
+
 def _log_series(v: np.ndarray, v_error: float, circle: str):
     """(coefficients of log V, None) on the disk, or (None, the reason there are none).
 
@@ -633,7 +699,7 @@ def _log_series(v: np.ndarray, v_error: float, circle: str):
     FFT.  By Rouche's theorem the V that the coefficients approximate has
     no zero in the disk when their sum stays farther than ``v_error`` from
     0 on the circle and winds 0 times around it.  A point reads only whole
-    turns off the series (:meth:`BracketFit._values`), so once it fits
+    turns off the series (:meth:`_CircleSeries.values`), so once it fits
     ``_ABS_TOLERANCE`` its top terms whose moduli sum below pi/4 are cut.
     """
     if len(v) == 1 and abs(v[0]) > v_error:  # a constant's log is a constant
@@ -678,155 +744,55 @@ def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-class BracketFit:
-    """The bracket of one (g, f, alpha, phi exponent), weight f' (1 without
-    f), fitted once for all the batches a subject or chain object evaluates.
-
-    The first batch fits the series at ``radius`` rho = 1 and, once a batch
-    has an endpoint off the origin, cross-checks it (:meth:`_cross_check`);
-    each refusal moves the fit to the next radius of ``_RADII``.  Later
-    batches reuse what was admitted.  ``reason`` says why rho = 1 was
-    refused (None while it is not), and ``cross_check_gap`` is the largest
-    gap of the cross-check at rho (None until it passes).
-    """
-
-    def __init__(self, g: Expr, alpha, phi_exponent=None, f: Expr | None = None):
-        self.g, self.alpha, self.phi_exponent, self.f = g, alpha, phi_exponent, f
-        self.radius = _RADII[0]
-        self.series: _CircleSeries | None = None
-        self.v = self.logv = None
-        self.reason: str | None = None
-        self.cross_check_gap: float | None = None
-
-    def final(self, z) -> BracketFinal:
-        """Flat bracket values over a batch of endpoints |z| <= 1: the series
-        within the fit's radius and the segment quadrature beyond it.
-        Endpoints with |z| below 1e-100 take V = 1 exactly, and a batch of
-        only such endpoints integrates nothing.
-        """
-        zarr = _prepare(z)
-        alpha = _validate_alpha(self.alpha)
-        beta = complex(self.phi_exponent) if self.phi_exponent is not None else alpha - 1
-        inner, outer = self._split(zarr, alpha, beta)
-        rho, nz = self.radius, len(zarr)
-        out = BracketFinal(
-            value=np.ones(nz, dtype=complex), log_value=np.zeros(nz, dtype=complex),
-            logphi_end=np.zeros(nz, dtype=complex), error=np.zeros(nz),
-            path="coefficients" if rho == 1 else "quadrature",
-            radius=rho, fallback_reason=self.reason, cross_check_gap=self.cross_check_gap,
-            budget=self.series.budget)
-        if not (len(inner) or len(outer)):
-            return out
-        zo, k = zarr[outer], len(inner)
-        t0 = rho / np.abs(zo)
-        # one series pass serves the inner points and the starts of the segments
-        v, logv, logphi = self._values(np.concatenate([zarr[inner], t0 * zo]))
-        out.value[inner], out.log_value[inner], out.logphi_end[inner] = v[:k], logv[:k], logphi[:k]
-        out.error[inner] = self.series.h_error
-        if len(outer):
-            (out.value[outer], out.log_value[outer], out.logphi_end[outer],
-             out.error[outer]) = _segments(
-                self.g, alpha, zo, beta, self.f, (t0, v[k:], logv[k:], logphi[k:]))
-            out.error[outer] += t0 ** alpha.real * self.series.h_error
-        return out
-
-    def _split(self, zarr: np.ndarray, alpha: complex, beta: complex):
-        """Indices of the endpoints off the origin within and beyond the admitted radius."""
-        r = np.abs(zarr)
-        nonzero = np.flatnonzero(r > _ZERO_RADIUS)
-        self._admit(alpha, beta, len(nonzero) > 0)
-        beyond = r[nonzero] > self.radius * _EDGE
-        return nonzero[~beyond], nonzero[beyond]
-
-    def _admit(self, alpha: complex, beta: complex, cross_check: bool) -> None:
-        """Fit the series at the current radius and, when ``cross_check``,
-        cross-check it once; each refusal moves to the next radius, and when
-        none is left ToleranceNotMet gives the last reason."""
-        while True:
-            reason = self._fit_series(alpha, beta) if self.series is None else None
-            if reason is None and cross_check and self.cross_check_gap is None:
-                gap, reason = self._cross_check(alpha, beta)
-                if reason is None:
-                    self.cross_check_gap = gap
-            if reason is None:
-                return
-            self.reason = self.reason or reason
-            lower = _RADII[_RADII.index(self.radius) + 1:]
-            if not lower:
-                raise ToleranceNotMet(
-                    f"no series radius down to {self.radius:g} admitted: {reason}")
-            self.radius, self.series = lower[0], None
-
-    def _fit_series(self, alpha: complex, beta: complex) -> str | None:
-        """Coefficients of log Phi, V and log V at the current radius from
-        the process's series cache (:func:`_circle_series`), or the reason
-        there are none.  ``v`` and ``logv`` are this fit's own writable
-        copies, so an edit of one fit reaches no other."""
-        self.series = _circle_series(self.g, self.f, alpha, beta, self.radius,
-                                     _ABS_TOLERANCE)
-        if self.series.reason is None:
-            self.v, self.logv = self.series.v.copy(), self.series.logv.copy()
-        return self.series.reason
-
-    def _values(self, u: np.ndarray):
-        """V, log V and log Phi at points of the closed disk |u| <= rho.
-
-        log V is the principal log of V plus the whole turns that the log V
-        series puts on it: the series fixes the branch, and V its value.
-        It is taken as log|V| + i (arg V + 2 pi turns), one real log, with
-        the principal arg V that the turn count needs anyway.
-        """
-        w = u / self.radius
-        v = _horner(self.v, w)
-        arg = np.angle(v)
-        turns = np.round((_horner(self.logv, w).imag - arg) / (2 * np.pi))
-        logv = np.log(np.abs(v)) + 1j * (arg + 2 * np.pi * turns)
-        return v, logv, _horner(self.series.logphi, w)
-
-    def _cross_check(self, alpha: complex, beta: complex):
-        """(largest |V| gap, reason or None) of the fit against quadrature.
-
-        The sample is ``_CROSS_CHECK_POINTS`` points u on |u| = rho, where the
-        error bounds are claimed (the gap of two analytic functions is
-        largest on the boundary).  Each ray is integrated on its outer half
-        from the series' V, log V and log Phi at u/2 (``_CROSS_CHECK_START``):
-
-            V(u) = 2^(-alpha) V(u/2) + alpha int_(1/2)^1 s^(alpha-1) H(s u) ds,
-
-        so with D = series - true V the gap is D(u) - 2^(-alpha) D(u/2) plus
-        the quadrature error, within h_err (1 + 2^(-Re alpha)) + quadrature
-        error + rounding.  An error eps u^n in coefficient n shows as at
-        least (1 - 2^(-Re alpha - n)) eps: 0.19 eps for n = 0 at alpha = 0.3,
-        the catalog's smallest Re(alpha), eps / 29 at Re(alpha) = 0.05.  A
-        whole turn of the log V series reaches u/2 and u alike, so its
-        constant term must lie within pi/2 of the principal log of V(0).
-        The series of log Phi was checked where it was made
-        (:func:`_check_log_phi`).
-        """
-        zs = self.radius * _roots_of_unity(_CROSS_CHECK_POINTS)
-        n = len(zs)
-        v, logv, logphi = self._values(np.concatenate([_CROSS_CHECK_START * zs, zs]))
-        start = (_CROSS_CHECK_START, v[:n], logv[:n], logphi[:n])
-        try:
-            quad, quad_logv, _, quad_err = _segments(
-                self.g, alpha, zs, beta, self.f, start)
-        except SchlichtError as exc:
-            return None, f"cross-check quadrature raised {type(exc).__name__}: {exc}"
-        gap = np.abs(v[n:] - quad)
-        bound = (self.series.h_error * (1 + _CROSS_CHECK_START ** alpha.real)
-                 + quad_err + _ROUNDING * (1 + np.abs(quad)))
-        same_branch = ((np.abs(logv[n:] - quad_logv) < _HALF_PI)
-                       & (abs(self.logv[0] - np.log(self.v[0])) < _HALF_PI))
-        worst = float(np.max(gap))
-        if np.all(gap <= bound) and np.all(same_branch):
-            return worst, None
-        return worst, f"cross-check gap {worst:.1e} outside the error bounds"
+def _admitted(g: Expr, f: Expr | None, alpha: complex, beta: complex):
+    """(series, reason): the series of the first radius of ``_RADII`` that
+    :func:`_circle_series` admits, and why rho = 1 was refused (None when
+    it was not).  When no radius is left, ToleranceNotMet gives the last
+    reason."""
+    first = None
+    for rho in _RADII:
+        series = _circle_series(g, f, alpha, beta, rho, _ABS_TOLERANCE)
+        if series.reason is None:
+            return series, first
+        first = first or series.reason
+    raise ToleranceNotMet(f"no series radius down to {rho:g} admitted: {series.reason}")
 
 
 def bracket_final(g: Expr, alpha, z, phi_exponent=None,
                   f: Expr | None = None) -> BracketFinal:
-    """One batch of bracket values from a fit of its own (:class:`BracketFit`)."""
-    return BracketFit(g, alpha, phi_exponent, f).final(z)
+    """Flat bracket values over a batch of endpoints |z| <= 1 for (g, f,
+    alpha, phi exponent), weight f' (1 without f): the admitted series
+    (:func:`_admitted`) within its radius and the segment quadrature beyond
+    it.  Endpoints with |z| below 1e-100 take V = 1 exactly, and a batch
+    of only such endpoints integrates nothing.
+    """
+    zarr = _prepare(z)
+    alpha = _validate_alpha(alpha)
+    beta = complex(phi_exponent) if phi_exponent is not None else alpha - 1
+    series, reason = _admitted(g, f, alpha, beta)
+    rho, nz = series.radius, len(zarr)
+    out = BracketFinal(
+        value=np.ones(nz, dtype=complex), log_value=np.zeros(nz, dtype=complex),
+        logphi_end=np.zeros(nz, dtype=complex), error=np.zeros(nz),
+        path="coefficients" if rho == 1 else "quadrature",
+        radius=rho, fallback_reason=reason, budget=series.budget)
+    r = np.abs(zarr)
+    nonzero = np.flatnonzero(r > _ZERO_RADIUS)
+    if not len(nonzero):
+        return out
+    beyond = r[nonzero] > rho * _EDGE
+    inner, outer = nonzero[~beyond], nonzero[beyond]
+    zo, k = zarr[outer], len(inner)
+    t0 = rho / np.abs(zo)
+    # one series pass serves the inner points and the starts of the segments
+    v, logv, logphi = series.values(np.concatenate([zarr[inner], t0 * zo]))
+    out.value[inner], out.log_value[inner], out.logphi_end[inner] = v[:k], logv[:k], logphi[:k]
+    out.error[inner] = series.h_error
+    if len(outer):
+        (out.value[outer], out.log_value[outer], out.logphi_end[outer],
+         out.error[outer]) = _segments(g, alpha, zo, beta, f, (t0, v[k:], logv[k:], logphi[k:]))
+        out.error[outer] += t0 ** alpha.real * series.h_error
+    return out
 
 
 def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
@@ -837,19 +803,14 @@ def _operator_from(zarr: np.ndarray, alpha: complex, fin: BracketFinal):
     return vals, fin.error * scale
 
 
-def operator_values_with_derivative(f: Expr, g: Expr, alpha, z,
-                                    fit: BracketFit | None = None):
+def operator_values_with_derivative(f: Expr, g: Expr, alpha, z):
     """Operator values and closed-form G' from one bracket pass.
 
     Returns (values, derivatives, errors), vectorized over z.
-    ``fit``, the ``BracketFit(g, alpha, f=f)`` of a caller that evaluates
-    many batches, is reused; by default each call fits its own.
     """
     alpha = _validate_alpha(alpha)
     zarr = _prepare(z)
-    if fit is None:
-        fit = BracketFit(g, alpha, f=f)
-    fin = fit.final(zarr)
+    fin = bracket_final(g, alpha, zarr, f=f)
     vals, errs = _operator_from(zarr, alpha, fin)
     # see "Batches" in the module docstring
     derivs = evaluate(f, zarr, 1) * np.exp(np.multiply(alpha - 1, fin.logphi_end
@@ -905,13 +866,8 @@ def continued_gz_log(g: Expr, z) -> np.ndarray:
     out = np.zeros(zarr.shape, dtype=complex)
     if isinstance(g, Var):
         return out
-    for rho in _RADII:
-        series = _circle_series(g, None, 1 + 0j, 0j, rho, _ABS_TOLERANCE)
-        if series.reason is None:
-            break
-    else:
-        raise ToleranceNotMet(f"no series radius down to {rho:g} admitted: {series.reason}")
-    r = np.abs(zarr)
+    series, _ = _admitted(g, None, 1 + 0j, 0j)
+    rho, r = series.radius, np.abs(zarr)
     inner = np.flatnonzero((r > _ZERO_RADIUS) & (r <= rho * _EDGE))
     out[inner] = _horner(series.logphi, zarr[inner] / rho)
     outer = np.flatnonzero(r > rho * _EDGE)

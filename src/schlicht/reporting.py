@@ -46,7 +46,7 @@ from .expr import (
     jet,
     sub,
 )
-from .operators import BracketFit, operator_values_with_derivative
+from .operators import operator_values_with_derivative
 from .oracle import derivative_nonvanishing, injectivity_test, preimage_count
 
 __all__ = ["ResolvedConfig", "load_config", "run_check", "report_json",
@@ -227,18 +227,16 @@ def _operator_subject(rc: ResolvedConfig):
 
     At alpha = 1 the operator is int_0^z f' du = f - f(0), whatever g is,
     so the subject is :func:`_expr_subject` of f - f(0) (of f itself when
-    f(0) = 0): nothing is fitted or integrated.  Otherwise a pass is one
-    bracket pass of the subject's one fit, giving G and G' together, so
-    the subject integrates one cross-check sample in all.
+    f(0) = 0): no series is made and nothing is integrated.  Otherwise a
+    pass is one bracket pass, giving G and G' together.
     """
     if rc.params.alpha == 1:
         f0 = eval_expr(rc.f, 0j)
         return _expr_subject(rc if f0 == 0 else replace(rc, f=sub(rc.f, const(f0))), 1)
-    fit = BracketFit(rc.g, rc.params.alpha, f=rc.f)
 
     def bracket_pass(zz, n, value):
         vals, derivs, _ = operator_values_with_derivative(
-            rc.f, rc.g, rc.params.alpha, zz.ravel(), fit)
+            rc.f, rc.g, rc.params.alpha, zz.ravel())
         return vals.reshape(zz.shape), derivs.reshape(zz.shape)
 
     return _run_subject(rc, 1, bracket_pass)
@@ -376,7 +374,7 @@ def run_check(rc: ResolvedConfig, with_oracle: bool = True,
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     criterion = CRITERIA[rc.check]
-    # one subject object per run, so an operator subject is fitted once
+    # one subject object per run, which keeps its pass on the grid
     subject = subject_function(rc)
     rep = criterion.check(rc, subject)
     qc_bound = None

@@ -94,10 +94,11 @@ def _quadrature_log(monkeypatch):
     smallest radius |u| where a segment of the group starts, smallest
     endpoint radius |z| of the group).
 
-    Every ray of radial quadrature, a segment beyond a fit's radius or a
-    cross-check sample, passes through ``operators.iter_radial_brackets``,
-    which ``BracketFit`` looks up as a module global; subjects and chains
-    integrate only through a ``BracketFit``.
+    Every ray of radial quadrature, a segment beyond the radius of a
+    bracket's series, passes through ``operators.iter_radial_brackets``,
+    which ``bracket_final`` looks up as a module global; subjects and
+    chains integrate only through ``bracket_final``.  Admitting a series
+    integrates nothing.
     """
     log = SimpleNamespace(rays=[], chunks=[])
     original = operators.iter_radial_brackets

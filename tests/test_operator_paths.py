@@ -1,4 +1,4 @@
-"""Which radius a bracket fit takes, why, and how well it agrees.
+"""Which radius a bracket takes, why, and how well it agrees.
 
 Subjects analytic on the closed disk take the coefficient path at radius
 1; the rest take the series on a smaller disk |u| <= rho and radial
@@ -27,16 +27,22 @@ POINTS = 0.999 * np.sqrt(RNG_POINTS.uniform(0, 1, 200)) * np.exp(
     2j * np.pi * RNG_POINTS.uniform(0, 1, 200))
 
 
-def _outer_segments(fit, z):
-    """The points of ``z`` beyond the fit's radius, and their V, log V and
+def _series(g, alpha, f, rho=1.0, beta=None):
+    """The process's series of (g, f, alpha, beta) on |u| = rho."""
+    alpha = complex(alpha)
+    beta = alpha - 1 if beta is None else complex(beta)
+    return operators._circle_series(g, f, alpha, beta, rho, operators._ABS_TOLERANCE)
+
+
+def _outer_segments(g, alpha, f, rho, z):
+    """The points of ``z`` beyond the radius rho, and their V, log V and
     log Phi from iter_radial_brackets alone, started from the series'
     values on the radius."""
-    outer = np.flatnonzero(np.abs(z) > fit.radius * operators._EDGE)
-    t0 = fit.radius / np.abs(z[outer])
-    start = (t0, *fit._values(t0 * z[outer]))
+    outer = np.flatnonzero(np.abs(z) > rho * operators._EDGE)
+    t0 = rho / np.abs(z[outer])
+    start = (t0, *_series(g, alpha, f, rho).values(t0 * z[outer]))
     got = [np.zeros(len(outer), dtype=complex) for _ in range(3)]
-    for sel, br in iter_radial_brackets(fit.g, fit.alpha, z[outer], f=fit.f,
-                                        start=start):
+    for sel, br in iter_radial_brackets(g, alpha, z[outer], f=f, start=start):
         for arr, part in zip(got, (br.value, br.log_value, br.logphi_end)):
             arr[sel] = part
     return outer, got
@@ -73,16 +79,16 @@ def test_fallback_matches_quadrature_bit_for_bit(mpmath, ray_counter, case, alph
     f_src, g_src, fp, logphi, reason = FALLBACKS[case]
     f, g = parse(f_src), parse(g_src)
     z = POINTS[:40]
-    fit = operators.BracketFit(g, alpha, f=f)
-    fin = fit.final(z)
+    fin = bracket_final(g, alpha, z, f=f)
     assert fin.path == "quadrature" and fin.radius < 1
     assert fin.fallback_reason.startswith(reason)
-    assert fin.cross_check_gap <= 1e-10
-    outer, want = _outer_segments(fit, z)
-    assert ray_counter == [16, len(outer)] and len(outer)
+    # the points beyond the radius are all that is integrated
+    assert ray_counter == [np.sum(np.abs(z) > fin.radius * operators._EDGE)]
+    outer, want = _outer_segments(g, alpha, f, fin.radius, z)
+    assert len(outer)
     for got, exact in zip((fin.value, fin.log_value, fin.logphi_end), want):
         assert np.array_equal(got[outer], exact)
-    vals, _, _ = operator_values_with_derivative(f, g, alpha, z[:3], fit)
+    vals, _, _ = operator_values_with_derivative(f, g, alpha, z[:3])
     ref = np.array([_reference_operator(mpmath, fp, logphi, alpha, zz) for zz in z[:3]])
     assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-12
 
@@ -99,144 +105,140 @@ def test_catalog_subjects_take_the_coefficient_path(ray_counter, g_src):
     f, g = parse("z/(1 - 0.17*z)"), parse(g_src)
     fin = bracket_final(g, 1.5, POINTS, f=f)
     assert fin.path == "coefficients" and fin.fallback_reason is None
-    assert 0 <= fin.cross_check_gap <= 1e-12
-    assert ray_counter == [operators._CROSS_CHECK_POINTS]
+    assert ray_counter == []
     assert np.max(fin.error) <= 1e-10
 
 
-def test_cross_check_sample_is_the_roots_of_unity(monkeypatch):
-    seen = []
-    original = operators.iter_radial_brackets
+@pytest.fixture
+def series_fault(monkeypatch, request):
+    """``inject(edit, circle)``: ``edit(v, logv)`` edits the series of V and
+    log V on ``circle`` (every circle when None) in place, where they are
+    made; the process's series cache is cleared around the test."""
+    def inject(edit, circle="|u| = 1"):
+        original = operators._log_series
 
-    def recording(g, alpha, z, *args, **kwargs):
-        seen.append(np.array(z))
-        return original(g, alpha, z, *args, **kwargs)
+        def faulty(v, v_error, at):
+            logv, reason = original(v, v_error, at)
+            if logv is not None and circle in (None, at):
+                edit(v, logv)
+            return logv, reason
 
-    monkeypatch.setattr(operators, "iter_radial_brackets", recording)
-    bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, f=parse("z + 0.5*z^2"))
-    assert len(seen) == 1
-    assert np.array_equal(seen[0], operators._roots_of_unity(16))
+        monkeypatch.setattr(operators, "_log_series", faulty)
+        operators._circle_series.cache_clear()
 
-
-def _shifted_quadrature(monkeypatch, calls):
-    """Every quadrature call counted in ``calls``, and V shifted by 1e-8 in
-    the first one (or in all of them, if ``calls`` holds "all")."""
-    original = operators.iter_radial_brackets
-
-    def shifted(*args, **kwargs):
-        calls.append(1)
-        shift = 1e-8 if len(calls) == 1 or "all" in calls else 0.0
-        for sel, br in original(*args, **kwargs):
-            br.values = br.values + shift
-            yield sel, br
-
-    monkeypatch.setattr(operators, "iter_radial_brackets", shifted)
+    request.addfinalizer(operators._circle_series.cache_clear)
+    return inject
 
 
-def test_cross_check_gap_sends_the_batch_to_quadrature(monkeypatch):
-    # a gap at radius 1 moves the fit to the next radius, whose points
-    # beyond it are integrated
-    _shifted_quadrature(monkeypatch, [])
-    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, f=parse("z + 0.5*z^2"))
-    for batch in (POINTS[:100], POINTS[100:]):
-        fin = fit.final(batch)
-        assert fin.path == "quadrature" and fin.radius == 0.95
-        assert fin.fallback_reason.startswith("cross-check gap 1.0e-08")
-        assert fin.cross_check_gap <= 1e-12
+def _shift_v0(v, logv):
+    v[0] += 1e-8
 
 
-def test_a_gap_at_every_radius_leaves_the_fit_without_one(monkeypatch):
-    _shifted_quadrature(monkeypatch, ["all"])
-    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, f=parse("z + 0.5*z^2"))
-    with pytest.raises(ToleranceNotMet, match=r"no series radius down to 0\.4 admitted: "
-                                              r"cross-check gap 1\.0e-08"):
-        fit.final(POINTS)
-    assert fit.reason.startswith("cross-check gap 1.0e-08")
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 2.0])
+def test_series_check_sees_a_shift_of_v0_at_full_size(series_fault, ray_counter, alpha):
+    # H = f' is a polynomial, so a shift eps of V's constant coefficient
+    # shows as eps itself, far above the bound; the quadrature check this
+    # replaced saw only (1 - 2^(-alpha)) eps, 3.4e-10 at alpha = 0.05
+    g, f = parse("z"), parse("z + 0.11*z^2")
+    series_fault(_shift_v0)
+    fin = bracket_final(g, alpha, POINTS[:16], f=f)
+    assert fin.radius == 0.95 and fin.path == "quadrature"
+    assert fin.fallback_reason == "H series gap 1.0e-08 outside the error bounds"
+    assert ray_counter == [np.sum(np.abs(POINTS[:16]) > 0.95 * operators._EDGE)]
 
 
-def test_cross_check_error_sends_the_batch_to_quadrature(monkeypatch):
-    calls = []
-    original = operators.iter_radial_brackets
-
-    def failing_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise ToleranceNotMet("outer branch continuation unresolved")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(operators, "iter_radial_brackets", failing_once)
-    fit = operators.BracketFit(parse("z*exp(0.1*z)"), 2.0, f=parse("z + 0.5*z^2"))
-    fin = fit.final(POINTS)
-    # the cross-check at radius 0.95, then the points beyond it
-    assert fin.path == "quadrature" and len(calls) == 3
-    assert fin.fallback_reason == ("cross-check quadrature raised ToleranceNotMet: "
-                                   "outer branch continuation unresolved")
-    # the fit keeps its radius: the next batch is integrated beyond it, not
-    # cross-checked
-    batch = POINTS[np.abs(POINTS) > 0.95][:5]
-    assert fit.final(batch).fallback_reason == fin.fallback_reason
-    assert len(calls) == 4
-
-
-@pytest.mark.parametrize("alpha", [0.3, 2.0])
-def test_cross_check_sees_an_error_of_the_constant_coefficient(alpha):
-    # the cross-check compares D(u) - 2^(-alpha) D(u/2) for the series
-    # error D, so a shift eps of V's constant coefficient shows as
-    # |1 - 2^(-alpha)| eps, far above the bound
-    fit = operators.BracketFit(parse("z"), alpha, f=parse("z + 0.11*z^2"))
-    fit.final(np.zeros(1))
-    assert fit.reason is None
-    fit.v[0] += 1e-8
-    gap, reason = fit._cross_check(complex(alpha), complex(alpha - 1))
-    assert reason.startswith("cross-check gap")
-    assert gap == pytest.approx(abs(1 - 2 ** -alpha) * 1e-8, rel=1e-3)
-    fin = fit.final(operators._roots_of_unity(16))
-    assert fin.path == "quadrature" and fin.fallback_reason == reason
-
-
-def test_an_edited_fit_leaks_nothing_into_the_series_cache():
-    # fits of one (g, f, alpha) share the process's cached series, whose
-    # arrays are read-only; each fit edits only its own copies of V and log V
+def test_series_check_rejects_another_branch_of_log_v(series_fault):
+    # a whole turn on the log V series reaches every point alike, so only
+    # its constant term against the principal log of V(0) can see it
     g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
-    first = operators.BracketFit(g, 2.0, f=f)
-    first.final(np.zeros(1))
-    v0, logv0 = first.v[0], first.logv[0]
-    first.v[0] += 1e-8
-    first.logv[0] += 2j * np.pi
-    second = operators.BracketFit(g, 2.0, f=f)
-    second.final(np.zeros(1))
-    assert second.series is first.series
-    assert second.v[0] == v0 and second.logv[0] == logv0
-    assert not (first.series.v.flags.writeable or first.series.logv.flags.writeable
-                or first.series.logphi.flags.writeable)
-    assert second.final(POINTS[:16]).path == "coefficients"
+
+    def turn(v, logv):
+        logv[0] += 2j * np.pi
+
+    series_fault(turn)
+    fin = bracket_final(g, 2.0, POINTS[:16], f=f)
+    assert fin.radius == 0.95
+    assert fin.fallback_reason == "log V series off the branch of V"
 
 
-def test_cross_check_attenuation_at_a_small_alpha():
-    # at alpha = 0.05 the same shift shows as only 0.034 eps, still far above
-    # the bound of this polynomial H; the check runs by itself, since a
-    # refusal would move the fit to the next radius
-    alpha = 0.05
-    fit = operators.BracketFit(parse("z"), alpha, f=parse("z + 0.11*z^2"))
-    fit.final(np.zeros(1))
-    assert fit.reason is None
-    fit.v[0] += 1e-8
-    gap, reason = fit._cross_check(complex(alpha), complex(alpha - 1))
-    assert reason.startswith("cross-check gap")
-    assert gap == pytest.approx((1 - 2 ** -alpha) * 1e-8, rel=1e-3)
+def test_series_check_sees_a_shift_of_a_high_coefficient_of_h(series_fault):
+    # V's coefficient n is alpha h_n / (n + alpha): a shift of 1e-8 in the
+    # last kept h_n shows in full on |u| = 1
+    g, f, alpha = parse("z*exp(0.1*z)"), parse("z/(1 - 0.17*z)"), 1.5
+    kept = len(_series(g, alpha, f).v)
+    assert kept > 10
+
+    def shift(v, logv):
+        v[-1] += alpha * 1e-8 / (len(v) - 1 + alpha)
+
+    series_fault(shift)
+    fin = bracket_final(g, alpha, POINTS[:16], f=f)
+    assert fin.radius == 0.95
+    assert fin.fallback_reason == "H series gap 1.0e-08 outside the error bounds"
+
+
+def test_a_gap_at_every_radius_leaves_no_radius(series_fault):
+    series_fault(_shift_v0, None)
+    with pytest.raises(ToleranceNotMet, match=r"no series radius down to 0\.4 admitted: "
+                                              r"H series gap 1\.0e-08"):
+        bracket_final(parse("z*exp(0.1*z)"), 2.0, POINTS, f=parse("z + 0.5*z^2"))
+
+
+def test_series_check_points_are_no_sample_points():
+    # the FFT reproduces H at its samples, so the check looks between them:
+    # 2 pi (k + 1/3) / 16 is 2 pi j / N for no power of two N
+    n = operators._CHECK_POINTS
+    w = np.exp(2j * np.pi * (np.arange(n) + 1 / 3) / n)
+    samples = operators._roots_of_unity(operators._SERIES_MAX)
+    assert np.min(np.abs(w[:, None] - samples[None, :])) > 1e-5
+
+
+def test_the_cached_series_is_read_only():
+    # every batch of one (g, f, alpha) reads the process's one series
+    g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
+    series = _series(g, 2.0, f)
+    assert _series(g, 2.0, f) is series
+    assert not (series.v.flags.writeable or series.logv.flags.writeable
+                or series.logphi.flags.writeable)
+
+
+# the radii that the quadrature cross-check of V, which the series check
+# replaced, gave these fits; each row follows g in PROBE_G, then alpha in
+# PROBE_ALPHA
+PROBE_G = ("z", "z*exp(0.1*z)", "z + 0.1*z^2", "z/(1 - 0.3*z)")
+PROBE_ALPHA = (0.3, 1.5, 2, 0.7 + 0.2j)
+PROBE_RADII = {
+    "z + 0.17*z^2": [1.0] * 16,
+    "z*exp(0.17*z)": [1.0] * 16,
+    "z/(1 - 0.17*z)": [1.0] * 16,
+    "z + 0.5*z^2": [1.0] * 16,
+    "z/(1 - z)": [0.95] * 16,
+    "z/(1 - z)^2": [0.95, 0.95, 0.95, 0.95, 0.9, 0.95, 0.95, 0.9,
+                    0.95, 0.95, 0.9, 0.95, 0.95, 0.95, 0.9, 0.95],
+}
+
+
+@pytest.mark.parametrize("f_src", list(PROBE_RADII))
+def test_probe_fits_keep_their_radii(request, ray_counter, f_src):
+    operators._circle_series.cache_clear()
+    request.addfinalizer(operators._circle_series.cache_clear)
+    f = parse(f_src)
+    got = [bracket_final(parse(g_src), alpha, np.array([0.5 + 0.1j]), f=f).radius
+           for g_src in PROBE_G for alpha in PROBE_ALPHA]
+    assert got == PROBE_RADII[f_src] and ray_counter == []
 
 
 SEGMENT_F = "z/(1 - 0.17*z)"
 
 
 def _segment(g, alpha, u, f=None):
-    """(fit, [V, log V, log Phi, error]) at ``u`` by quadrature from
-    u/2 on, started from the series of the fit at radius 1 at u/2."""
-    fit = operators.BracketFit(g, alpha, f=f or parse(SEGMENT_F))
-    fit.final(np.zeros(1))
+    """(series, [V, log V, log Phi, error]) at ``u`` by quadrature from
+    u/2 on, started from the series at radius 1 at u/2."""
+    f = f or parse(SEGMENT_F)
+    series = _series(g, alpha, f)
     alpha = complex(alpha)
-    start = (0.5, *fit._values(0.5 * u))
-    return fit, operators._segments(g, alpha, u, alpha - 1, fit.f, start)
+    start = (0.5, *series.values(0.5 * u))
+    return series, operators._segments(g, alpha, u, alpha - 1, f, start)
 
 
 def _reference_v(mpmath, fp, logphi, alpha, z):
@@ -266,10 +268,10 @@ def test_segment_from_half_matches_quadrature_from_the_origin(mpmath, g_src, alp
     # mpmath's quadrature from the origin is the reference; the segment's
     # error is its own plus the series error at u/2, attenuated by 2^(-alpha)
     u = operators._roots_of_unity(16)[::4]
-    fit, (value, log_value, _, error) = _segment(parse(g_src), alpha, u)
+    series, (value, log_value, _, error) = _segment(parse(g_src), alpha, u)
     ref = np.array([complex(_reference_v(mpmath, SEGMENT_WEIGHT, SEGMENT_LOGPHI[g_src],
                                          alpha, zz)) for zz in u])
-    bound = (error + 2 ** -complex(alpha).real * fit.series.h_error
+    bound = (error + 2 ** -complex(alpha).real * series.h_error
              + operators._ROUNDING * (1 + np.abs(ref)))
     assert np.all(np.abs(value - ref) <= bound)
     assert np.all(np.abs(log_value - np.log(ref)) <= bound / np.abs(ref))
@@ -318,7 +320,7 @@ def test_segment_from_half_matches_mpmath(mpmath):
 def test_origin_only_batch_integrates_nothing(ray_counter):
     fin = bracket_final(parse("z*exp(0.1*z)"), 2.0, np.zeros(3, dtype=complex),
                         f=parse("z + 0.5*z^2"))
-    assert ray_counter == [] and fin.cross_check_gap is None
+    assert ray_counter == []
     assert np.all(fin.value == 1) and np.all(fin.log_value == 0)
 
 
@@ -496,21 +498,6 @@ def test_log_value_beyond_pi_keeps_the_branch_from_the_origin():
     assert np.max(np.abs(fin.log_value - 4j * z)) <= 1e-12
 
 
-def test_cross_check_rejects_another_branch_of_log_v(ray_counter):
-    # the segment starts log V from the series at u/2, so a whole turn on
-    # the series' log V(0) reaches u/2 and u alike; only the anchor of log V
-    # at the origin can see it
-    g, f = parse("z*exp(0.5*z)"), parse("z + 0.5*z^2")
-    fit = operators.BracketFit(g, 2.0, f=f)
-    fit.final(np.zeros(1))
-    assert fit.reason is None and ray_counter == []
-    fit.logv[0] += 2j * np.pi
-    fin = fit.final(POINTS[:16])
-    assert fin.path == "quadrature" and fin.cross_check_gap <= 1e-12
-    assert fin.fallback_reason.startswith("cross-check gap")
-    assert operators.BracketFit(g, 2.0, f=f).final(POINTS[:16]).path == "coefficients"
-
-
 def test_cross_check_rejects_another_branch_of_log_phi(monkeypatch, request):
     # a whole turn on the log Phi series of |u| = 1, injected where the
     # series is made: with beta = 1 it leaves V unchanged, and it reaches
@@ -529,7 +516,7 @@ def test_cross_check_rejects_another_branch_of_log_phi(monkeypatch, request):
     request.addfinalizer(operators._circle_series.cache_clear)
     monkeypatch.setattr(operators, "_circle_log", turned)
     fin = bracket_final(g, 2.0, zs, 1.0, f)
-    assert fin.radius == 0.95 and fin.cross_check_gap <= 1e-12
+    assert fin.radius == 0.95
     assert fin.fallback_reason.startswith("cross-check gap")
     monkeypatch.undo()
     operators._circle_series.cache_clear()

@@ -172,13 +172,12 @@ def test_panel_layout_independence(monkeypatch):
 
 def _quadrature_value(f, g, alpha, z):
     """G(z) and its error bound from radial quadrature on the segment from
-    z/2 on, started from the series of the fit at radius 1 at z/2."""
-    fit = operators.BracketFit(g, alpha, f=f)
-    fit.final(np.zeros(1))
+    z/2 on, started from the series at radius 1 at z/2."""
     a, zz = complex(alpha), np.array([complex(z)])
+    series = operators._circle_series(g, f, a, a - 1, 1.0, operators._ABS_TOLERANCE)
     value, log_value, _, error = operators._segments(
-        g, a, zz, a - 1, fit.f, (0.5, *fit._values(0.5 * zz)))
-    error = error[0] + 0.5 ** a.real * fit.series.h_error
+        g, a, zz, a - 1, f, (0.5, *series.values(0.5 * zz)))
+    error = error[0] + 0.5 ** a.real * series.h_error
     g_value = z * np.exp(log_value[0] / a)
     return g_value, error * abs(g_value) / abs(a * value[0])
 
@@ -232,14 +231,14 @@ def test_a_large_bracket_above_the_absolute_budget_keeps_g_within_its_bound():
 
 def test_subdivision_depth_limit_names_the_panel(monkeypatch):
     # Koebe's f' blows up at u = 1, so the outer half of the segment from
-    # the fit's radius to 0.99 needs more than one bisection; at the full
-    # depth it converges
+    # the series' radius 0.95 to 0.995 needs more than one bisection; at
+    # the full depth it converges
     f = parse("koebe")
-    operator_g_alpha(f, parse("z"), 2.0, 0.99)
+    operator_g_alpha(f, parse("z"), 2.0, 0.995)
     monkeypatch.setattr(operators, "_MAX_DEPTH", 1)
     with pytest.raises(ToleranceNotMet,
                        match=r"panel \[0\.5,1\] above tolerance at depth 1"):
-        operator_g_alpha(f, parse("z"), 2.0, 0.99)
+        operator_g_alpha(f, parse("z"), 2.0, 0.995)
 
 
 def test_ladder_inserts_anchors_where_phi_turns_fast():

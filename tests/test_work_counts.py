@@ -9,11 +9,9 @@ An operator subject is evaluated once on the grid (the criterion's pass,
 or else the injectivity scan's, whose G and G' the subject keeps for the
 rest of the run), once on the preimage circle shared
 by all probes, and once at the probe points; G'(0) = f'(0) needs no ray.
-Each subject or chain object fits its bracket once: it integrates one
-cross-check sample of 16 rays per radius it tries, each on its outer half
-only, whatever its number of batches; at radius 1 that is all, and below
-it every batch integrates one segment per point beyond the radius, from
-the radius on.
+Admitting a bracket's series integrates nothing, so at radius 1 nothing
+is integrated at all, and below it every batch integrates one segment
+per point beyond the radius, from the radius on.
 The Beltrami coefficient of a chain's extension comes from its driving
 term, so a dilatation scan integrates nothing and ``extend`` evaluates one
 chain value per exported point, in one batch; the seam check evaluates its
@@ -59,62 +57,44 @@ def _demo(name: str, **changes) -> dict:
 
 
 @pytest.mark.parametrize("name, overrides, expected", [
-    pytest.param("trivial_t2", {"grid": SMALL, "params": T2_ALPHA2}, 16, id="trivial_t2"),
-    pytest.param("t6_eps02", {"params": T6_ALPHA2}, 16, id="t6_eps02"),
-    # f' = 1/(1-z)^2 is singular on the circle: the fit takes the radius
-    # 0.95, and only the outer grid ring, 32 points, lies beyond it
+    pytest.param("trivial_t2", {"grid": SMALL, "params": T2_ALPHA2}, [], id="trivial_t2"),
+    pytest.param("t6_eps02", {"params": T6_ALPHA2}, [], id="t6_eps02"),
+    # f' = 1/(1-z)^2 is singular on the circle: the series takes the
+    # radius 0.95, and only the outer grid ring, 32 points, lies beyond it
     pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)", "params": T2_ALPHA2},
-                 16 + 32, id="fallback"),
+                 [32], id="fallback"),
 ])
 def test_oracle_block_ray_count(ray_counter, name, overrides, expected):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     rc = reporting.load_config(raw, overrides)
     block = reporting.oracle_block(rc, reporting.subject_function(rc))
     assert block["preimage_counts_ok"] and not block["derivative_flagged"]
-    assert sum(ray_counter) == expected
+    assert ray_counter == expected
 
 
-@pytest.mark.parametrize("name, overrides, rays, rho", [
-    pytest.param("trivial_t2", {"grid": SMALL, "params": T2_ALPHA2}, [16], 1.0,
-                 id="trivial_t2"),
-    pytest.param("t6_eps02", {"params": T6_ALPHA2}, [16], 1.0, id="t6_eps02"),
-    pytest.param("trivial_t2", {"grid": SMALL, "f": "z/(1-z)", "params": T2_ALPHA2},
-                 [16, 32], 0.95, id="fallback"),
-])
-def test_cross_check_integrates_the_outer_half_of_its_rays(ray_counter, chunk_counter, name,
-                                                            overrides, rays, rho):
-    # the cross-check starts each ray of |u| = rho at rho/2 from the series,
-    # in one panel [rho/2, rho] at radius 1; the points beyond a smaller rho
-    # start from the series on the radius
-    raw = json.loads((CONFIGS / f"{name}.json").read_text())
-    rc = reporting.load_config(raw, overrides)
-    reporting.oracle_block(rc, reporting.subject_function(rc))
-    assert ray_counter == rays
-    assert all(c[2] >= rho / 2 for c in chunk_counter)
-    if rho == 1:
-        assert [c[1] for c in chunk_counter] == [1]
+# f' or g singular at z = 1: the series takes a radius rho < 1
+SINGULAR = {"geometric-f": {"f": "z/(1-z)"}, "koebe": {"f": "koebe"},
+            "geometric-g": {"f": "z + 0.05*z^2", "g": "z/(1-z)"}}
 
 
+@pytest.mark.parametrize("case", list(SINGULAR))
 def test_a_singular_subject_integrates_only_beyond_its_radius(ray_counter, chunk_counter,
-                                                              tmp_path):
-    # f' = 1/(1-z)^2 is singular at z = 1: the fit takes a radius rho < 1,
-    # cross-checks 16 rays of |u| = rho from rho/2 on, and integrates only
-    # the grid points beyond rho, from rho on; the probes (|z| <= 0.85) and
-    # the preimage circle (|z| = 0.9) take the series
-    raw = _demo("trivial_t2", f="z/(1-z)", params=T2_ALPHA2)
-    config = tmp_path / "t2_geometric_f.json"
+                                                              tmp_path, case):
+    # only the grid points beyond rho are integrated, each from rho on; the
+    # probes (|z| <= 0.85) and the preimage circle (|z| = 0.9) take the series
+    raw = _demo("trivial_t2", **SINGULAR[case], params=T2_ALPHA2)
+    config = tmp_path / "t2_singular.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "report.json"
     assert main(["check", "--config", str(config), "--out", str(out), "--no-timings"]) == 1
-    rho = min(c[3] for c in chunk_counter)
-    assert rho < 1 and any(rho == pytest.approx(r) for r in operators._RADII)
-    cross = [c for c in chunk_counter if c[3] < rho * operators._EDGE]
-    assert sum(c[0] for c in cross) == 16
-    assert all(c[2] == pytest.approx(rho / 2) for c in cross)
-    assert all(c[2] == pytest.approx(rho) and c[3] > rho for c in chunk_counter
-               if c not in cross)
+    rc = reporting.load_config(raw)
+    rho = operators.bracket_final(rc.g, rc.params.alpha, [0j], f=rc.f).radius
+    assert rho < 1
+    assert all(c[2] == pytest.approx(rho) and c[3] > rho for c in chunk_counter)
     radii = criteria.DiskGrid(**raw["grid"]).radii()
-    assert ray_counter == [16, raw["grid"]["n_angular"] * int(np.sum(radii > rho))]
+    assert ray_counter == [raw["grid"]["n_angular"] * int(np.sum(radii > rho))]
+    if case != "geometric-f":
+        return
     # the verdict, margin and oracle verdicts of the from-origin quadrature
     report = json.loads(out.read_text())
     assert not report["check"]["satisfied"]
@@ -141,7 +121,7 @@ ALPHA1_CHECKS = [
 @pytest.mark.parametrize("raw, code", ALPHA1_CHECKS)
 def test_a_check_at_alpha_one_integrates_nothing(ray_counter, ladder_counter, raw, code):
     # at alpha = 1 the operator is f - f(0): the criterion, the oracle
-    # subject and G' need no fit, no cross-check and no log Phi
+    # subject and G' need no series and no log Phi
     report, exit_code = reporting.run_check(reporting.load_config(raw), with_timings=False)
     assert exit_code == code and "oracle" in report
     assert ray_counter == [] and ladder_counter == []
@@ -169,38 +149,36 @@ def test_max_dilatation_integrates_nothing(ray_counter):
 ])
 def test_extend_ray_count(ray_counter, tmp_path, name, params):
     # resolution 8: 4 x 8 interior and 4 x 8 exterior points, one batch
-    # of one chain, which integrates one cross-check sample
+    # of one chain, all within the series' radius 1
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_demo(name, params=params)))
     assert main(["extend", "--config", str(config),
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
-    assert ray_counter == [16]
+    assert ray_counter == []
 
 
 @pytest.mark.parametrize("name, params", [
     pytest.param("trivial_t2", T2_ALPHA2, id="trivial_t2"),
     pytest.param("t6_eps02", T6_ALPHA2, id="t6_eps02"),
 ])
-def test_a_subject_object_integrates_one_cross_check(ray_counter, name, params):
+def test_a_subject_object_integrates_nothing(ray_counter, name, params):
     rc = reporting.load_config(_demo(name, params=params))
     op = reporting.subject_function(rc)
     z = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
     op(z)
-    assert ray_counter == [16]
     op(0.5 * z)  # a second batch on the same object
-    assert ray_counter == [16]
-    reporting.subject_function(rc)(0.5 * z)  # a new object fits anew
-    assert ray_counter == [16, 16]
+    reporting.subject_function(rc)(0.5 * z)  # and a new object
+    assert ray_counter == []
 
 
-def test_logderiv_check_with_the_oracle_fits_its_subject_once(ray_counter):
+def test_logderiv_check_with_the_oracle_integrates_nothing(ray_counter):
     # the criterion and the oracle share the run's one operator subject
     rc = reporting.load_config({
         "f": "z + 0.02*z^2", "check": "logderiv-Uk", "params": {"alpha": [2, 0], "k": 0.5},
         "grid": {"n_radial": 32, "n_angular": 64}, "seed": 2024})
     report, _ = reporting.run_check(rc, with_timings=False)
     assert "oracle" in report
-    assert ray_counter == [16]
+    assert ray_counter == []
 
 
 @pytest.fixture
@@ -310,15 +288,16 @@ def test_extend_evaluates_its_field_once(field_calls, tmp_path, name):
 
 
 def test_extend_ray_count_fallback(ray_counter, tmp_path):
-    # f' of z/(1-z) is singular on the circle, so the chain's fit takes the
-    # radius 0.95, and its one batch integrates the 16 points beyond it: 8
-    # inside the circle and 8 exterior points whose chain argument is there
-    # (the main chain at s = 1, whose arguments are those of becker_fail's)
+    # f' of z/(1-z) is singular on the circle, so the chain's series takes
+    # the radius 0.95, and its one batch integrates the 16 points beyond it:
+    # 8 inside the circle and 8 exterior points whose chain argument is
+    # there (the main chain at s = 1, whose arguments are those of
+    # becker_fail's)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_demo("trivial_t2", f="z/(1-z)", params=T2_ALPHA2)))
     assert main(["extend", "--config", str(config), "--force",
                  "--out", str(tmp_path / "f.csv"), "--resolution", "8"]) == 0
-    assert ray_counter == [16, 16]
+    assert ray_counter == [16]
 
 
 def _forbid_derivative_trees(monkeypatch):
